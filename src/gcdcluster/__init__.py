@@ -8,14 +8,13 @@ makes it fast, and the threshold analysis that locates the first integer the
 greedy places irregularly: 111_546_435 = 3*5*7*11*13*17*19*23.
 """
 
-from .counts import (ClassTally, SieveTermSum, class_size, coprime_count,
-                     floor_identity_lhs_rhs, size_S_exact, tally_even_class,
-                     tally_exact, tally_fast, tally_wheel_oracle)
+from .counts import (ClassTally, class_size, coprime_count,
+                     floor_identity_lhs_rhs, tally_even_class, tally_fast)
 from .errors import (BudgetExceededError, DegenerateThresholdError,
                      GcdClusterError, OutOfRangeError, ResourceGuardError,
                      TallyInconsistencyError, UnsupportedCaseError)
-from .greedy import (GreedyState, VerifyRecord, VerifyReport, greedy_step,
-                     initial_state, run_accelerated, run_reference,
+from .greedy import (GreedyState, VerifyRecord, VerifyReport, class_scores,
+                     greedy_step, initial_state, run_accelerated, run_reference,
                      verify_range, verify_single)
 from .partition import (Partition, canonical_partition, conflict_delta_of_move,
                         count_conflicts, exceptional_partition,

@@ -18,14 +18,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import greedy as greedy_mod
 from . import thresholds
 from .errors import ResourceGuardError
 from .partition import count_conflicts, canonical_partition, partition_to_csv
 from .primes import (DEFAULT_SIEVE_LIMIT, PrimeTable, build_prime_table,
-                     load_prime_cache, save_prime_cache)
+                     factorize, load_prime_cache, save_prime_cache)
 
 EXIT_OK = 0
 EXIT_ANOMALY = 1
@@ -38,30 +37,6 @@ CACHE_ENV = "GCDCLUSTER_CACHE_DIR"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    start: int | None = None
-    stop: int | None = None
-    mode: str = "accelerated"
-    fmt: str = "csv"
-    out: str | None = None
-    limit: int | None = None
-    cache: str | None = None
-    workers: int = 1
-    guard: int | None = None
-    which: str | None = None
-    i: int | None = None
-    j: int | None = None
-    t: int | None = None
-    force: bool = False
-    long_run: bool = False
-    p: int | None = None
-    bound: int | None = None
-    to_class: int | None = None
 
 
 def _build_parser() -> _Parser:
@@ -120,16 +95,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for f in ("n", "start", "stop", "mode", "fmt", "out", "limit", "cache",
-              "workers", "guard", "which", "i", "j", "t", "force", "long_run",
-              "p", "bound", "to_class"):
-        if hasattr(args, f):
-            setattr(cfg, f, getattr(args, f))
-    return cfg
-
-
 def _get_table(limit: int, cache: str | None) -> PrimeTable:
     path = cache
     if path is None and os.environ.get(CACHE_ENV):
@@ -155,19 +120,19 @@ def _open_out(path: str | None):
     return open(path, "w"), True
 
 
-def cmd_greedy(cfg: RunConfig) -> int:
-    if cfg.n < 2:
+def cmd_greedy(args) -> int:
+    if args.n < 2:
         print("greedy: --n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.mode == "reference":
-        guard = cfg.guard if cfg.guard is not None else greedy_mod.DEFAULT_REFERENCE_GUARD
-        state = greedy_mod.run_reference(cfg.n, guard=guard)
+    if args.mode == "reference":
+        guard = args.guard if args.guard is not None else greedy_mod.DEFAULT_REFERENCE_GUARD
+        state = greedy_mod.run_reference(args.n, guard=guard)
     else:
-        table = _get_table(cfg.limit or max(cfg.n, 1000), cfg.cache)
-        state = greedy_mod.run_accelerated(cfg.n, table)
-    fh, close = _open_out(cfg.out)
+        table = _get_table(args.limit or max(args.n, 1000), args.cache)
+        state = greedy_mod.run_accelerated(args.n, table)
+    fh, close = _open_out(args.out)
     try:
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             fh.write(partition_to_csv(state.partition))
         else:
             classes: dict[int, list[int]] = {}
@@ -205,37 +170,37 @@ def _worker_init(limit: int, cache: str | None):
     _WORKER_TABLE = _get_table(limit, cache)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.start < 2 or cfg.stop < cfg.start:
-        print(f"verify: bad range [{cfg.start}, {cfg.stop}]", file=sys.stderr)
+def cmd_verify(args) -> int:
+    if args.start < 2 or args.stop < args.start:
+        print(f"verify: bad range [{args.start}, {args.stop}]", file=sys.stderr)
         return EXIT_USAGE
-    limit = cfg.limit or max(cfg.stop, 1000)
-    fh, close = _open_out(cfg.out)
+    limit = args.limit or max(args.stop, 1000)
+    fh, close = _open_out(args.out)
     try:
-        if cfg.workers <= 1:
-            table = _get_table(limit, cfg.cache)
+        if args.workers <= 1:
+            table = _get_table(limit, args.cache)
 
             def progress(n, report):
                 print(f"verify: at n={n}, {report.checked} checked, "
                       f"{len(report.anomalies)} anomalies", file=sys.stderr)
 
-            report = greedy_mod.verify_range(cfg.start, cfg.stop, table,
+            report = greedy_mod.verify_range(args.start, args.stop, table,
                                              jsonl_fh=fh, progress=progress)
             anomalies = report.anomalies
         else:
-            spans = _split_range(cfg.start, cfg.stop, cfg.workers * 8)
+            spans = _split_range(args.start, args.stop, args.workers * 8)
             checked = auto = 0
             anomalies = []
-            with ProcessPoolExecutor(max_workers=cfg.workers,
+            with ProcessPoolExecutor(max_workers=args.workers,
                                      initializer=_worker_init,
-                                     initargs=(limit, cfg.cache)) as pool:
+                                     initargs=(limit, args.cache)) as pool:
                 for lines, ck, ap, anom in pool.map(_verify_chunk, spans):
                     for line in lines:
                         fh.write(line + "\n")
                     checked += ck
                     auto += ap
                     anomalies.extend(anom)
-            summary = greedy_mod.VerifyReport(cfg.start, cfg.stop, checked,
+            summary = greedy_mod.VerifyReport(args.start, args.stop, checked,
                                               auto, anomalies)
             fh.write(summary.summary_json() + "\n")
     finally:
@@ -255,37 +220,37 @@ def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
     return spans
 
 
-def cmd_tables(cfg: RunConfig) -> int:
-    table = _get_table(cfg.limit or 1_000_000, cfg.cache)
-    if cfg.which == "n1":
-        if cfg.i is not None:
-            if cfg.i > 20 and not cfg.force:
+def cmd_tables(args) -> int:
+    table = _get_table(args.limit or 1_000_000, args.cache)
+    if args.which == "n1":
+        if args.i is not None:
+            if args.i > 20 and not args.force:
                 print("tables: i > 20 is outside the verified range "
                       "(pass --force to compute anyway)", file=sys.stderr)
                 return EXIT_USAGE
-            j = cfg.j if cfg.j is not None else cfg.i - 1
-            if cfg.t is not None:
-                records = [thresholds.n1_table(cfg.i, j, cfg.t, table)]
+            j = args.j if args.j is not None else args.i - 1
+            if args.t is not None:
+                records = [thresholds.n1_table(args.i, j, args.t, table)]
             else:
-                records = [r for r in thresholds.table1_records(table) if r.i == cfg.i]
+                records = [r for r in thresholds.table1_records(table) if r.i == args.i]
         else:
             records = thresholds.table1_records(table)
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             sys.stdout.write(thresholds.table1_csv(records, table))
         else:
             sys.stdout.write(json.dumps([r.__dict__ for r in records]) + "\n")
     else:
-        if cfg.p is not None:
-            if cfg.bound is not None:
-                c = thresholds.census_three_factor(cfg.p, cfg.bound, table)
+        if args.p is not None:
+            if args.bound is not None:
+                c = thresholds.census_three_factor(args.p, args.bound, table)
                 rows = [{"p": c.p, "bound": c.bound, "count": c.count,
                          "reported": None, "residual": None}]
             else:
-                rows = thresholds.census_report(table, ps=(cfg.p,))
+                rows = thresholds.census_report(table, ps=(args.p,))
         else:
             rows = thresholds.census_report(
-                table, include_remark_prime=cfg.long_run)
-        if cfg.fmt == "csv":
+                table, include_remark_prime=args.long_run)
+        if args.fmt == "csv":
             lines = ["p,count"] + [f"{r['p']},{r['count']}" for r in rows]
             sys.stdout.write("\n".join(lines) + "\n")
         else:
@@ -293,54 +258,54 @@ def cmd_tables(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_n0(cfg: RunConfig) -> int:
-    table = _get_table(cfg.limit or 1000, cfg.cache)
-    value = thresholds.find_n0(cfg.bound, table)
+def cmd_n0(args) -> int:
+    table = _get_table(args.limit or 1000, args.cache)
+    value = thresholds.find_n0(args.bound, table)
     sys.stdout.write(json.dumps({
-        "bound": cfg.bound,
+        "bound": args.bound,
         "found": value is not None,
         "value": value,
     }) + "\n")
     return EXIT_OK
 
 
-def cmd_conflicts(cfg: RunConfig) -> int:
-    from .counts import ClassTally, class_size, tally_even_class, tally_fast
-    from .partition import conflict_delta_of_move
-    from .primes import factorize
-
-    table = _get_table(cfg.limit or max(cfg.n, 1000), cfg.cache)
-    if cfg.to_class is None:
-        part = canonical_partition(cfg.n, table)
-        guard = cfg.guard if cfg.guard is not None else 100_000
+def cmd_conflicts(args) -> int:
+    n = args.n
+    if args.to_class is not None and (n < 3 or n % 2 == 0):
+        print("conflicts: move scoring is defined for odd n >= 3", file=sys.stderr)
+        return EXIT_USAGE
+    if n < 2:
+        print("conflicts: --n must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
+    table = _get_table(args.limit or max(n, 1000), args.cache)
+    if args.to_class is None:
+        part = canonical_partition(n, table)
+        guard = args.guard if args.guard is not None else 100_000
         total = count_conflicts(part, guard=guard)
-        sys.stdout.write(json.dumps({"n": cfg.n, "clustering": "canonical",
+        sys.stdout.write(json.dumps({"n": n, "clustering": "canonical",
                                      "conflicts": total}) + "\n")
         return EXIT_OK
-    n = cfg.n
-    if n % 2 == 0:
-        print("conflicts: move scoring is defined for odd n", file=sys.stderr)
+    # moving n from class i to class j changes the conflicts by score i - score j
+    vals = greedy_mod.class_scores(n, factorize(n, table), table)
+    i = len(vals) - 1
+    if not 0 <= args.to_class <= i:
+        print(f"conflicts: --to-class must be in [0, {i}] for n={n}", file=sys.stderr)
         return EXIT_USAGE
-    f = factorize(n, table)
-    i = table.prime_index(f.distinct_primes[0])
-    tallies = {1: tally_even_class(n, f)}
-    for j in range(2, i):
-        tallies[j] = tally_fast(j, n, f, table)
-    tallies[i] = ClassTally(i, n, class_size(i, n - 1, table), 0)
-    delta = conflict_delta_of_move(n, i, cfg.to_class, tallies)
-    sys.stdout.write(json.dumps({"n": n, "from_class": i,
-                                 "to_class": cfg.to_class, "delta": delta}) + "\n")
+    sys.stdout.write(json.dumps({"n": n, "from_class": i, "to_class": args.to_class,
+                                 "delta": vals[i] - vals[args.to_class]}) + "\n")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    # SUPPRESS leaves --limit and --seed-cache unset unless given
+    args.limit = getattr(args, "limit", None)
+    args.cache = getattr(args, "cache", None)
     handlers = {"greedy": cmd_greedy, "verify": cmd_verify, "tables": cmd_tables,
                 "n0": cmd_n0, "conflicts": cmd_conflicts}
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except ResourceGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

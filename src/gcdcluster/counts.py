@@ -7,15 +7,11 @@ Everything the greedy engine and the verification sweeps need reduces to exact
 counts of these sets, and every count here is exact integer arithmetic; no
 floating point is used anywhere on a counting path.
 
-Three independent routes compute the same tallies:
-
-* ``tally_exact``    -- double inclusion-exclusion over divisor-prime subsets
-                        and small-prime subsets (the slow, literal route);
-* ``tally_fast``     -- the same alternating sums, grouped through the
-                        coprime-counting function ``coprime_count`` (fast);
-* ``tally_wheel_oracle`` -- brute enumeration on a mod-210 wheel.
-
-The test suite pins all three to each other and to naive gcd scans.
+Class sizes come from the coprime-counting function ``coprime_count``; the
+friend/enemy tally of class j >= 2 is one Moebius sum over subsets of n's
+prime divisors (``tally_diff_fast``), and the even class closes through the
+totient (``tally_even_class``).  The test suite pins these against slow
+brute-force referees kept in ``tests/oracles.py``.
 
 All functions here are pure; the per-table memo behind ``coprime_count`` is
 written under the GIL, so concurrent callers at worst duplicate work.
@@ -24,19 +20,10 @@ written under the GIL, so concurrent callers at worst duplicate work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-import numpy as np
+from .errors import UnsupportedCaseError
+from .primes import Factorization, PrimeTable, totient
 
-from .errors import BudgetExceededError, UnsupportedCaseError
-from .primes import Factorization, PrimeTable, factorize, totient
-
-# Refusal thresholds for the literal subset-sum routes.  2**22 terms is a few
-# seconds of work; anything bigger should go through the fast route instead.
-DEFAULT_MAX_TERMS = 1 << 22
-DEFAULT_MAX_SMALL_INDEX = 25
-
-_WHEEL_MODULUS = 210
 _WHEEL_PRIMES = (2, 3, 5, 7)
 
 # Prefix tables for counting integers in [1, y] coprime to the first r primes,
@@ -50,9 +37,6 @@ for _r in range(5):
     for _x in range(_mod):
         _pref.append(_pref[-1] + (1 if all(_x % _q for _q in _WHEEL_PRIMES[:_r]) else 0))
     _WHEELS.append((_mod, _pref[-1], _pref))
-
-_WHEEL_RESIDUES = np.array(
-    [r for r in range(_WHEEL_MODULUS) if gcd(r, _WHEEL_MODULUS) == 1], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -73,34 +57,19 @@ class ClassTally:
         return self.friends + self.enemies
 
 
-@dataclass(frozen=True)
-class SieveTermSum:
-    """An alternating floor sum together with the number of floor terms used."""
-
-    value: int
-    terms: int
-
-
-def coprime_count(y: int, r: int, table: PrimeTable, _memo: dict | None = None) -> int:
+def coprime_count(y: int, r: int, table: PrimeTable) -> int:
     """Count integers in [1, y] coprime to the first r primes (Legendre phi).
 
     Wheel lookup for r <= 4; for larger r the standard recursion
     phi(y, r) = phi(y, r-1) - phi(y // p_r, r-1), truncated to a prime-count
     lookup once p_{r+1}**2 exceeds y.  Memoized per table.
     """
-    if y <= 0:
-        return 0
-    if r == 0:
-        return y
-    if r <= 4:
-        mod, tot, pref = _WHEELS[r]
-        return (y // mod) * tot + pref[(y % mod) + 1]
     primes = table._primes_list
-    if r >= len(primes):
+    if r < 0:
+        raise ValueError(f"need r >= 0, got {r}")
+    if r > 4 and r >= len(primes):
         raise ValueError(f"need the first {r + 1} primes, table has {len(primes)}")
-    if _memo is None:
-        _memo = _phi_memo(table)
-    return _phi(y, r, primes, table, _memo)
+    return _phi(y, r, primes, table, _phi_memo(table))
 
 
 def _phi_memo(table: PrimeTable) -> dict:
@@ -140,47 +109,6 @@ def class_size(i: int, u: int, table: PrimeTable) -> int:
     if u < 2:
         return 0
     return coprime_count(u // table.prime(i), i - 1, table)
-
-
-def size_S_exact(i: int, u: int, table: PrimeTable,
-                 max_index: int = DEFAULT_MAX_SMALL_INDEX) -> int:
-    """|S_{i,u}| by the literal alternating sum over subsets of smaller primes.
-
-    Kept as an independently-structured route (one bitmask-style subset walk,
-    zero-floor branches pruned); ``class_size`` is the production path.
-    Refuses i beyond ``max_index`` since the term count grows like 2**(i-1).
-    """
-    return _size_S_termsum(i, u, table, max_index).value
-
-
-def _size_S_termsum(i: int, u: int, table: PrimeTable,
-                    max_index: int = DEFAULT_MAX_SMALL_INDEX) -> SieveTermSum:
-    if i < 1:
-        raise ValueError(f"need class index >= 1, got {i}")
-    if u < 2:
-        return SieveTermSum(0, 0)
-    if i > max_index:
-        raise BudgetExceededError(
-            f"subset sum over 2**{i - 1} terms refused (index budget {max_index})")
-    p_i = table.prime(i)
-    if i == 1:
-        return SieveTermSum(u // 2, 1)
-    smalls = [table.prime(l) for l in range(1, i)]
-    total = 0
-    terms = 0
-
-    def walk(pos: int, denom: int, sign: int) -> None:
-        nonlocal total, terms
-        total += sign * (u // denom)
-        terms += 1
-        for k in range(pos, len(smalls)):
-            d = denom * smalls[k]
-            if d > u:
-                break  # primes ascend: every deeper subset also floors to zero
-            walk(k + 1, d, -sign)
-
-    walk(0, p_i, 1)
-    return SieveTermSum(total, terms)
 
 
 def floor_identity_lhs_rhs(n: int, u: int, qs) -> tuple[int, int]:
@@ -230,88 +158,12 @@ def tally_even_class(n: int, f: Factorization) -> ClassTally:
     return ClassTally(1, n, friends, enemies)
 
 
-def tally_exact(j: int, n: int, f: Factorization, table: PrimeTable,
-                max_terms: int = DEFAULT_MAX_TERMS) -> ClassTally:
-    """Exact tally of class j against probe n by double inclusion-exclusion.
-
-    Valid for j == 1 (delegates to the totient shortcut) or for j >= 2 with
-    p_j smaller than every prime divisor of n and n odd.  The double subset
-    walk runs over nonempty subsets of n's prime divisors crossed with subsets
-    of the first j-1 primes; refused if that exceeds ``max_terms``.
-    """
-    if f.n != n:
-        raise ValueError(f"factorization is for {f.n}, not {n}")
-    if j < 1:
-        raise ValueError(f"need class index >= 1, got {j}")
-    if j == 1:
-        return tally_even_class(n, f)
-    if n % 2 == 0:
-        raise UnsupportedCaseError(f"class {j} tally needs odd n, got {n}")
-    p_j = table.prime(j)
-    qs = f.distinct_primes
-    if p_j >= qs[0]:
-        raise UnsupportedCaseError(
-            f"p_{j} = {p_j} must be below the smallest prime divisor {qs[0]} of {n}")
-    t = len(qs)
-    if (1 << (t + j - 1)) > max_terms:
-        raise BudgetExceededError(
-            f"2**{t + j - 1} inclusion-exclusion terms exceed budget {max_terms}")
-    friends = _friends_termsum(j, n, qs, table)
-    s_j = size_S_exact(j, n - 1, table)
-    return ClassTally(j, n, friends.value, s_j - friends.value)
-
-
-def _friends_termsum(j: int, n: int, qs, table: PrimeTable) -> SieveTermSum:
-    """The double alternating sum for |friends of n in class j|, with its
-    floor-evaluation count (bounded by 2**(t+j-1) before pruning)."""
-    p_j = table.prime(j)
-    smalls = [table.prime(l) for l in range(1, j)]
-    x = n - 1
-    total = 0
-    terms = 0
-    for mask in range(1, 1 << len(qs)):
-        d = p_j
-        bits = 0
-        mm = mask
-        k = 0
-        while mm:
-            if mm & 1:
-                d *= qs[k]
-                bits += 1
-            mm >>= 1
-            k += 1
-        sub, nterms = _alternating_small_sum(x, d, smalls)
-        terms += nterms
-        total += sub if bits % 2 == 1 else -sub
-    return SieveTermSum(total, terms)
-
-
-def _alternating_small_sum(x: int, denom: int, smalls: list) -> tuple[int, int]:
-    """sum over subsets H of smalls of (-1)^|H| * floor(x / (denom * prod H))."""
-    total = 0
-    terms = 0
-
-    def walk(pos: int, d: int, sign: int) -> None:
-        nonlocal total, terms
-        total += sign * (x // d)
-        terms += 1
-        for k in range(pos, len(smalls)):
-            nd = d * smalls[k]
-            if nd > x:
-                break
-            walk(k + 1, nd, -sign)
-
-    walk(0, denom, 1)
-    return total, terms
-
-
 def tally_fast(j: int, n: int, f: Factorization, table: PrimeTable) -> ClassTally:
-    """Same tally as ``tally_exact`` through the coprime-counting function.
+    """Exact tally of class j against probe n through the coprime-counting function.
 
-    Enemies of n in S_j are the members coprime to n; summing the Moebius
-    signs over divisor subsets of n's prime divisors turns that into at most
-    2**t coprime counts, each cheap.  Exactness is property-tested against
-    the literal route and the enumeration oracles.
+    Valid for j == 1 (the totient shortcut) or for j >= 2 with p_j smaller
+    than every prime divisor of n and n odd.  The pair follows from the
+    difference ``tally_diff_fast`` and the class size, which is their sum.
     """
     if f.n != n:
         raise ValueError(f"factorization is for {f.n}, not {n}")
@@ -326,26 +178,9 @@ def tally_fast(j: int, n: int, f: Factorization, table: PrimeTable) -> ClassTall
     if p_j >= qs[0]:
         raise UnsupportedCaseError(
             f"p_{j} = {p_j} must be below the smallest prime divisor {qs[0]} of {n}")
-    x = (n - 1) // p_j
-    r = j - 1
-    memo = _phi_memo(table)
-    primes = table._primes_list
-    enemies = 0
-    for mask in range(1 << len(qs)):
-        d = 1
-        bits = 0
-        mm = mask
-        k = 0
-        while mm:
-            if mm & 1:
-                d *= qs[k]
-                bits += 1
-            mm >>= 1
-            k += 1
-        term = _phi(x // d, r, primes, table, memo)
-        enemies += -term if bits & 1 else term
-    s_j = _phi(x, r, primes, table, memo)
-    return ClassTally(j, n, s_j - enemies, enemies)
+    d = tally_diff_fast(j, n, qs, table)
+    s_j = class_size(j, n - 1, table)
+    return ClassTally(j, n, (s_j + d) // 2, (s_j - d) // 2)
 
 
 def tally_diff_fast(j: int, n: int, qs, table: PrimeTable) -> int:
@@ -374,50 +209,3 @@ def tally_diff_fast(j: int, n: int, qs, table: PrimeTable) -> int:
         enemies += -term if bits & 1 else term
     s_j = _phi(x, r, primes, table, memo)
     return s_j - 2 * enemies
-
-
-def tally_wheel_oracle(j: int, n: int, table: PrimeTable) -> ClassTally:
-    """Enumerate S_{j,n-1} on a mod-210 wheel and classify against n.
-
-    For j >= 5 the members are p_j * k with k coprime to 210, filtered by the
-    primes strictly between 7 and p_j; for j < 5 a plain stride enumeration
-    over multiples of p_j is used instead (documented fallback, not an error).
-    Runtime is linear in n / p_j.
-    """
-    if j < 1:
-        raise ValueError(f"need class index >= 1, got {j}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    p_j = table.prime(j)
-    if j >= 5:
-        ks = _wheel_coprime_upto((n - 1) // p_j)
-        for l in range(5, j):
-            ks = ks[ks % table.prime(l) != 0]
-    else:
-        ms = np.arange(p_j, n, p_j, dtype=np.int64)
-        keep = np.ones(len(ms), dtype=bool)
-        for l in range(1, j):
-            keep &= ms % table.prime(l) != 0
-        ks = ms[keep] // p_j
-    if len(ks) == 0:
-        return ClassTally(j, n, 0, 0)
-    friend = np.zeros(len(ks), dtype=bool)
-    f = factorize(n, table)
-    for q, _ in f.factors:
-        if q == p_j:
-            friend[:] = True
-            break
-        friend |= ks % q == 0
-    friends = int(np.count_nonzero(friend))
-    return ClassTally(j, n, friends, len(ks) - friends)
-
-
-def _wheel_coprime_upto(k_max: int) -> np.ndarray:
-    """All integers in [1, k_max] coprime to 210, via the 48 residues."""
-    if k_max < 1:
-        return np.zeros(0, dtype=np.int64)
-    n_blocks = k_max // _WHEEL_MODULUS + 1
-    ks = (np.arange(n_blocks, dtype=np.int64)[:, None] * _WHEEL_MODULUS
-          + _WHEEL_RESIDUES[None, :]).ravel()
-    ks = ks[(ks >= 1) & (ks <= k_max)]
-    return ks

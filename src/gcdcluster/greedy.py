@@ -32,7 +32,7 @@ import numpy as np
 from .counts import ClassTally, class_size, tally_diff_fast, tally_even_class
 from .errors import ResourceGuardError, TallyInconsistencyError
 from .partition import Partition
-from .primes import PrimeTable, factorize, totient
+from .primes import Factorization, PrimeTable, _sieve_spf, factorize, totient
 
 DEFAULT_REFERENCE_GUARD = 100_000
 # Past the first irregular point the canonical shortcuts are unsound, so the
@@ -191,19 +191,6 @@ def _scan_step(lab: np.ndarray, friend: np.ndarray,
     return chosen, added, b_total
 
 
-def _local_spf(limit: int) -> np.ndarray:
-    """Smallest-prime-factor array, self-contained so the reference run does
-    not depend on the shared prime machinery it serves as an oracle for."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for q in range(2, isqrt(limit) + 1):
-        if spf[q] == 0:
-            sl = spf[q * q :: q]
-            sl[sl == 0] = q
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    return spf
-
-
 def _distinct_primes_chase(m: int, spf: np.ndarray) -> list[int]:
     out = []
     while m > 1:
@@ -226,7 +213,7 @@ def run_reference(n: int, guard: int = DEFAULT_REFERENCE_GUARD) -> GreedyState:
     if n > guard:
         raise ResourceGuardError(
             f"reference greedy at n={n} refused (guard {guard})")
-    spf = _local_spf(n)
+    spf = _sieve_spf(n)
     labels = np.zeros(n - 1, dtype=np.int64)
     labels[0] = 1
     mask = np.zeros(n - 1, dtype=bool)
@@ -287,15 +274,11 @@ def run_accelerated(n: int, table: PrimeTable,
                 chosen = 0
                 b_chosen = e_chosen = 0
             else:
-                i = table.prime_index(qs[0])
-                vals = [0, tally_even_class(m, f).diff]
-                for j in range(2, i):
-                    vals.append(tally_diff_fast(j, m, qs, table))
-                s_i = class_size(i, m - 1, table)
-                vals.append(s_i)
+                vals = class_scores(m, f, table)
+                i = len(vals) - 1
                 chosen = _argmax_min_index(vals)
                 if chosen == i:
-                    b_chosen, e_chosen = s_i, 0
+                    b_chosen, e_chosen = vals[i], 0
                 else:
                     # class i scores s_i >= 1 > 0, so a fresh class never wins here
                     if chosen == 1:
@@ -345,31 +328,42 @@ def run_accelerated(n: int, table: PrimeTable,
     return state
 
 
+def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
+    """Scores of odd n >= 3 against the canonical clustering of [2, n-1].
+
+    With i the index of n's smallest prime, entry 0 is the fresh class (0),
+    entry j < i is friends-minus-enemies of n in class j, and entry i is the
+    size of class i, all of whose members are friends of n.  No class beyond
+    i can beat entry i, so the greedy step picks the argmax of this list,
+    ties to the smallest index.
+    """
+    qs = f.distinct_primes
+    i = table.prime_index(qs[0])
+    vals = [0, (n - 1) // 2 - totient(f)]  # class 1: (n-1)/2 evens, phi(n)/2 enemies
+    for j in range(2, i):
+        vals.append(tally_diff_fast(j, n, qs, table))
+    vals.append(class_size(i, n - 1, table))
+    return vals
+
+
 def verify_single(n: int, table: PrimeTable) -> VerifyRecord | None:
     """Class-selection check for one integer against the canonical state.
 
     Returns None for even or prime n (those choices follow from parity and
     primality alone).  For an odd composite with smallest-prime-factor index
-    i, computes friends-minus-enemies exactly for every class below i plus
-    the size of class i, and reports which class a greedy step would pick.
+    i, scores every class up to i with ``class_scores`` and reports which
+    class a greedy step would pick.
     """
     if n % 2 == 0:
         return None
     f = factorize(n, table)
-    qs = f.distinct_primes
-    if qs[0] == n:
+    if f.distinct_primes[0] == n:
         return None
-    i = table.prime_index(qs[0])
-    phi_n = totient(f)
-    deltas: dict[int, int] = {1: (n - 1) // 2 - phi_n}
-    for j in range(2, i):
-        deltas[j] = tally_diff_fast(j, n, qs, table)
-    s_i = class_size(i, n - 1, table)
-    deltas[i] = s_i
-    vals = [0] + [deltas[j] for j in range(1, i + 1)]
-    chosen = _argmax_min_index(vals)
-    return VerifyRecord(n=n, spf_index=i, deltas=deltas, chosen_j=chosen,
-                        expected_j=i)
+    vals = class_scores(n, f, table)
+    i = len(vals) - 1
+    deltas = {j: vals[j] for j in range(1, i + 1)}
+    return VerifyRecord(n=n, spf_index=i, deltas=deltas,
+                        chosen_j=_argmax_min_index(vals), expected_j=i)
 
 
 def verify_range(start: int, stop: int, table: PrimeTable,

@@ -12,6 +12,7 @@ here mutates it afterwards.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from math import isqrt, log
@@ -224,11 +225,17 @@ def rosser_schoenfeld_bounds(x: float) -> tuple[float, float]:
 
 
 def save_prime_cache(table: PrimeTable, path) -> None:
-    """Binary cache: version byte, then little-endian u64 limit, count, primes."""
-    with open(path, "wb") as fh:
+    """Binary cache: version byte, then little-endian u64 limit, count, primes.
+
+    Written to a per-process temporary file and renamed into place, so a
+    reader never sees a half-written cache, even with concurrent writers.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(struct.pack("<B", _CACHE_VERSION))
         fh.write(struct.pack("<QQ", table.limit, len(table.primes)))
         fh.write(table.primes.astype("<u8").tobytes())
+    os.replace(tmp, path)
 
 
 def load_prime_cache(path, limit: int | None = None,
@@ -236,14 +243,18 @@ def load_prime_cache(path, limit: int | None = None,
     """Rebuild a PrimeTable from a cache file.
 
     If ``limit`` is given and smaller than the cached limit, the prime list is
-    truncated; a cached limit below the requested one is an error.
+    truncated; a cached limit below the requested one is an error, and so is
+    a file holding fewer primes than its header states (ValueError).
     """
     with open(path, "rb") as fh:
         (version,) = struct.unpack("<B", fh.read(1))
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported cache version {version}")
         cached_limit, count = struct.unpack("<QQ", fh.read(16))
-        primes = np.frombuffer(fh.read(8 * count), dtype="<u8").astype(np.int64)
+        body = fh.read(8 * count)
+    if len(body) != 8 * count:
+        raise ValueError(f"truncated cache: {len(body) // 8} of {count} primes")
+    primes = np.frombuffer(body, dtype="<u8").astype(np.int64)
     if limit is None:
         limit = cached_limit
     if limit > cached_limit:

@@ -386,10 +386,3 @@ def table1_csv(records, table: PrimeTable) -> str:
     for r in records:
         lines.append(f"{r.i},{table.prime(r.i)},{r.t},{r.n1},{int(r.infeasible)}")
     return "\n".join(lines) + "\n"
-
-
-def census_csv(censuses) -> str:
-    lines = ["p,count"]
-    for c in censuses:
-        lines.append(f"{c.p},{c.count}")
-    return "\n".join(lines) + "\n"

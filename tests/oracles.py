@@ -1,13 +1,35 @@
 """Independent brute-force oracles the tests check the package against.
 
-Everything here is deliberately written from the definitions, with none of
-the package's counting machinery: plain trial division, gcd scans, literal
+The ``naive_*`` helpers are written from the definitions, with none of the
+package's counting machinery: plain trial division, gcd scans, literal
 set-based greedy steps.  Slow but unarguable.
+
+The subset-sum and wheel referees below them (``tally_exact``,
+``size_S_exact``, ``tally_wheel_oracle``) are independently structured
+counting routes that still take a ``PrimeTable`` for the primes and, for the
+wheel, ``factorize`` for the probe's divisors; the package's own tallies are
+pinned against them and against the naive scans.
 """
 
+from collections import namedtuple
 from math import gcd, isqrt
 
 import numpy as np
+
+from gcdcluster import (BudgetExceededError, ClassTally, PrimeTable,
+                        UnsupportedCaseError, factorize, tally_even_class)
+
+# Refusal thresholds for the literal subset-sum routes.  2**22 terms is a few
+# seconds of work.
+DEFAULT_MAX_TERMS = 1 << 22
+DEFAULT_MAX_SMALL_INDEX = 25
+
+_WHEEL_MODULUS = 210
+_WHEEL_RESIDUES = np.array(
+    [r for r in range(_WHEEL_MODULUS) if gcd(r, _WHEEL_MODULUS) == 1], dtype=np.int64)
+
+# An alternating floor sum together with the number of floor terms used.
+SieveTermSum = namedtuple("SieveTermSum", "value terms")
 
 
 def naive_spf(n: int) -> int:
@@ -117,3 +139,138 @@ def segmented_prime_count(x: int, block: int = 1 << 16) -> int:
         count += sum(seg)
         lo = hi + 1
     return count
+
+
+def size_S_exact(i: int, u: int, table: PrimeTable,
+                 max_index: int = DEFAULT_MAX_SMALL_INDEX) -> int:
+    """|S_{i,u}| by the literal alternating sum over subsets of smaller primes.
+
+    Refuses i beyond ``max_index`` since the term count grows like 2**(i-1).
+    """
+    return _size_S_termsum(i, u, table, max_index).value
+
+
+def _size_S_termsum(i: int, u: int, table: PrimeTable,
+                    max_index: int = DEFAULT_MAX_SMALL_INDEX) -> SieveTermSum:
+    if i < 1:
+        raise ValueError(f"need class index >= 1, got {i}")
+    if u < 2:
+        return SieveTermSum(0, 0)
+    if i > max_index:
+        raise BudgetExceededError(
+            f"subset sum over 2**{i - 1} terms refused (index budget {max_index})")
+    smalls = [table.prime(l) for l in range(1, i)]
+    return SieveTermSum(*_alternating_small_sum(u, table.prime(i), smalls))
+
+
+def tally_exact(j: int, n: int, f, table: PrimeTable,
+                max_terms: int = DEFAULT_MAX_TERMS) -> ClassTally:
+    """Exact tally of class j against probe n by double inclusion-exclusion.
+
+    Valid for j == 1 (delegates to the totient shortcut) or for j >= 2 with
+    p_j smaller than every prime divisor of n and n odd.  The double subset
+    walk runs over nonempty subsets of n's prime divisors crossed with subsets
+    of the first j-1 primes; refused if that exceeds ``max_terms``.
+    """
+    if f.n != n:
+        raise ValueError(f"factorization is for {f.n}, not {n}")
+    if j < 1:
+        raise ValueError(f"need class index >= 1, got {j}")
+    if j == 1:
+        return tally_even_class(n, f)
+    if n % 2 == 0:
+        raise UnsupportedCaseError(f"class {j} tally needs odd n, got {n}")
+    p_j = table.prime(j)
+    qs = f.distinct_primes
+    if p_j >= qs[0]:
+        raise UnsupportedCaseError(
+            f"p_{j} = {p_j} must be below the smallest prime divisor {qs[0]} of {n}")
+    t = len(qs)
+    if (1 << (t + j - 1)) > max_terms:
+        raise BudgetExceededError(
+            f"2**{t + j - 1} inclusion-exclusion terms exceed budget {max_terms}")
+    friends = _friends_termsum(j, n, qs, table)
+    s_j = size_S_exact(j, n - 1, table)
+    return ClassTally(j, n, friends.value, s_j - friends.value)
+
+
+def _friends_termsum(j: int, n: int, qs, table: PrimeTable) -> SieveTermSum:
+    """The double alternating sum for |friends of n in class j|, with its
+    floor-evaluation count (bounded by 2**(t+j-1) before pruning)."""
+    p_j = table.prime(j)
+    smalls = [table.prime(l) for l in range(1, j)]
+    total = 0
+    terms = 0
+    for mask in range(1, 1 << len(qs)):
+        d = p_j
+        for k, q in enumerate(qs):
+            if mask >> k & 1:
+                d *= q
+        sub, nterms = _alternating_small_sum(n - 1, d, smalls)
+        terms += nterms
+        total += sub if bin(mask).count("1") % 2 == 1 else -sub
+    return SieveTermSum(total, terms)
+
+
+def _alternating_small_sum(x: int, denom: int, smalls: list) -> tuple[int, int]:
+    """sum over subsets H of smalls of (-1)^|H| * floor(x / (denom * prod H)),
+    with the number of floor terms evaluated (zero-floor branches pruned)."""
+    total = 0
+    terms = 0
+
+    def walk(pos: int, d: int, sign: int) -> None:
+        nonlocal total, terms
+        total += sign * (x // d)
+        terms += 1
+        for k in range(pos, len(smalls)):
+            nd = d * smalls[k]
+            if nd > x:
+                break  # primes ascend: every deeper subset also floors to zero
+            walk(k + 1, nd, -sign)
+
+    walk(0, denom, 1)
+    return total, terms
+
+
+def tally_wheel_oracle(j: int, n: int, table: PrimeTable) -> ClassTally:
+    """Enumerate S_{j,n-1} on a mod-210 wheel and classify against n.
+
+    For j >= 5 the members are p_j * k with k coprime to 210, filtered by the
+    primes strictly between 7 and p_j; for j < 5 a plain stride enumeration
+    over multiples of p_j is used instead.  Runtime is linear in n / p_j.
+    """
+    if j < 1:
+        raise ValueError(f"need class index >= 1, got {j}")
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    p_j = table.prime(j)
+    if j >= 5:
+        ks = _wheel_coprime_upto((n - 1) // p_j)
+        for l in range(5, j):
+            ks = ks[ks % table.prime(l) != 0]
+    else:
+        ms = np.arange(p_j, n, p_j, dtype=np.int64)
+        keep = np.ones(len(ms), dtype=bool)
+        for l in range(1, j):
+            keep &= ms % table.prime(l) != 0
+        ks = ms[keep] // p_j
+    if len(ks) == 0:
+        return ClassTally(j, n, 0, 0)
+    friend = np.zeros(len(ks), dtype=bool)
+    for q, _ in factorize(n, table).factors:
+        if q == p_j:
+            friend[:] = True
+            break
+        friend |= ks % q == 0
+    friends = int(np.count_nonzero(friend))
+    return ClassTally(j, n, friends, len(ks) - friends)
+
+
+def _wheel_coprime_upto(k_max: int) -> np.ndarray:
+    """All integers in [1, k_max] coprime to 210, via the 48 residues."""
+    if k_max < 1:
+        return np.zeros(0, dtype=np.int64)
+    n_blocks = k_max // _WHEEL_MODULUS + 1
+    ks = (np.arange(n_blocks, dtype=np.int64)[:, None] * _WHEEL_MODULUS
+          + _WHEEL_RESIDUES[None, :]).ravel()
+    return ks[(ks >= 1) & (ks <= k_max)]

@@ -17,6 +17,7 @@ from gcdcluster import (
     canonical_partition,
     census_report,
     census_three_factor,
+    class_scores,
     class_size,
     conflict_delta_of_move,
     count_conflicts,
@@ -29,9 +30,7 @@ from gcdcluster import (
     run_reference,
     table1_records,
     tally_even_class,
-    tally_exact,
     tally_fast,
-    tally_wheel_oracle,
     three_factor_candidates,
     totient,
     verify_range,
@@ -39,7 +38,7 @@ from gcdcluster import (
     prime_count_inequality,
 )
 from gcdcluster.partition import Partition
-from oracles import naive_all_tallies
+from oracles import naive_all_tallies, tally_exact, tally_wheel_oracle
 from test_thresholds import PUBLISHED_CENSUS, PUBLISHED_TABLE
 
 FIRST_IRREGULAR = 111546435
@@ -236,7 +235,11 @@ def test_criterion_08_oracle_equivalence_tallies(table):
         f = factorize(n, table)
         i = table.prime_index(q1)
         nf, ne = naive_all_tallies(n, spf, prime_index)
+        scores = class_scores(n, f, table)
+        assert len(scores) == i + 1 and scores[0] == 0, n
+        assert scores[i] == nf.get(i, 0) + ne.get(i, 0), n  # naive size of class i
         for j in range(1, i):
+            assert scores[j] == nf.get(j, 0) - ne.get(j, 0), (n, j)
             te = tally_exact(j, n, f, table)
             tf = tally_fast(j, n, f, table)
             tw = tally_wheel_oracle(j, n, table)
@@ -246,8 +249,8 @@ def test_criterion_08_oracle_equivalence_tallies(table):
             assert (tw.friends, tw.enemies) == want, (n, j)
             pairs += 1
     assert pairs > 4000
-    _ok(8, f"three tally routes equal naive gcd scans on {pairs} (n, j) pairs, "
-           "n <= 5000")
+    _ok(8, f"three tally routes and the class scores equal naive gcd scans on "
+           f"{pairs} (n, j) pairs, n <= 5000")
 
 
 def test_criterion_08b_move_delta_equals_brute_force(table):

@@ -155,6 +155,19 @@ def test_conflicts_move_delta_at_scale(capsys):
     assert doc["from_class"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "105", "--to-class", "7"),  # 105 is in class 2
+    ("--n", "105", "--to-class", "-1"),
+    ("--n", "1", "--to-class", "1"),
+    ("--n", "1"),
+])
+def test_conflicts_out_of_range_exit_64(capsys, argv):
+    code, out, err = run_cli(capsys, "conflicts", *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("conflicts: ") and err.count("\n") == 1
+
+
 def test_unknown_flag_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["greedy", "--bogus"])
@@ -178,6 +191,11 @@ def test_cache_flag_roundtrip(tmp_path, capsys):
                                 "greedy", "--n", "50")
     assert out2 == out1
     assert "loaded prime cache" in err2
+    cache.write_bytes(cache.read_bytes()[:-8])  # a cache cut short is rebuilt
+    code3, out3, err3 = run_cli(capsys, "--seed-cache", str(cache),
+                                "greedy", "--n", "50")
+    assert code3 == 0 and out3 == out1
+    assert "unusable" in err3 and "saved prime cache" in err3
 
 
 def test_module_entry_point():

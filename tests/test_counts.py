@@ -1,8 +1,9 @@
 """Class sizes, friend/enemy tallies, and the floor identity.
 
-The three tally routes (literal double sieve sum, the coprime-count route,
-and the wheel enumeration) are pinned against each other and against naive
-gcd scans here at unit scale; the acceptance module sweeps them exhaustively.
+The package's coprime-count route is pinned against the two referees in
+``oracles`` (the literal double sieve sum and the wheel enumeration) and
+against naive gcd scans here at unit scale; the acceptance module sweeps them
+exhaustively.
 """
 
 import random
@@ -20,14 +21,11 @@ from gcdcluster import (
     coprime_count,
     factorize,
     floor_identity_lhs_rhs,
-    size_S_exact,
     tally_even_class,
-    tally_exact,
     tally_fast,
-    tally_wheel_oracle,
 )
-from gcdcluster.counts import _size_S_termsum
-from oracles import naive_spf, naive_tally
+from oracles import (_friends_termsum, _size_S_termsum, naive_spf, naive_tally,
+                     size_S_exact, tally_exact, tally_wheel_oracle)
 
 FIRST_IRREGULAR = 111546435
 
@@ -42,6 +40,8 @@ def test_coprime_count_brute(small_table):
         primes = [small_table.prime(k) for k in range(1, r + 1)]
         brute = sum(1 for m in range(1, y + 1) if all(m % p for p in primes))
         assert coprime_count(y, r, small_table) == brute, (y, r)
+    with pytest.raises(ValueError):
+        coprime_count(10, -1, small_table)  # would index the wheels from the end
 
 
 def test_class_size_matches_subset_sum(small_table):
@@ -85,8 +85,6 @@ def test_size_S_term_count_bound(small_table):
 
 
 def test_friends_term_count_bound(table):
-    from gcdcluster.counts import _friends_termsum
-
     for j, n in ((2, 25), (3, 539), (4, 11 * 13 * 17)):
         f = factorize(n, table)
         qs = f.distinct_primes

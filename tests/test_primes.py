@@ -181,6 +181,20 @@ def test_prime_cache_truncation(tmp_path, small_table):
         load_prime_cache(path, limit=small_table.limit + 1)
 
 
+def test_prime_cache_cut_short_refused(tmp_path):
+    # cut at an 8-byte boundary, the file still parses; the stored count must catch it
+    table = build_prime_table(10 ** 6)
+    path = tmp_path / "primes.bin"
+    save_prime_cache(table, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["primes.bin"]  # no temp left
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) - 8 * 38498])
+    with pytest.raises(ValueError, match="truncated"):
+        load_prime_cache(path)
+    with pytest.raises(ValueError, match="truncated"):
+        load_prime_cache(path, limit=1000)
+
+
 def test_prime_cache_bad_version(tmp_path, small_table):
     path = tmp_path / "primes.bin"
     save_prime_cache(small_table, path)

@@ -19,10 +19,10 @@ from gcdcluster import (
     pi_exact,
     proposition_census,
     table1_records,
-    tally_wheel_oracle,
     three_factor_candidates,
 )
 from gcdcluster.thresholds import table1_csv, threshold_T
+from oracles import tally_wheel_oracle
 
 # The published threshold table n1(i, i-1, t): {i: [(t, n1, certified), ...]},
 # certified = the displayed italics = every candidate of the (i, t) family
