@@ -21,9 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import greedy as greedy_mod
 from . import thresholds
-from .errors import ResourceGuardError
+from .errors import OutOfRangeError, ResourceGuardError
 from .partition import count_conflicts, canonical_partition, partition_to_csv
-from .primes import (DEFAULT_SIEVE_LIMIT, PrimeTable, build_prime_table,
+from .primes import (DEFAULT_SPF_LIMIT, PrimeTable, build_prime_table,
                      factorize, load_prime_cache, save_prime_cache)
 
 EXIT_OK = 0
@@ -44,8 +44,7 @@ def _build_parser() -> _Parser:
     # parsed before the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--limit", type=int, default=argparse.SUPPRESS,
-                        help="prime sieve limit (default: sized per command; "
-                             f"flagship jobs want {DEFAULT_SIEVE_LIMIT})")
+                        help="prime sieve limit (default: sized per command)")
     common.add_argument("--seed-cache", dest="cache", default=argparse.SUPPRESS,
                         help="prime cache file to reuse/create "
                              f"(or set ${CACHE_ENV} for an auto-named cache)")
@@ -114,6 +113,14 @@ def _get_table(limit: int, cache: str | None) -> PrimeTable:
     return table
 
 
+def _table_limit(args, need: int, top: int) -> int:
+    """--limit, refused below ``need``; by default ``need`` widened to
+    ``min(top, DEFAULT_SPF_LIMIT)`` so small jobs keep the SPF fast path."""
+    if args.limit is not None and args.limit < need:
+        raise OutOfRangeError(f"--limit {args.limit} is below {need}, the table this needs")
+    return args.limit or max(need, min(top, DEFAULT_SPF_LIMIT))
+
+
 def _open_out(path: str | None):
     if path is None:
         return sys.stdout, False
@@ -174,7 +181,7 @@ def cmd_verify(args) -> int:
     if args.start < 2 or args.stop < args.start:
         print(f"verify: bad range [{args.start}, {args.stop}]", file=sys.stderr)
         return EXIT_USAGE
-    limit = args.limit or max(args.stop, 1000)
+    limit = _table_limit(args, greedy_mod.verify_table_limit(args.stop), args.stop)
     fh, close = _open_out(args.out)
     try:
         if args.workers <= 1:
@@ -277,16 +284,21 @@ def cmd_conflicts(args) -> int:
     if n < 2:
         print("conflicts: --n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    table = _get_table(args.limit or max(n, 1000), args.cache)
     if args.to_class is None:
+        table = _get_table(args.limit or max(n, 1000), args.cache)
         part = canonical_partition(n, table)
         guard = args.guard if args.guard is not None else 100_000
         total = count_conflicts(part, guard=guard)
         sys.stdout.write(json.dumps({"n": n, "clustering": "canonical",
                                      "conflicts": total}) + "\n")
         return EXIT_OK
+    table = _get_table(_table_limit(args, greedy_mod.verify_table_limit(n), n), args.cache)
+    f = factorize(n, table)
+    if f.distinct_primes[0] > table.limit:  # a prime's class index is pi(n)
+        del table  # let the small table go before the large one is built
+        table = _get_table(_table_limit(args, n, n), args.cache)
     # moving n from class i to class j changes the conflicts by score i - score j
-    vals = greedy_mod.class_scores(n, factorize(n, table), table)
+    vals = greedy_mod.class_scores(n, f, table)
     i = len(vals) - 1
     if not 0 <= args.to_class <= i:
         print(f"conflicts: --to-class must be in [0, {i}] for n={n}", file=sys.stderr)
@@ -309,6 +321,9 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except OutOfRangeError as exc:  # a table too small for the job, e.g. a low --limit
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
 

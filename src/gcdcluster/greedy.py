@@ -366,6 +366,13 @@ def verify_single(n: int, table: PrimeTable) -> VerifyRecord | None:
                         chosen_j=_argmax_min_index(vals), expected_j=i)
 
 
+def verify_table_limit(stop: int) -> int:
+    """Smallest table limit that scores every odd composite n <= stop: it
+    covers sqrt(stop) (factorization) and stop // 13 (the largest pi lookup
+    of the counting; classes at wheel indices need none)."""
+    return max(2, isqrt(stop), stop // 13)
+
+
 def verify_range(start: int, stop: int, table: PrimeTable,
                  collect_records: bool = False, jsonl_fh=None,
                  progress=None) -> VerifyReport:
@@ -374,17 +381,12 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     Even and prime n auto-pass; each odd composite gets an exact check.  The
     per-n work is independent, so disjoint ranges can run anywhere and their
     reports merge deterministically (records are emitted in increasing n).
-
-    The table must cover sqrt(stop) (factorization) and stop // 13 (the
-    largest prime-count lookup the counting recursion can make: classes at
-    wheel indices resolve without lookups, so arguments are at most n/13).
     """
     if start < 2 or stop < start:
         raise ValueError(f"bad range [{start}, {stop}]")
-    if isqrt(stop) > table.limit or stop // 13 > table.limit:
-        raise ValueError(
-            f"table limit {table.limit} too small to verify up to {stop}; "
-            f"need at least max(isqrt(stop), stop // 13)")
+    if table.limit < verify_table_limit(stop):
+        raise ValueError(f"table limit {table.limit} too small to verify up to "
+                         f"{stop}; need at least {verify_table_limit(stop)}")
     report = VerifyReport(start=start, stop=stop)
     report.auto_passed += stop // 2 - (start - 1) // 2  # the evens
     first_odd = start if start % 2 == 1 else start + 1

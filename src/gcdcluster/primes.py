@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt, log
 
@@ -88,8 +89,8 @@ class PrimeTable:
 
     def prime_index(self, p: int) -> int:
         """1-based index of the prime p; raises if p is not a stored prime."""
-        pos = int(np.searchsorted(self.primes, p))
-        if pos >= len(self.primes) or self._primes_list[pos] != p:
+        pos = bisect_left(self._primes_list, p)
+        if pos >= len(self._primes_list) or self._primes_list[pos] != p:
             raise ValueError(f"{p} is not a prime <= {self.limit}")
         return pos + 1
 
@@ -98,10 +99,7 @@ class PrimeTable:
             return False
         if n <= self.spf_limit:
             return int(self._spf[n]) == n
-        if n > self.limit:
-            raise OutOfRangeError(f"{n} exceeds sieve limit {self.limit}")
-        pos = int(np.searchsorted(self.primes, n))
-        return pos < len(self.primes) and self._primes_list[pos] == n
+        return self.pi(n) > self.pi(n - 1)
 
     def pi(self, x: int) -> int:
         """Exact count of primes <= x."""
@@ -109,7 +107,7 @@ class PrimeTable:
             return 0
         if x > self.limit:
             raise OutOfRangeError(f"pi({x}) exceeds sieve limit {self.limit}")
-        return int(np.searchsorted(self.primes, x, side="right"))
+        return bisect_right(self._primes_list, x)
 
     def smallest_prime_factor(self, n: int) -> int:
         if n < 2:

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
+from gcdcluster import cli
 from gcdcluster.cli import main
+from gcdcluster.primes import DEFAULT_SPF_LIMIT
 
 FIRST_IRREGULAR = 111546435
 
@@ -59,7 +62,7 @@ def test_verify_small_range(capsys):
 
 def test_verify_at_first_irregular_exit_1(capsys):
     code, out, _ = run_cli(capsys, "verify", "--from", str(FIRST_IRREGULAR),
-                           "--to", str(FIRST_IRREGULAR), "--limit", "10000000")
+                           "--to", str(FIRST_IRREGULAR))
     assert code == 1
     lines = out.strip().split("\n")
     rec = json.loads(lines[0])
@@ -73,6 +76,38 @@ def test_verify_bad_range_exit_64(capsys):
     code, _, err = run_cli(capsys, "verify", "--from", "5", "--to", "4")
     assert code == 64
     assert "bad range" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_limit_too_small_exit_64(capsys, workers):
+    code, out, err = run_cli(capsys, "verify", "--from", "2", "--to", "100000",
+                             "--limit", "1000", "--workers", workers)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("verify: --limit 1000 ") and err.count("\n") == 1
+
+
+def record_table_limits(monkeypatch, table=None):
+    """Make ``cli.build_prime_table`` log each limit asked for; return the log.
+    With ``table`` given, that table stands in for every build."""
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    limits = []
+    build = cli.build_prime_table
+
+    def recording_build(limit, *args, **kwargs):
+        limits.append(limit)
+        return table if table is not None else build(limit, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_prime_table", recording_build)
+    return limits
+
+
+def test_verify_default_table_size(capsys, monkeypatch, table):
+    start, stop = 111546000, 111546500
+    limits = record_table_limits(monkeypatch, table)
+    code, _, _ = run_cli(capsys, "verify", "--from", str(start), "--to", str(stop))
+    assert code == 1
+    assert limits == [max(isqrt(stop), stop // 13, min(stop, DEFAULT_SPF_LIMIT))]
 
 
 def test_verify_workers_deterministic(capsys, tmp_path):
@@ -148,7 +183,7 @@ def test_conflicts_guard_exit_2(capsys):
 
 def test_conflicts_move_delta_at_scale(capsys):
     code, out, _ = run_cli(capsys, "conflicts", "--n", str(FIRST_IRREGULAR),
-                           "--to-class", "1", "--limit", "100000")
+                           "--to-class", "1")
     assert code == 0
     doc = json.loads(out)
     assert doc["delta"] == -686785
@@ -160,12 +195,25 @@ def test_conflicts_move_delta_at_scale(capsys):
     ("--n", "105", "--to-class", "-1"),
     ("--n", "1", "--to-class", "1"),
     ("--n", "1"),
+    ("--n", "1022117", "--to-class", "1", "--limit", "2000"),  # 1009 * 1013
+    ("--n", "10007", "--to-class", "1", "--limit", "5000"),  # a prime beyond --limit
 ])
 def test_conflicts_out_of_range_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, "conflicts", *argv)
     assert code == 64
     assert out == ""
     assert err.startswith("conflicts: ") and err.count("\n") == 1
+
+
+def test_conflicts_prime_beyond_default_table(capsys, monkeypatch):
+    # a prime's class index is pi(n), so its table is rebuilt up to n
+    code, expected, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", "1")
+    monkeypatch.setattr(cli, "DEFAULT_SPF_LIMIT", 1000)
+    limits = record_table_limits(monkeypatch)
+    code2, out, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", "1")
+    assert code == code2 == 0
+    assert limits == [1000, 10007]
+    assert out == expected
 
 
 def test_unknown_flag_exit_64(capsys):

@@ -78,6 +78,24 @@ def test_pi_out_of_range(small_table):
         pi_exact(small_table.limit + 1, small_table)
 
 
+def test_lookups_at_boundaries():
+    # spf_limit < limit, so is_prime above 100 takes the prime-list branch
+    t = build_prime_table(1000, spf_limit=100)
+    primes = t.primes.tolist()
+    xs = {-1, 0, 1, 2, t.limit} | {p + d for p in primes for d in (-1, 0, 1)}
+    for x in sorted(xs):
+        assert t.pi(x) == int(np.searchsorted(t.primes, x, side="right")), x
+    assert t.prime_index(2) == 1
+    assert t.prime_index(997) == len(primes) == 168
+    for bad in (999, 1009):  # a composite; a prime beyond the table
+        with pytest.raises(ValueError):
+            t.prime_index(bad)
+    stored = set(primes)
+    assert all(t.is_prime(x) == (x in stored) for x in range(-1, 1001))
+    with pytest.raises(OutOfRangeError):
+        t.is_prime(1001)
+
+
 def test_factorize_first_irregular(table):
     f = factorize(FIRST_IRREGULAR, table)
     assert f.factors == ((3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1))
