@@ -135,7 +135,7 @@ def cmd_greedy(args) -> int:
         guard = args.guard if args.guard is not None else greedy_mod.DEFAULT_REFERENCE_GUARD
         state = greedy_mod.run_reference(args.n, guard=guard)
     else:
-        table = _get_table(args.limit or max(args.n, 1000), args.cache)
+        table = _get_table(_table_limit(args, args.n, max(args.n, 1000)), args.cache)
         state = greedy_mod.run_accelerated(args.n, table)
     fh, close = _open_out(args.out)
     try:

@@ -30,7 +30,7 @@ from math import isqrt
 import numpy as np
 
 from .counts import ClassTally, class_size, tally_diff_fast, tally_even_class
-from .errors import ResourceGuardError, TallyInconsistencyError
+from .errors import OutOfRangeError, ResourceGuardError, TallyInconsistencyError
 from .partition import Partition
 from .primes import Factorization, PrimeTable, _sieve_spf, factorize, totient
 
@@ -234,13 +234,16 @@ def run_reference(n: int, guard: int = DEFAULT_REFERENCE_GUARD) -> GreedyState:
 
 def run_accelerated(n: int, table: PrimeTable,
                     naive_budget: int = DEFAULT_NAIVE_BUDGET) -> GreedyState:
-    """Greedy run using the structural shortcuts, exact at every step.
+    """Greedy run using the structural shortcuts; every choice is exact.
 
     While the partition stays canonical: even n joins class 1, prime n opens
     the class of its prime index, and an odd composite n with smallest prime
     factor index i is scored only against classes 0..i (no larger class can
     beat class i: friends-minus-enemies there is at most the class size,
-    which is at most |S_i|, and ties resolve to the smaller index).
+    which is at most |S_i|, and ties resolve to the smaller index).  The run
+    keeps the class sizes as it labels, so ``class_scores`` settles most
+    classes j < i by a friend-count bound and counts exactly only where the
+    bound cannot rule j out.
 
     A step whose winner differs from class i is recorded as an anomaly and the
     run continues with the actual winner, but then the canonical shortcuts are
@@ -251,9 +254,10 @@ def run_accelerated(n: int, table: PrimeTable,
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > table.limit:
-        raise ValueError(f"n={n} exceeds table limit {table.limit}")
+        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     labels = np.zeros(n - 1, dtype=np.int64)
     labels[0] = 1
+    sizes = [0, 1]  # sizes[c] = members of class c; exact while canonical
     mask = None  # friend-mask buffer, allocated only if a step degrades
     conflicts = 0
     anomalies: list[tuple[int, int, int]] = []
@@ -274,7 +278,7 @@ def run_accelerated(n: int, table: PrimeTable,
                 chosen = 0
                 b_chosen = e_chosen = 0
             else:
-                vals = class_scores(m, f, table)
+                vals = class_scores(m, f, table, sizes)
                 i = len(vals) - 1
                 chosen = _argmax_min_index(vals)
                 if chosen == i:
@@ -296,10 +300,12 @@ def run_accelerated(n: int, table: PrimeTable,
                 labels[m - 2] = new_id
                 max_id = max(max_id, new_id)
                 conflicts += b_total
+                sizes.append(1)
             else:
                 labels[m - 2] = chosen
                 max_id = max(max_id, chosen)
                 conflicts += e_chosen + (b_total - b_chosen)
+                sizes[chosen] += 1
         elif m <= naive_budget:
             if mask is None:
                 mask = np.zeros(n - 1, dtype=bool)
@@ -328,7 +334,8 @@ def run_accelerated(n: int, table: PrimeTable,
     return state
 
 
-def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
+def class_scores(n: int, f: Factorization, table: PrimeTable,
+                 sizes: list[int] | None = None) -> list[int]:
     """Scores of odd n >= 3 against the canonical clustering of [2, n-1].
 
     With i the index of n's smallest prime, entry 0 is the fresh class (0),
@@ -336,13 +343,29 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     size of class i, all of whose members are friends of n.  No class beyond
     i can beat entry i, so the greedy step picks the argmax of this list,
     ties to the smallest index.
+
+    ``sizes[c]``, if given, is the size of class c in that clustering.  Then
+    an entry 2 <= j < i may be an upper bound instead of the exact score:
+    each friend in class j is p_j * k with k <= x = (n-1) // p_j and k a
+    multiple of some prime q | n, so friends <= min(sum x // q, s_j) and the
+    score, 2 * friends - s_j, is at most the bound.  A bound is kept only
+    when it is below s_i, so it can never be the argmax; entries 0, 1, i,
+    the argmax and its value are exact either way.
     """
     qs = f.distinct_primes
     i = table.prime_index(qs[0])
+    s_i = class_size(i, n - 1, table) if sizes is None else sizes[i]
     vals = [0, (n - 1) // 2 - totient(f)]  # class 1: (n-1)/2 evens, phi(n)/2 enemies
+    primes = table._primes_list
     for j in range(2, i):
+        if sizes is not None:
+            x = (n - 1) // primes[j - 1]
+            bound = 2 * min(sum(x // q for q in qs), sizes[j]) - sizes[j]
+            if bound < s_i:
+                vals.append(bound)
+                continue
         vals.append(tally_diff_fast(j, n, qs, table))
-    vals.append(class_size(i, n - 1, table))
+    vals.append(s_i)
     return vals
 
 

@@ -50,6 +50,15 @@ def test_greedy_reference_guard_exit_2(capsys):
     assert "refused" in err
 
 
+def test_greedy_limit_too_small_exit_64(capsys, monkeypatch):
+    limits = record_table_limits(monkeypatch)
+    code, out, err = run_cli(capsys, "greedy", "--n", "5000", "--limit", "1000")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("greedy: ") and err.count("\n") == 1
+    assert limits == []  # refused before any sieve
+
+
 def test_verify_small_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "--from", "2", "--to", "2000")
     assert code == 0

@@ -7,13 +7,18 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from gcdcluster import (
     ClassTally,
+    OutOfRangeError,
     ResourceGuardError,
     TallyInconsistencyError,
     canonical_partition,
+    class_scores,
+    class_size,
     count_conflicts,
+    factorize,
     greedy_step,
     initial_state,
     run_accelerated,
@@ -21,7 +26,8 @@ from gcdcluster import (
     verify_range,
     verify_single,
 )
-from gcdcluster.greedy import _scan_step
+from gcdcluster import greedy
+from gcdcluster.greedy import _argmax_min_index, _scan_step
 from oracles import naive_greedy
 
 FIRST_IRREGULAR = 111546435
@@ -186,6 +192,11 @@ def test_accelerated_conflicts_identity(table):
     assert st.conflicts == count_conflicts(st.partition)
 
 
+def test_accelerated_refuses_n_beyond_table(small_table):
+    with pytest.raises(OutOfRangeError):
+        run_accelerated(small_table.limit + 1, small_table)
+
+
 # ------------------------------------------------------------- verify_single
 
 def test_verify_single_skips_even_and_prime(table):
@@ -251,3 +262,71 @@ def test_verify_range_golden_jsonl(table, data_dir):
     summary = json.loads(lines[-1])["summary"]
     assert summary["all_pass"] is True
     assert summary["checked"] == len(lines) - 1
+
+
+# ------------------------------------------------- the bound in class_scores
+
+def _check_bounded_scores(n: int, table) -> None:
+    """class_scores with canonical sizes against the exact list for odd n."""
+    f = factorize(n, table)
+    if f.distinct_primes[0] == n:
+        return
+    exact = class_scores(n, f, table)
+    i = len(exact) - 1
+    sizes = [0] + [class_size(c, n - 1, table) for c in range(1, i + 1)]
+    bounded = class_scores(n, f, table, sizes)
+    assert len(bounded) == len(exact), n
+    assert all(b >= e for b, e in zip(bounded, exact)), n
+    assert [bounded[k] for k in (0, 1, i)] == [exact[k] for k in (0, 1, i)], n
+    assert _argmax_min_index(bounded) == _argmax_min_index(exact), n
+    assert all(b < exact[i] for b, e in zip(bounded, exact) if b != e), n
+
+
+def _hard_region_sample(count: int, seed: int) -> list[int]:
+    """Seeded odd integers in (10^6, 111546435) with no prime factor <= 17."""
+    rng = random.Random(seed)
+    out: list[int] = []
+    while len(out) < count:
+        n = rng.randrange(1_000_001, FIRST_IRREGULAR, 2)
+        if all(n % q for q in (3, 5, 7, 11, 13, 17)):
+            out.append(n)
+    return out
+
+
+def test_class_score_bound_sound(table):
+    for n in range(9, 20_001, 2):
+        _check_bounded_scores(n, table)
+    for n in _hard_region_sample(200, seed=4):
+        _check_bounded_scores(n, table)
+    _check_bounded_scores(FIRST_IRREGULAR, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=strategies.integers(4, (FIRST_IRREGULAR - 1) // 2))
+def test_class_score_bound_sound_property(table, k):
+    _check_bounded_scores(2 * k + 1, table)
+
+
+def test_accelerated_settles_classes_by_bound(table, monkeypatch):
+    n = 20_000
+    calls = {"tally_diff_fast": 0, "class_size": 0}
+
+    def counting(name):
+        inner = getattr(greedy, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(greedy, name, counting(name))
+    acc = run_accelerated(n, table)
+    # one check per odd composite m and class 2 <= j < i(m)
+    checks = sum(max(table.prime_index(table.smallest_prime_factor(m)) - 2, 0)
+                 for m in range(9, n + 1, 2) if not table.is_prime(m))
+    assert calls["class_size"] == 0
+    assert calls["tally_diff_fast"] < checks / 100
+    ref = run_reference(n)
+    assert np.array_equal(ref.partition.labels, acc.partition.labels)
+    assert ref.conflicts == acc.conflicts
