@@ -94,10 +94,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _cache_path(cache: str | None) -> str | None:
+    if cache is None and os.environ.get(CACHE_ENV):
+        return os.path.join(os.environ[CACHE_ENV], "gcdcluster-primes.bin")
+    return cache
+
+
 def _get_table(limit: int, cache: str | None) -> PrimeTable:
-    path = cache
-    if path is None and os.environ.get(CACHE_ENV):
-        path = os.path.join(os.environ[CACHE_ENV], "gcdcluster-primes.bin")
+    path = _cache_path(cache)
     if path and os.path.exists(path):
         try:
             table = load_prime_cache(path, limit=limit)
@@ -198,9 +202,12 @@ def cmd_verify(args) -> int:
             spans = _split_range(args.start, args.stop, args.workers * 8)
             checked = auto = 0
             anomalies = []
+            cache = _cache_path(args.cache)
+            if cache:  # build or check the cache once here; the workers load it
+                _get_table(limit, cache)
             with ProcessPoolExecutor(max_workers=args.workers,
                                      initializer=_worker_init,
-                                     initargs=(limit, args.cache)) as pool:
+                                     initargs=(limit, cache)) as pool:
                 for lines, ck, ap, anom in pool.map(_verify_chunk, spans):
                     for line in lines:
                         fh.write(line + "\n")

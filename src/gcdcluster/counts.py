@@ -8,8 +8,8 @@ counts of these sets, and every count here is exact integer arithmetic; no
 floating point is used anywhere on a counting path.
 
 Class sizes come from the coprime-counting function ``coprime_count``; the
-friend/enemy tally of class j >= 2 is one Moebius sum over subsets of n's
-prime divisors (``tally_diff_fast``), and the even class closes through the
+friend/enemy tally of class j >= 2 is one Moebius sum over the squarefree
+divisors of n (``tally_diff_fast``), and the even class closes through the
 totient (``tally_even_class``).  The test suite pins these against slow
 brute-force referees kept in ``tests/oracles.py``.
 
@@ -178,34 +178,33 @@ def tally_fast(j: int, n: int, f: Factorization, table: PrimeTable) -> ClassTall
     if p_j >= qs[0]:
         raise UnsupportedCaseError(
             f"p_{j} = {p_j} must be below the smallest prime divisor {qs[0]} of {n}")
-    d = tally_diff_fast(j, n, qs, table)
+    d = tally_diff_fast(j, n, mobius_divisors(qs), table)
     s_j = class_size(j, n - 1, table)
     return ClassTally(j, n, (s_j + d) // 2, (s_j - d) // 2)
 
 
-def tally_diff_fast(j: int, n: int, qs, table: PrimeTable) -> int:
-    """friends - enemies of n in class j, minimal-allocation variant.
+def mobius_divisors(qs) -> list[tuple[int, int]]:
+    """(d, mu(d)) for every squarefree d whose prime factors are among ``qs``."""
+    divisors = [(1, 1)]
+    for q in qs:
+        divisors += [(d * q, -mu) for d, mu in divisors]
+    return divisors
 
-    Same preconditions as ``tally_fast``; ``qs`` are n's distinct primes.
+
+def tally_diff_fast(j: int, n: int, divisors, table: PrimeTable) -> int:
+    """friends - enemies of n in class j, one Moebius sum over n's divisors.
+
+    Same preconditions as ``tally_fast``; ``divisors`` is
+    ``mobius_divisors`` of n's distinct primes, built once per n and shared
+    by its classes.  Enemies are the class members p_j * k, k <= (n-1) // p_j,
+    with k coprime to n: the sum of mu(d) * phi((n-1) // (p_j d), j-1).
     """
     primes = table._primes_list
-    p_j = primes[j - 1]
-    x = (n - 1) // p_j
+    x = (n - 1) // primes[j - 1]
     r = j - 1
     memo = _phi_memo(table)
     enemies = 0
-    for mask in range(1 << len(qs)):
-        d = 1
-        bits = 0
-        mm = mask
-        k = 0
-        while mm:
-            if mm & 1:
-                d *= qs[k]
-                bits += 1
-            mm >>= 1
-            k += 1
-        term = _phi(x // d, r, primes, table, memo)
-        enemies += -term if bits & 1 else term
+    for d, mu in divisors:
+        enemies += mu * _phi(x // d, r, primes, table, memo)
     s_j = _phi(x, r, primes, table, memo)
     return s_j - 2 * enemies

@@ -29,7 +29,8 @@ from math import isqrt
 
 import numpy as np
 
-from .counts import ClassTally, class_size, tally_diff_fast, tally_even_class
+from .counts import (ClassTally, class_size, mobius_divisors, tally_diff_fast,
+                     tally_even_class)
 from .errors import OutOfRangeError, ResourceGuardError, TallyInconsistencyError
 from .partition import Partition
 from .primes import Factorization, PrimeTable, _sieve_spf, factorize, totient
@@ -67,14 +68,12 @@ class VerifyRecord:
         return "pass" if self.chosen_j == self.expected_j else "fail"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "spf_index": self.spf_index,
-            "deltas": {str(j): d for j, d in sorted(self.deltas.items())},
-            "chosen_j": self.chosen_j,
-            "expected_j": self.expected_j,
-            "status": self.status,
-        })
+        """The record as one JSON object, byte for byte what ``json.dumps``
+        gives for these keys (deltas in increasing j)."""
+        deltas = ", ".join([f'"{j}": {d}' for j, d in sorted(self.deltas.items())])
+        return (f'{{"n": {self.n}, "spf_index": {self.spf_index}, '
+                f'"deltas": {{{deltas}}}, "chosen_j": {self.chosen_j}, '
+                f'"expected_j": {self.expected_j}, "status": "{self.status}"}}')
 
 
 @dataclass
@@ -266,19 +265,20 @@ def run_accelerated(n: int, table: PrimeTable,
     max_id = 1
     for m in range(3, n + 1):
         if canonical:
+            # b_total: friends of m below it, m - 1 - phi(m)
             f = factorize(m, table)
             qs = f.distinct_primes
-            phi_m = totient(f)
-            b_total = m - 1 - phi_m
             if m % 2 == 0:
                 chosen = 1
+                b_total = m - 1 - totient(f)
                 b_chosen = (m - 2) // 2  # every smaller even is a friend
                 e_chosen = 0
             elif qs[0] == m:
                 chosen = 0
-                b_chosen = e_chosen = 0
+                b_total = b_chosen = e_chosen = 0
             else:
                 vals = class_scores(m, f, table, sizes)
+                b_total = (m - 1) // 2 + vals[1]  # vals[1] = (m-1)//2 - phi(m)
                 i = len(vals) - 1
                 chosen = _argmax_min_index(vals)
                 if chosen == i:
@@ -357,6 +357,7 @@ def class_scores(n: int, f: Factorization, table: PrimeTable,
     s_i = class_size(i, n - 1, table) if sizes is None else sizes[i]
     vals = [0, (n - 1) // 2 - totient(f)]  # class 1: (n-1)/2 evens, phi(n)/2 enemies
     primes = table._primes_list
+    divisors = None  # built on the first exact count, then shared by the classes
     for j in range(2, i):
         if sizes is not None:
             x = (n - 1) // primes[j - 1]
@@ -364,7 +365,9 @@ def class_scores(n: int, f: Factorization, table: PrimeTable,
             if bound < s_i:
                 vals.append(bound)
                 continue
-        vals.append(tally_diff_fast(j, n, qs, table))
+        if divisors is None:
+            divisors = mobius_divisors(qs)
+        vals.append(tally_diff_fast(j, n, divisors, table))
     vals.append(s_i)
     return vals
 

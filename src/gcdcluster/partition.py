@@ -97,7 +97,7 @@ def canonical_partition(n: int, table: PrimeTable) -> Partition:
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     if n <= table.spf_limit:
-        spf = table._spf[2 : n + 1].astype(np.int64)
+        spf = table.spf()[2 : n + 1].astype(np.int64)
         labels = np.searchsorted(table.primes, spf) + 1
     else:
         labels = np.fromiter(

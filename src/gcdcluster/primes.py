@@ -1,13 +1,14 @@
 """Prime infrastructure: sieve, factorization, totient, exact prime counting.
 
-Everything downstream leans on ``PrimeTable``: an immutable, once-built bundle
-of the ordered primes up to a limit, a smallest-prime-factor array for fast
-factorization, and exact pi(x) lookups.  Prime indices are 1-based throughout
-(prime 1 is 2, prime 2 is 3, ...), matching the class indexing used by the
-clustering modules.
+Everything downstream leans on ``PrimeTable``: the ordered primes up to a
+limit, exact pi(x) lookups, and a smallest-prime-factor array for fast
+factorization, sieved on its first read so that a job which never reads it
+never pays for it.  Prime indices are 1-based throughout (prime 1 is 2,
+prime 2 is 3, ...), matching the class indexing used by the clustering
+modules.
 
-A ``PrimeTable`` is safe to share between threads once constructed; nothing
-here mutates it afterwards.
+A ``PrimeTable`` is safe to share between threads: the only later write is
+that first sieve, and two readers racing to it both build the same array.
 """
 
 from __future__ import annotations
@@ -36,31 +37,21 @@ _CACHE_VERSION = 1
 
 @dataclass(frozen=True)
 class Factorization:
-    """n = product of q**a over ``factors``, q strictly increasing."""
+    """n = product of q**a over ``factors``, q strictly increasing;
+    ``distinct_primes`` is the q of each factor, in the same order."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    @property
-    def distinct_primes(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.factors)
-
-    @property
-    def kernel(self) -> int:
-        """Product of the distinct prime divisors (squarefree part)."""
-        k = 1
-        for q, _ in self.factors:
-            k *= q
-        return k
+    distinct_primes: tuple[int, ...]
 
 
 class PrimeTable:
     """Ordered primes up to ``limit`` plus an SPF array for fast factorization.
 
     ``primes`` is a sorted numpy int64 array.  ``prime(i)`` returns the i-th
-    prime, 1-based.  ``spf_limit`` bounds the smallest-prime-factor array;
-    factorization of larger integers falls back to trial division against the
-    stored primes.
+    prime, 1-based.  ``spf_limit`` bounds the smallest-prime-factor array,
+    which ``spf()`` sieves on first read; factorization of larger integers
+    falls back to trial division against the stored primes.
     """
 
     def __init__(self, limit: int, spf_limit: int | None = None,
@@ -76,7 +67,13 @@ class PrimeTable:
         if spf_limit is None:
             spf_limit = min(self.limit, DEFAULT_SPF_LIMIT)
         self.spf_limit = int(min(spf_limit, self.limit))
-        self._spf = _sieve_spf(self.spf_limit)
+        self._spf = None
+
+    def spf(self) -> np.ndarray:
+        """spf()[n] = smallest prime factor of n, 2 <= n <= spf_limit."""
+        if self._spf is None:
+            self._spf = _sieve_spf(self.spf_limit)
+        return self._spf
 
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, n_primes={len(self.primes)})"
@@ -98,7 +95,7 @@ class PrimeTable:
         if n < 2:
             return False
         if n <= self.spf_limit:
-            return int(self._spf[n]) == n
+            return int(self.spf()[n]) == n
         return self.pi(n) > self.pi(n - 1)
 
     def pi(self, x: int) -> int:
@@ -113,7 +110,7 @@ class PrimeTable:
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         if n <= self.spf_limit:
-            return int(self._spf[n])
+            return int(self.spf()[n])
         for p in self._primes_list:
             if p * p > n:
                 return n
@@ -164,9 +161,10 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     factors: list[tuple[int, int]] = []
+    qs: list[int] = []
     rem = n
     if n <= table.spf_limit:
-        spf = table._spf
+        spf = table.spf()
         while rem > 1:
             q = int(spf[rem])
             a = 0
@@ -174,7 +172,8 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
                 rem //= q
                 a += 1
             factors.append((q, a))
-        return Factorization(n, tuple(factors))
+            qs.append(q)
+        return Factorization(n, tuple(factors), tuple(qs))
     for q in table._primes_list:
         if q * q > rem:
             break
@@ -184,13 +183,15 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
                 rem //= q
                 a += 1
             factors.append((q, a))
+            qs.append(q)
     if rem > 1:
         # rem has no prime factor <= sqrt(rem) among the stored primes
         if isqrt(rem) > table.limit:
             raise OutOfRangeError(
                 f"cofactor {rem} of {n} not certifiable with primes up to {table.limit}")
         factors.append((rem, 1))
-    return Factorization(n, tuple(factors))
+        qs.append(rem)
+    return Factorization(n, tuple(factors), tuple(qs))
 
 
 def totient(f: Factorization) -> int:

@@ -170,7 +170,7 @@ def test_criterion_07b_class_size_bound_exhaustive(table):
     # |S_{i,u}| within 2**(i-2) of u/p_i * prod(1 - 1/p_l) for every odd
     # u <= 1e5 and 2 <= i <= 12, via sieved class sizes and exact rationals
     u_max = 100_000
-    spf = table._spf[: u_max + 1].astype(np.int64)
+    spf = table.spf()[: u_max + 1].astype(np.int64)
     u_odd = np.arange(3, u_max + 1, 2, dtype=np.int64)
     for i in range(2, 13):
         p_i = table.prime(i)
@@ -225,7 +225,7 @@ def test_criterion_07d_even_class_exact_exhaustive(table):
 
 
 def test_criterion_08_oracle_equivalence_tallies(table):
-    spf = table._spf
+    spf = table.spf()
     prime_index = {int(table.prime(k)): k for k in range(1, table.pi(5000) + 1)}
     pairs = 0
     for n in range(9, 5001, 2):

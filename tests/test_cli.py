@@ -7,7 +7,7 @@ from math import isqrt
 
 import pytest
 
-from gcdcluster import cli
+from gcdcluster import cli, primes
 from gcdcluster.cli import main
 from gcdcluster.primes import DEFAULT_SPF_LIMIT
 
@@ -117,6 +117,31 @@ def test_verify_default_table_size(capsys, monkeypatch, table):
     code, _, _ = run_cli(capsys, "verify", "--from", str(start), "--to", str(stop))
     assert code == 1
     assert limits == [max(isqrt(stop), stop // 13, min(stop, DEFAULT_SPF_LIMIT))]
+
+
+def test_verify_above_spf_limit_sieves_no_spf(capsys, monkeypatch):
+    # every integer of this window is above the SPF limit and is factored by
+    # trial division, so the table never sieves its SPF array
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    sieved = []
+    sieve = primes._sieve_spf
+    monkeypatch.setattr(primes, "_sieve_spf",
+                        lambda limit: sieved.append(limit) or sieve(limit))
+    code, _, _ = run_cli(capsys, "verify", "--from", "111546000", "--to", "111546500")
+    assert code == 1
+    assert sieved == []
+
+
+def test_verify_workers_save_cache_once(capfd, tmp_path, monkeypatch):
+    # fd-level capture, because the workers write to stderr from their own
+    # processes; the 10^7 table takes long enough to sieve that workers each
+    # building it would overlap
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    code = main(["verify", "--from", "9999000", "--to", "10000000", "--workers", "2"])
+    err = capfd.readouterr().err
+    assert code == 0
+    assert err.count("saved prime cache") == 1
+    assert "loaded prime cache" in err and "unusable" not in err
 
 
 def test_verify_workers_deterministic(capsys, tmp_path):

@@ -24,6 +24,7 @@ from gcdcluster import (
     tally_even_class,
     tally_fast,
 )
+from gcdcluster.counts import mobius_divisors
 from oracles import (_friends_termsum, _size_S_termsum, naive_spf, naive_tally,
                      size_S_exact, tally_exact, tally_wheel_oracle)
 
@@ -205,6 +206,15 @@ def test_three_routes_agree_sampled(table):
             assert (te.friends, te.enemies) == (tf.friends, tf.enemies) \
                 == (tw.friends, tw.enemies) == nv, (n, j)
         checked += 1
+
+
+def test_mobius_divisors_are_signed_squarefree_divisors():
+    assert mobius_divisors(()) == [(1, 1)]
+    n = 3 * 5 * 7 * 11
+    want = {d: (-1) ** sum(d % q == 0 for q in (3, 5, 7, 11))
+            for d in range(1, n + 1) if n % d == 0}
+    got = mobius_divisors((3, 5, 7, 11))
+    assert len(got) == 16 and dict(got) == want
 
 
 def test_tally_invariant_friends_plus_enemies(table):

@@ -27,7 +27,7 @@ from gcdcluster import (
     verify_single,
 )
 from gcdcluster import greedy
-from gcdcluster.greedy import _argmax_min_index, _scan_step
+from gcdcluster.greedy import VerifyRecord, _argmax_min_index, _scan_step
 from oracles import naive_greedy
 
 FIRST_IRREGULAR = 111546435
@@ -330,3 +330,22 @@ def test_accelerated_settles_classes_by_bound(table, monkeypatch):
     ref = run_reference(n)
     assert np.array_equal(ref.partition.labels, acc.partition.labels)
     assert ref.conflicts == acc.conflicts
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=strategies.integers(-10 ** 30, 10 ** 30),
+       i=strategies.integers(-5, 40),
+       deltas=strategies.dictionaries(strategies.integers(1, 40),
+                                      strategies.integers(-10 ** 40, 10 ** 40)),
+       chosen=strategies.integers(0, 40))
+def test_record_json_matches_json_dumps(n, i, deltas, chosen):
+    # keys 1..40 order differently as numbers and as strings ("10" < "2")
+    rec = VerifyRecord(n=n, spf_index=i, deltas=deltas, chosen_j=chosen, expected_j=i)
+    assert rec.to_json() == json.dumps({
+        "n": n,
+        "spf_index": i,
+        "deltas": {str(j): d for j, d in sorted(deltas.items())},
+        "chosen_j": chosen,
+        "expected_j": i,
+        "status": rec.status,
+    })

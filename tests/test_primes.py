@@ -6,6 +6,7 @@ import pytest
 from gcdcluster import (
     OutOfRangeError,
     build_prime_table,
+    canonical_partition,
     factorize,
     load_prime_cache,
     pi_exact,
@@ -13,7 +14,7 @@ from gcdcluster import (
     save_prime_cache,
     totient,
 )
-from oracles import naive_phi, segmented_prime_count
+from oracles import naive_phi, naive_spf, segmented_prime_count
 
 FIRST_IRREGULAR = 111546435
 
@@ -94,6 +95,29 @@ def test_lookups_at_boundaries():
     assert all(t.is_prime(x) == (x in stored) for x in range(-1, 1001))
     with pytest.raises(OutOfRangeError):
         t.is_prime(1001)
+    # each SPF reader, run first on a fresh table, sieves the array itself
+    def fresh():
+        return build_prime_table(1000, spf_limit=100)
+    for x in range(t.spf_limit - 5, t.spf_limit + 6):
+        assert fresh().smallest_prime_factor(x) == naive_spf(x), x
+        assert fresh().is_prime(x) == (x in stored), x
+        f = factorize(x, fresh())
+        assert f.factors == _naive_factors(x), x
+        assert f.distinct_primes == tuple(q for q, _ in f.factors), x
+        labels = canonical_partition(x, fresh()).labels.tolist()
+        assert [t.prime(c) for c in labels] == [naive_spf(m) for m in range(2, x + 1)], x
+
+
+def _naive_factors(n):
+    out = []
+    while n > 1:
+        q = naive_spf(n)
+        a = 0
+        while n % q == 0:
+            n //= q
+            a += 1
+        out.append((q, a))
+    return tuple(out)
 
 
 def test_factorize_first_irregular(table):
@@ -117,7 +141,7 @@ def test_factorize_rejects_below_two(table):
 
 
 def test_factorize_roundtrip_to_million(table):
-    spf = table._spf
+    spf = table.spf()
     for n in range(2, 1_000_001):
         f = factorize(n, table)
         prod = 1
