@@ -66,7 +66,8 @@ def _build_parser() -> _Parser:
     v = add_parser("verify", help="check canonical class selection over a range")
     v.add_argument("--from", dest="start", type=int, required=True)
     v.add_argument("--to", dest="stop", type=int, required=True)
-    v.add_argument("--workers", type=int, default=1)
+    v.add_argument("--workers", type=int, default=1,
+                   help="worker processes, from 1 to the CPU count")
     v.add_argument("--out", default=None, help="JSONL path (default stdout)")
 
     t = add_parser("tables", help="emit the threshold table or the census")
@@ -185,10 +186,15 @@ def cmd_verify(args) -> int:
     if args.start < 2 or args.stop < args.start:
         print(f"verify: bad range [{args.start}, {args.stop}]", file=sys.stderr)
         return EXIT_USAGE
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        print(f"verify: --workers must be in [1, {cpus}], got {args.workers}",
+              file=sys.stderr)
+        return EXIT_USAGE
     limit = _table_limit(args, greedy_mod.verify_table_limit(args.stop), args.stop)
     fh, close = _open_out(args.out)
     try:
-        if args.workers <= 1:
+        if args.workers == 1:
             table = _get_table(limit, args.cache)
 
             def progress(n, report):

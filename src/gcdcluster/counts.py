@@ -20,6 +20,7 @@ written under the GIL, so concurrent callers at worst duplicate work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import UnsupportedCaseError
 from .primes import Factorization, PrimeTable, totient
@@ -178,33 +179,34 @@ def tally_fast(j: int, n: int, f: Factorization, table: PrimeTable) -> ClassTall
     if p_j >= qs[0]:
         raise UnsupportedCaseError(
             f"p_{j} = {p_j} must be below the smallest prime divisor {qs[0]} of {n}")
-    d = tally_diff_fast(j, n, mobius_divisors(qs), table)
     s_j = class_size(j, n - 1, table)
+    d = tally_diff_fast(j, n, mobius_divisors(qs), s_j, table)
     return ClassTally(j, n, (s_j + d) // 2, (s_j - d) // 2)
 
 
 def mobius_divisors(qs) -> list[tuple[int, int]]:
-    """(d, mu(d)) for every squarefree d whose prime factors are among ``qs``."""
+    """(d, mu(d)) for every squarefree d whose prime factors are among
+    ``qs``, starting with (1, 1)."""
     divisors = [(1, 1)]
     for q in qs:
         divisors += [(d * q, -mu) for d, mu in divisors]
     return divisors
 
 
-def tally_diff_fast(j: int, n: int, divisors, table: PrimeTable) -> int:
+def tally_diff_fast(j: int, n: int, divisors, s_j: int, table: PrimeTable) -> int:
     """friends - enemies of n in class j, one Moebius sum over n's divisors.
 
     Same preconditions as ``tally_fast``; ``divisors`` is
     ``mobius_divisors`` of n's distinct primes, built once per n and shared
-    by its classes.  Enemies are the class members p_j * k, k <= (n-1) // p_j,
-    with k coprime to n: the sum of mu(d) * phi((n-1) // (p_j d), j-1).
+    by its classes, and ``s_j`` is ``class_size(j, n - 1)``.  Enemies are the
+    class members p_j * k, k <= x = (n-1) // p_j, with k coprime to n: the
+    sum of mu(d) * phi(x // d, j-1), whose d = 1 term is s_j itself.
     """
     primes = table._primes_list
     x = (n - 1) // primes[j - 1]
     r = j - 1
     memo = _phi_memo(table)
-    enemies = 0
-    for d, mu in divisors:
+    enemies = s_j
+    for d, mu in islice(divisors, 1, None):
         enemies += mu * _phi(x // d, r, primes, table, memo)
-    s_j = _phi(x, r, primes, table, memo)
     return s_j - 2 * enemies

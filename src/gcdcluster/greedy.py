@@ -16,9 +16,10 @@ Two run modes compute the same partitions:
                          classes up to n's smallest-prime-factor index can win,
                          scored by exact counting formulas.
 
-``verify_range`` is the per-n formulation of the same question ("does n join
-the class of its smallest prime factor?") that needs no running state, so a
-sweep can fan out and still merge deterministically.
+``verify_range`` asks the same question per n ("does n join the class of
+its smallest prime factor?") against the canonical clustering of [2, n-1],
+so its only running state is its window's class sizes, and a sweep can fan
+out over windows and still merge deterministically.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def run_accelerated(n: int, table: PrimeTable,
                 chosen = 0
                 b_total = b_chosen = e_chosen = 0
             else:
-                vals = class_scores(m, f, table, sizes)
+                vals = class_scores(m, f, table, sizes, bound=True)
                 b_total = (m - 1) // 2 + vals[1]  # vals[1] = (m-1)//2 - phi(m)
                 i = len(vals) - 1
                 chosen = _argmax_min_index(vals)
@@ -289,7 +290,7 @@ def run_accelerated(n: int, table: PrimeTable,
                         t = tally_even_class(m, f)
                     else:
                         # recover the tally pair from the diff and the class size
-                        s_j = class_size(chosen, m - 1, table)
+                        s_j = sizes[chosen]
                         t = ClassTally(chosen, m, (s_j + vals[chosen]) // 2,
                                        (s_j - vals[chosen]) // 2)
                     b_chosen, e_chosen = t.friends, t.enemies
@@ -335,7 +336,7 @@ def run_accelerated(n: int, table: PrimeTable,
 
 
 def class_scores(n: int, f: Factorization, table: PrimeTable,
-                 sizes: list[int] | None = None) -> list[int]:
+                 sizes: list[int] | None = None, bound: bool = False) -> list[int]:
     """Scores of odd n >= 3 against the canonical clustering of [2, n-1].
 
     With i the index of n's smallest prime, entry 0 is the fresh class (0),
@@ -344,48 +345,59 @@ def class_scores(n: int, f: Factorization, table: PrimeTable,
     i can beat entry i, so the greedy step picks the argmax of this list,
     ties to the smallest index.
 
-    ``sizes[c]``, if given, is the size of class c in that clustering.  Then
-    an entry 2 <= j < i may be an upper bound instead of the exact score:
-    each friend in class j is p_j * k with k <= x = (n-1) // p_j and k a
-    multiple of some prime q | n, so friends <= min(sum x // q, s_j) and the
-    score, 2 * friends - s_j, is at most the bound.  A bound is kept only
-    when it is below s_i, so it can never be the argmax; entries 0, 1, i,
-    the argmax and its value are exact either way.
+    ``sizes[c]``, c >= 2, is the size of class c in that clustering.  A
+    caller walking a contiguous run keeps one list, passes it for every n
+    and adds each integer to its class afterwards; a class the list does not
+    reach yet is opened here with one ``class_size(c, n - 1)``.  Without
+    ``sizes``, classes 2..i are opened for n alone.
+
+    With ``bound``, an entry 2 <= j < i may be an upper bound instead of the
+    exact score: each friend in class j is p_j * k with k <= x = (n-1) // p_j
+    and k a multiple of some prime q | n, so friends <= min(sum x // q, s_j)
+    and the score, 2 * friends - s_j, is at most the bound.  A bound is kept
+    only when it is below s_i, so it can never be the argmax; entries 0, 1,
+    i, the argmax and its value are exact either way.
     """
     qs = f.distinct_primes
     i = table.prime_index(qs[0])
-    s_i = class_size(i, n - 1, table) if sizes is None else sizes[i]
+    if sizes is None:
+        sizes = [0, 0]
+    for c in range(len(sizes), i + 1):
+        sizes.append(class_size(c, n - 1, table))
+    s_i = sizes[i]
     vals = [0, (n - 1) // 2 - totient(f)]  # class 1: (n-1)/2 evens, phi(n)/2 enemies
     primes = table._primes_list
     divisors = None  # built on the first exact count, then shared by the classes
     for j in range(2, i):
-        if sizes is not None:
+        s_j = sizes[j]
+        if bound:
             x = (n - 1) // primes[j - 1]
-            bound = 2 * min(sum(x // q for q in qs), sizes[j]) - sizes[j]
-            if bound < s_i:
-                vals.append(bound)
+            b = 2 * min(sum(x // q for q in qs), s_j) - s_j
+            if b < s_i:
+                vals.append(b)
                 continue
         if divisors is None:
             divisors = mobius_divisors(qs)
-        vals.append(tally_diff_fast(j, n, divisors, table))
+        vals.append(tally_diff_fast(j, n, divisors, s_j, table))
     vals.append(s_i)
     return vals
 
 
-def verify_single(n: int, table: PrimeTable) -> VerifyRecord | None:
+def verify_single(n: int, table: PrimeTable,
+                  sizes: list[int] | None = None) -> VerifyRecord | None:
     """Class-selection check for one integer against the canonical state.
 
     Returns None for even or prime n (those choices follow from parity and
     primality alone).  For an odd composite with smallest-prime-factor index
-    i, scores every class up to i with ``class_scores`` and reports which
-    class a greedy step would pick.
+    i, scores every class up to i exactly with ``class_scores`` (``sizes``
+    as there) and reports which class a greedy step would pick.
     """
     if n % 2 == 0:
         return None
     f = factorize(n, table)
     if f.distinct_primes[0] == n:
         return None
-    vals = class_scores(n, f, table)
+    vals = class_scores(n, f, table, sizes)
     i = len(vals) - 1
     deltas = {j: vals[j] for j in range(1, i + 1)}
     return VerifyRecord(n=n, spf_index=i, deltas=deltas,
@@ -405,8 +417,12 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     """Check every n in [start, stop] for canonical class selection.
 
     Even and prime n auto-pass; each odd composite gets an exact check.  The
-    per-n work is independent, so disjoint ranges can run anywhere and their
-    reports merge deterministically (records are emitted in increasing n).
+    window keeps the canonical class sizes as it goes: a class is opened
+    when an integer first needs it, and each odd composite then joins the
+    class of its smallest prime, pass or fail, since every check is against
+    the canonical state.  Disjoint ranges can run anywhere, each with its own
+    sizes, and their reports merge deterministically (records are emitted in
+    increasing n).
     """
     if start < 2 or stop < start:
         raise ValueError(f"bad range [{start}, {stop}]")
@@ -416,11 +432,13 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     report = VerifyReport(start=start, stop=stop)
     report.auto_passed += stop // 2 - (start - 1) // 2  # the evens
     first_odd = start if start % 2 == 1 else start + 1
+    sizes = [0, 0]  # sizes[c], c >= 2: canonical class c within [2, n-1]
     for n in range(first_odd, stop + 1, 2):
-        rec = verify_single(n, table)
+        rec = verify_single(n, table, sizes)
         if rec is None:
             report.auto_passed += 1
             continue
+        sizes[rec.spf_index] += 1
         report.checked += 1
         if rec.status == "fail":
             report.anomalies.append((rec.n, rec.expected_j, rec.chosen_j))

@@ -17,6 +17,7 @@ import os
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import takewhile
 from math import isqrt, log
 
 import numpy as np
@@ -243,7 +244,8 @@ def load_prime_cache(path, limit: int | None = None,
 
     If ``limit`` is given and smaller than the cached limit, the prime list is
     truncated; a cached limit below the requested one is an error, and so is
-    a file holding fewer primes than its header states (ValueError).
+    a file holding fewer primes than its header states, or one whose last
+    prime is not the largest prime up to the cached limit (ValueError).
     """
     with open(path, "rb") as fh:
         (version,) = struct.unpack("<B", fh.read(1))
@@ -254,6 +256,7 @@ def load_prime_cache(path, limit: int | None = None,
     if len(body) != 8 * count:
         raise ValueError(f"truncated cache: {len(body) // 8} of {count} primes")
     primes = np.frombuffer(body, dtype="<u8").astype(np.int64)
+    _check_last_prime(primes, cached_limit)
     if limit is None:
         limit = cached_limit
     if limit > cached_limit:
@@ -261,3 +264,18 @@ def load_prime_cache(path, limit: int | None = None,
     if limit < cached_limit:
         primes = primes[: int(np.searchsorted(primes, limit, side="right"))]
     return PrimeTable(int(limit), spf_limit=spf_limit, _primes=primes)
+
+
+def _check_last_prime(primes: np.ndarray, limit: int) -> None:
+    """Raise ValueError unless the last of ``primes`` is the largest prime
+    <= ``limit``, certified by trial division by ``primes`` themselves."""
+    last = int(primes[-1]) if len(primes) else 1
+    if last > limit:
+        raise ValueError(f"cached prime {last} exceeds the cached limit {limit}")
+    root = isqrt(limit)
+    if last < root:
+        raise ValueError(f"cached primes stop at {last}, below sqrt({limit})")
+    divisors = primes[: int(np.searchsorted(primes, root, side="right"))].tolist()
+    for m in range(last + 1, limit + 1):
+        if all(m % q for q in takewhile(lambda q: q * q <= m, divisors)):
+            raise ValueError(f"cache lacks the prime {m} <= its limit {limit}")

@@ -154,6 +154,57 @@ def test_verify_workers_deterministic(capsys, tmp_path):
     assert out_path.read_text() == out1
 
 
+def test_verify_workers_match_serial_near_1e8(capsys, tmp_path):
+    # each chunk opens its own class sizes where it starts
+    argv = ["verify", "--from", "111546300", "--to", "111546600"]
+    code1, out1, _ = run_cli(capsys, *argv)
+    out_path = tmp_path / "w2.jsonl"
+    code2 = main(argv + ["--workers", "2", "--out", str(out_path)])
+    capsys.readouterr()
+    assert code1 == code2 == 1
+    assert out_path.read_text() == out1
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "3", "100000"])
+def test_verify_workers_out_of_range_exit_64(capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    limits = record_table_limits(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--from", "2", "--to", "3000",
+                             "--workers", workers)
+    assert code == 64
+    assert out == ""
+    assert err == f"verify: --workers must be in [1, 2], got {workers}\n"
+    assert limits == []  # refused before any sieve
+
+
+def test_verify_golden_window_above_1e8(capsys, data_dir):
+    code, out, _ = run_cli(capsys, "verify", "--from", "111546400", "--to", "111546500")
+    assert code == 1
+    assert out == (data_dir / "verify_111546400_111546500.jsonl").read_text()
+
+
+def test_verify_stale_cache_rebuilt(capsys, monkeypatch, tmp_path):
+    # a 10^4 cache whose header claims 10^7 covers this window's 9000999
+    # table; loaded, it would leave out every prime above 10^4
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    argv = ["verify", "--from", "9000001", "--to", "9000999"]
+    code1, fresh, _ = run_cli(capsys, *argv)
+    cache = tmp_path / "primes.bin"
+    primes.save_prime_cache(primes.build_prime_table(10 ** 4), cache)
+    raw = bytearray(cache.read_bytes())
+    raw[1:9] = (10 ** 7).to_bytes(8, "little")
+    cache.write_bytes(bytes(raw))
+    code2, out, err = run_cli(capsys, "--seed-cache", str(cache), *argv)
+    assert code1 == code2 == 0
+    assert "unusable" in err and "saved prime cache" in err
+    assert out == fresh
+    assert primes.load_prime_cache(cache).limit == 9000999
+
+
 def test_tables_n1_csv(capsys):
     code, out, _ = run_cli(capsys, "tables", "--which", "n1")
     assert code == 0

@@ -7,7 +7,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from gcdcluster import (
     ClassTally,
@@ -264,17 +264,43 @@ def test_verify_range_golden_jsonl(table, data_dir):
     assert summary["checked"] == len(lines) - 1
 
 
+def _check_window_sizes(start: int, stop: int, table) -> None:
+    """verify_range's kept class sizes give every record standalone scoring gives."""
+    report = verify_range(start, stop, table, collect_records=True)
+    standalone = [verify_single(n, table) for n in range(start, stop + 1)]
+    assert report.records == [rec for rec in standalone if rec is not None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=strategies.integers(2, 3_000), width=strategies.integers(1, 2_000))
+@example(start=2, width=2_000)     # holds every prime up to isqrt(stop)
+@example(start=9, width=1)
+@example(start=1_000, width=200)   # classes first needed inside the window
+def test_window_sizes_match_standalone_low(table, start, width):
+    _check_window_sizes(start, start + width - 1, table)
+
+
+@settings(max_examples=15, deadline=None)
+@given(start=strategies.integers(10 ** 8, FIRST_IRREGULAR + 10 ** 5),
+       width=strategies.integers(1, 300))
+@example(start=FIRST_IRREGULAR - 150, width=300)  # the one deviation, mid-window
+@example(start=FIRST_IRREGULAR, width=40)
+def test_window_sizes_match_standalone_near_1e8(table, start, width):
+    _check_window_sizes(start, start + width - 1, table)
+
+
 # ------------------------------------------------- the bound in class_scores
 
 def _check_bounded_scores(n: int, table) -> None:
-    """class_scores with canonical sizes against the exact list for odd n."""
+    """class_scores with the greedy's bound against the exact list for odd n."""
     f = factorize(n, table)
     if f.distinct_primes[0] == n:
         return
     exact = class_scores(n, f, table)
     i = len(exact) - 1
     sizes = [0] + [class_size(c, n - 1, table) for c in range(1, i + 1)]
-    bounded = class_scores(n, f, table, sizes)
+    assert class_scores(n, f, table, list(sizes)) == exact, n
+    bounded = class_scores(n, f, table, sizes, bound=True)
     assert len(bounded) == len(exact), n
     assert all(b >= e for b, e in zip(bounded, exact)), n
     assert [bounded[k] for k in (0, 1, i)] == [exact[k] for k in (0, 1, i)], n

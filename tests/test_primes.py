@@ -237,6 +237,34 @@ def test_prime_cache_cut_short_refused(tmp_path):
         load_prime_cache(path, limit=1000)
 
 
+def _with_header_limit(path, limit: int) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[1:9] = limit.to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("header_limit, message", [
+    (10 ** 7, "lacks the prime 10007"),   # primes to 10^4 under a 10^7 header
+    (9_000, "exceeds the cached limit"),  # last prime 9973 above the header
+    (10 ** 9, "below sqrt"),              # too few primes to certify the gap
+])
+def test_prime_cache_stale_limit_refused(tmp_path, small_table, header_limit, message):
+    path = tmp_path / "primes.bin"
+    save_prime_cache(small_table, path)
+    _with_header_limit(path, header_limit)
+    with pytest.raises(ValueError, match=message):
+        load_prime_cache(path)
+    with pytest.raises(ValueError, match=message):
+        load_prime_cache(path, limit=1000)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 10, 9973, 10_006, 10 ** 5])
+def test_prime_cache_last_prime_accepted(tmp_path, limit):
+    path = tmp_path / "primes.bin"
+    save_prime_cache(build_prime_table(limit), path)
+    assert load_prime_cache(path).limit == limit
+
+
 def test_prime_cache_bad_version(tmp_path, small_table):
     path = tmp_path / "primes.bin"
     save_prime_cache(small_table, path)
