@@ -20,9 +20,8 @@ from .partition import (Partition, canonical_partition, conflict_delta_of_move,
                         count_conflicts, exceptional_partition,
                         partition_to_csv, read_partition_csv, similar,
                         write_partition_csv)
-from .primes import (DEFAULT_SIEVE_LIMIT, Factorization, PrimeTable,
-                     build_prime_table, factorize, load_prime_cache, pi_exact,
-                     rosser_schoenfeld_bounds, save_prime_cache, totient)
+from .primes import (Factorization, PrimeTable, build_prime_table, factorize,
+                     pi_exact, rosser_schoenfeld_bounds, totient)
 from .thresholds import (FIRST_IRREGULAR, CandidateCensus, ThresholdRecord,
                          census_report, census_three_factor, even_class_criterion,
                          prime_count_inequality, find_n0, n1_remark_candidate, n1_table,

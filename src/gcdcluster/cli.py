@@ -23,15 +23,14 @@ from . import greedy as greedy_mod
 from . import thresholds
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import count_conflicts, canonical_partition, partition_to_csv
-from .primes import (DEFAULT_SPF_LIMIT, PrimeTable, build_prime_table,
-                     factorize, load_prime_cache, save_prime_cache)
+from .primes import DEFAULT_SPF_LIMIT, PrimeTable, build_prime_table, factorize
 
 EXIT_OK = 0
 EXIT_ANOMALY = 1
 EXIT_REFUSED = 2
 EXIT_USAGE = 64
 
-CACHE_ENV = "GCDCLUSTER_CACHE_DIR"
+TABLES_LIMIT = 1_000_000  # the table ``tables`` builds unless a census needs more
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,22 +39,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    # SUPPRESS keeps a subcommand's copy of these flags from clobbering values
-    # parsed before the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--limit", type=int, default=argparse.SUPPRESS,
-                        help="prime sieve limit (default: sized per command)")
-    common.add_argument("--seed-cache", dest="cache", default=argparse.SUPPRESS,
-                        help="prime cache file to reuse/create "
-                             f"(or set ${CACHE_ENV} for an auto-named cache)")
-    parser = _Parser(prog="gcdcluster", parents=[common],
+    parser = _Parser(prog="gcdcluster",
                      description="greedy gcd clustering of the integers, exactly")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    g = add_parser("greedy", help="run the greedy clustering, print the partition")
+    g = sub.add_parser("greedy", help="run the greedy clustering, print the partition")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--mode", choices=("reference", "accelerated"), default="accelerated")
     g.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
@@ -63,14 +51,14 @@ def _build_parser() -> _Parser:
     g.add_argument("--guard", type=int, default=None,
                    help="override the reference-mode size guard")
 
-    v = add_parser("verify", help="check canonical class selection over a range")
+    v = sub.add_parser("verify", help="check canonical class selection over a range")
     v.add_argument("--from", dest="start", type=int, required=True)
     v.add_argument("--to", dest="stop", type=int, required=True)
     v.add_argument("--workers", type=int, default=1,
                    help="worker processes, from 1 to the CPU count")
     v.add_argument("--out", default=None, help="JSONL path (default stdout)")
 
-    t = add_parser("tables", help="emit the threshold table or the census")
+    t = sub.add_parser("tables", help="emit the threshold table or the census")
     t.add_argument("--which", choices=("n1", "census"), required=True)
     t.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     t.add_argument("--i", type=int, default=None)
@@ -83,10 +71,10 @@ def _build_parser() -> _Parser:
     t.add_argument("--long-run", action="store_true",
                    help="census: include the slow p=67 row")
 
-    n0 = add_parser("n0", help="search for the first irregular integer")
+    n0 = sub.add_parser("n0", help="search for the first irregular integer")
     n0.add_argument("--bound", type=int, default=2 * 10 ** 8)
 
-    c = add_parser("conflicts", help="conflict counts and move deltas")
+    c = sub.add_parser("conflicts", help="conflict counts and move deltas")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--guard", type=int, default=None)
     c.add_argument("--to-class", dest="to_class", type=int, default=None,
@@ -95,35 +83,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cache_path(cache: str | None) -> str | None:
-    if cache is None and os.environ.get(CACHE_ENV):
-        return os.path.join(os.environ[CACHE_ENV], "gcdcluster-primes.bin")
-    return cache
-
-
-def _get_table(limit: int, cache: str | None) -> PrimeTable:
-    path = _cache_path(cache)
-    if path and os.path.exists(path):
-        try:
-            table = load_prime_cache(path, limit=limit)
-            print(f"loaded prime cache {path} (limit {limit})", file=sys.stderr)
-            return table
-        except Exception as exc:  # stale or undersized cache: rebuild
-            print(f"cache {path} unusable ({exc}); rebuilding", file=sys.stderr)
-    table = build_prime_table(limit)
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        save_prime_cache(table, path)
-        print(f"saved prime cache {path}", file=sys.stderr)
-    return table
-
-
-def _table_limit(args, need: int, top: int) -> int:
-    """--limit, refused below ``need``; by default ``need`` widened to
-    ``min(top, DEFAULT_SPF_LIMIT)`` so small jobs keep the SPF fast path."""
-    if args.limit is not None and args.limit < need:
-        raise OutOfRangeError(f"--limit {args.limit} is below {need}, the table this needs")
-    return args.limit or max(need, min(top, DEFAULT_SPF_LIMIT))
+def _verify_limit(stop: int) -> int:
+    """The table that scores every odd composite up to ``stop``, widened to
+    ``min(stop, DEFAULT_SPF_LIMIT)`` so that small jobs keep the SPF fast path."""
+    return max(greedy_mod.verify_table_limit(stop), min(stop, DEFAULT_SPF_LIMIT))
 
 
 def _open_out(path: str | None):
@@ -140,7 +103,7 @@ def cmd_greedy(args) -> int:
         guard = args.guard if args.guard is not None else greedy_mod.DEFAULT_REFERENCE_GUARD
         state = greedy_mod.run_reference(args.n, guard=guard)
     else:
-        table = _get_table(_table_limit(args, args.n, max(args.n, 1000)), args.cache)
+        table = build_prime_table(max(args.n, 1000))
         state = greedy_mod.run_accelerated(args.n, table)
     fh, close = _open_out(args.out)
     try:
@@ -177,9 +140,9 @@ def _verify_chunk(chunk: tuple[int, int]) -> tuple[list[str], int, int, list]:
 _WORKER_TABLE: PrimeTable | None = None
 
 
-def _worker_init(limit: int, cache: str | None):
+def _worker_init(limit: int):
     global _WORKER_TABLE
-    _WORKER_TABLE = _get_table(limit, cache)
+    _WORKER_TABLE = build_prime_table(limit)
 
 
 def cmd_verify(args) -> int:
@@ -191,11 +154,11 @@ def cmd_verify(args) -> int:
         print(f"verify: --workers must be in [1, {cpus}], got {args.workers}",
               file=sys.stderr)
         return EXIT_USAGE
-    limit = _table_limit(args, greedy_mod.verify_table_limit(args.stop), args.stop)
+    limit = _verify_limit(args.stop)
     fh, close = _open_out(args.out)
     try:
         if args.workers == 1:
-            table = _get_table(limit, args.cache)
+            table = build_prime_table(limit)
 
             def progress(n, report):
                 print(f"verify: at n={n}, {report.checked} checked, "
@@ -208,12 +171,9 @@ def cmd_verify(args) -> int:
             spans = _split_range(args.start, args.stop, args.workers * 8)
             checked = auto = 0
             anomalies = []
-            cache = _cache_path(args.cache)
-            if cache:  # build or check the cache once here; the workers load it
-                _get_table(limit, cache)
             with ProcessPoolExecutor(max_workers=args.workers,
                                      initializer=_worker_init,
-                                     initargs=(limit, cache)) as pool:
+                                     initargs=(limit,)) as pool:
                 for lines, ck, ap, anom in pool.map(_verify_chunk, spans):
                     for line in lines:
                         fh.write(line + "\n")
@@ -241,13 +201,25 @@ def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
 
 
 def cmd_tables(args) -> int:
-    table = _get_table(args.limit or 1_000_000, args.cache)
+    try:
+        text = _tables_text(args)
+    except ValueError as exc:  # an index, a cell or a prime the thresholds refuse
+        print(f"tables: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _tables_text(args) -> str:
+    limit = TABLES_LIMIT
+    if args.which == "census" and args.p is not None and args.bound is not None:
+        limit = max(limit, thresholds.census_table_limit(args.p, args.bound))
+    table = build_prime_table(limit)
     if args.which == "n1":
         if args.i is not None:
             if args.i > 20 and not args.force:
-                print("tables: i > 20 is outside the verified range "
-                      "(pass --force to compute anyway)", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError("i > 20 is outside the verified range "
+                                 "(pass --force to compute anyway)")
             j = args.j if args.j is not None else args.i - 1
             if args.t is not None:
                 records = [thresholds.n1_table(args.i, j, args.t, table)]
@@ -256,30 +228,24 @@ def cmd_tables(args) -> int:
         else:
             records = thresholds.table1_records(table)
         if args.fmt == "csv":
-            sys.stdout.write(thresholds.table1_csv(records, table))
+            return thresholds.table1_csv(records, table)
+        return json.dumps([r.__dict__ for r in records]) + "\n"
+    if args.p is not None:
+        if args.bound is not None:
+            c = thresholds.census_three_factor(args.p, args.bound, table)
+            rows = [{"p": c.p, "bound": c.bound, "count": c.count,
+                     "reported": None, "residual": None}]
         else:
-            sys.stdout.write(json.dumps([r.__dict__ for r in records]) + "\n")
+            rows = thresholds.census_report(table, ps=(args.p,))
     else:
-        if args.p is not None:
-            if args.bound is not None:
-                c = thresholds.census_three_factor(args.p, args.bound, table)
-                rows = [{"p": c.p, "bound": c.bound, "count": c.count,
-                         "reported": None, "residual": None}]
-            else:
-                rows = thresholds.census_report(table, ps=(args.p,))
-        else:
-            rows = thresholds.census_report(
-                table, include_remark_prime=args.long_run)
-        if args.fmt == "csv":
-            lines = ["p,count"] + [f"{r['p']},{r['count']}" for r in rows]
-            sys.stdout.write("\n".join(lines) + "\n")
-        else:
-            sys.stdout.write(json.dumps(rows) + "\n")
-    return EXIT_OK
+        rows = thresholds.census_report(table, include_remark_prime=args.long_run)
+    if args.fmt == "csv":
+        return "\n".join(["p,count"] + [f"{r['p']},{r['count']}" for r in rows]) + "\n"
+    return json.dumps(rows) + "\n"
 
 
 def cmd_n0(args) -> int:
-    table = _get_table(args.limit or 1000, args.cache)
+    table = build_prime_table(1000)
     value = thresholds.find_n0(args.bound, table)
     sys.stdout.write(json.dumps({
         "bound": args.bound,
@@ -298,18 +264,18 @@ def cmd_conflicts(args) -> int:
         print("conflicts: --n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
     if args.to_class is None:
-        table = _get_table(args.limit or max(n, 1000), args.cache)
+        table = build_prime_table(max(n, 1000))
         part = canonical_partition(n, table)
         guard = args.guard if args.guard is not None else 100_000
         total = count_conflicts(part, guard=guard)
         sys.stdout.write(json.dumps({"n": n, "clustering": "canonical",
                                      "conflicts": total}) + "\n")
         return EXIT_OK
-    table = _get_table(_table_limit(args, greedy_mod.verify_table_limit(n), n), args.cache)
+    table = build_prime_table(_verify_limit(n))
     f = factorize(n, table)
     if f.distinct_primes[0] > table.limit:  # a prime's class index is pi(n)
         del table  # let the small table go before the large one is built
-        table = _get_table(_table_limit(args, n, n), args.cache)
+        table = build_prime_table(n)
     # moving n from class i to class j changes the conflicts by score i - score j
     vals = greedy_mod.class_scores(n, f, table)
     i = len(vals) - 1
@@ -324,9 +290,6 @@ def cmd_conflicts(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # SUPPRESS leaves --limit and --seed-cache unset unless given
-    args.limit = getattr(args, "limit", None)
-    args.cache = getattr(args, "cache", None)
     handlers = {"greedy": cmd_greedy, "verify": cmd_verify, "tables": cmd_tables,
                 "n0": cmd_n0, "conflicts": cmd_conflicts}
     try:
@@ -334,7 +297,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except OutOfRangeError as exc:  # a table too small for the job, e.g. a low --limit
+    except OutOfRangeError as exc:  # a query beyond what its table covers
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -70,15 +70,7 @@ def coprime_count(y: int, r: int, table: PrimeTable) -> int:
         raise ValueError(f"need r >= 0, got {r}")
     if r > 4 and r >= len(primes):
         raise ValueError(f"need the first {r + 1} primes, table has {len(primes)}")
-    return _phi(y, r, primes, table, _phi_memo(table))
-
-
-def _phi_memo(table: PrimeTable) -> dict:
-    memo = getattr(table, "_phi_cache", None)
-    if memo is None:
-        memo = {}
-        table._phi_cache = memo
-    return memo
+    return _phi(y, r, primes, table, table._phi_cache)
 
 
 def _phi(y: int, r: int, primes: list, table: PrimeTable, memo: dict) -> int:
@@ -205,7 +197,7 @@ def tally_diff_fast(j: int, n: int, divisors, s_j: int, table: PrimeTable) -> in
     primes = table._primes_list
     x = (n - 1) // primes[j - 1]
     r = j - 1
-    memo = _phi_memo(table)
+    memo = table._phi_cache
     enemies = s_j
     for d, mu in islice(divisors, 1, None):
         enemies += mu * _phi(x // d, r, primes, table, memo)

@@ -7,33 +7,24 @@ never pays for it.  Prime indices are 1-based throughout (prime 1 is 2,
 prime 2 is 3, ...), matching the class indexing used by the clustering
 modules.
 
-A ``PrimeTable`` is safe to share between threads: the only later write is
-that first sieve, and two readers racing to it both build the same array.
+A ``PrimeTable`` is safe to share between threads: its only later writes
+are that first sieve, which two racing readers both build the same, and the
+entries of its phi memo (see ``counts``).
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import takewhile
 from math import isqrt, log
 
 import numpy as np
 
 from .errors import OutOfRangeError
 
-# Large enough that every integer in the regular range of the greedy clustering
-# (everything below the first irregular point, 111_546_435) can be sieved
-# directly.  Big sweeps should pass an explicit limit sized to their needs.
-DEFAULT_SIEVE_LIMIT = 200_000_000
-
 # Smallest-prime-factor arrays above this size buy little (trial division by
 # the stored primes is fast) and cost 4 bytes per integer, so cap by default.
 DEFAULT_SPF_LIMIT = 10_000_000
-
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -52,23 +43,21 @@ class PrimeTable:
     ``primes`` is a sorted numpy int64 array.  ``prime(i)`` returns the i-th
     prime, 1-based.  ``spf_limit`` bounds the smallest-prime-factor array,
     which ``spf()`` sieves on first read; factorization of larger integers
-    falls back to trial division against the stored primes.
+    falls back to trial division against the stored primes.  ``_phi_cache``
+    is the memo of ``counts.coprime_count`` over this table.
     """
 
-    def __init__(self, limit: int, spf_limit: int | None = None,
-                 _primes: np.ndarray | None = None):
+    def __init__(self, limit: int, spf_limit: int | None = None):
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
         self.limit = int(limit)
-        if _primes is not None:
-            self.primes = _primes
-        else:
-            self.primes = _sieve_primes(self.limit)
+        self.primes = _sieve_primes(self.limit)
         self._primes_list = self.primes.tolist()
         if spf_limit is None:
             spf_limit = min(self.limit, DEFAULT_SPF_LIMIT)
         self.spf_limit = int(min(spf_limit, self.limit))
         self._spf = None
+        self._phi_cache: dict = {}
 
     def spf(self) -> np.ndarray:
         """spf()[n] = smallest prime factor of n, 2 <= n <= spf_limit."""
@@ -222,60 +211,3 @@ def rosser_schoenfeld_bounds(x: float) -> tuple[float, float]:
     lx = log(x)
     base = x / lx
     return base * (1 + 1 / (2 * lx)), base * (1 + 3 / (2 * lx))
-
-
-def save_prime_cache(table: PrimeTable, path) -> None:
-    """Binary cache: version byte, then little-endian u64 limit, count, primes.
-
-    Written to a per-process temporary file and renamed into place, so a
-    reader never sees a half-written cache, even with concurrent writers.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(struct.pack("<B", _CACHE_VERSION))
-        fh.write(struct.pack("<QQ", table.limit, len(table.primes)))
-        fh.write(table.primes.astype("<u8").tobytes())
-    os.replace(tmp, path)
-
-
-def load_prime_cache(path, limit: int | None = None,
-                     spf_limit: int | None = None) -> PrimeTable:
-    """Rebuild a PrimeTable from a cache file.
-
-    If ``limit`` is given and smaller than the cached limit, the prime list is
-    truncated; a cached limit below the requested one is an error, and so is
-    a file holding fewer primes than its header states, or one whose last
-    prime is not the largest prime up to the cached limit (ValueError).
-    """
-    with open(path, "rb") as fh:
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        cached_limit, count = struct.unpack("<QQ", fh.read(16))
-        body = fh.read(8 * count)
-    if len(body) != 8 * count:
-        raise ValueError(f"truncated cache: {len(body) // 8} of {count} primes")
-    primes = np.frombuffer(body, dtype="<u8").astype(np.int64)
-    _check_last_prime(primes, cached_limit)
-    if limit is None:
-        limit = cached_limit
-    if limit > cached_limit:
-        raise OutOfRangeError(f"cache covers {cached_limit} < requested {limit}")
-    if limit < cached_limit:
-        primes = primes[: int(np.searchsorted(primes, limit, side="right"))]
-    return PrimeTable(int(limit), spf_limit=spf_limit, _primes=primes)
-
-
-def _check_last_prime(primes: np.ndarray, limit: int) -> None:
-    """Raise ValueError unless the last of ``primes`` is the largest prime
-    <= ``limit``, certified by trial division by ``primes`` themselves."""
-    last = int(primes[-1]) if len(primes) else 1
-    if last > limit:
-        raise ValueError(f"cached prime {last} exceeds the cached limit {limit}")
-    root = isqrt(limit)
-    if last < root:
-        raise ValueError(f"cached primes stop at {last}, below sqrt({limit})")
-    divisors = primes[: int(np.searchsorted(primes, root, side="right"))].tolist()
-    for m in range(last + 1, limit + 1):
-        if all(m % q for q in takewhile(lambda q: q * q <= m, divisors)):
-            raise ValueError(f"cache lacks the prime {m} <= its limit {limit}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DegenerateThresholdError
+from .errors import DegenerateThresholdError, OutOfRangeError
 from .primes import Factorization, PrimeTable, factorize, pi_exact, rosser_schoenfeld_bounds
 
 # 3*5*7*11*13*17*19*23: the first integer the greedy clusters irregularly.
@@ -214,14 +214,33 @@ def table1_records(table: PrimeTable,
     return records
 
 
+def census_table_limit(p: int, bound: int) -> int:
+    """The table limit a census of p below ``bound`` reads: p itself and every
+    r of a candidate p*q*r < bound, so max(p, (bound-1) // (p*q)) with q the
+    prime after p."""
+    q = p + 1
+    while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        q += 1
+    return max(p, (bound - 1) // (p * q))
+
+
+def _check_census_table(p: int, bound: int, table: PrimeTable) -> None:
+    table.prime_index(p)  # validates p is a stored prime
+    need = census_table_limit(p, bound)
+    if table.limit < need:
+        raise OutOfRangeError(f"the census of {p} below {bound} needs primes up "
+                              f"to {need}, the table stops at {table.limit}")
+
+
 def three_factor_candidates(p: int, bound: int, table: PrimeTable) -> list[int]:
     """All n < bound with n = p*q*r, p < q < r prime (distinct-prime reading).
 
     Sorted ascending.  With multiplicities allowed no additional integers fit
     below any of the calibrated bounds, so the distinct reading is also the
-    exhaustive one there (property-tested).
+    exhaustive one there (property-tested).  Raises OutOfRangeError when the
+    table stops below ``census_table_limit(p, bound)``.
     """
-    table.prime_index(p)  # validates p is a stored prime
+    _check_census_table(p, bound, table)
     out = []
     primes = table._primes_list
     iq = bisect.bisect_right(primes, p)
@@ -260,6 +279,7 @@ def census_three_factor(p: int, bound: int | None, table: PrimeTable,
 
 def _count_with_multiplicity(p: int, bound: int, table: PrimeTable) -> int:
     """Integers n < bound, spf = p, exactly three distinct primes >= p."""
+    _check_census_table(p, bound, table)
     primes = table._primes_list
     count = 0
     stack = []

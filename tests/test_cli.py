@@ -10,6 +10,7 @@ import pytest
 from gcdcluster import cli, primes
 from gcdcluster.cli import main
 from gcdcluster.primes import DEFAULT_SPF_LIMIT
+from oracles import naive_spf
 
 FIRST_IRREGULAR = 111546435
 
@@ -50,15 +51,6 @@ def test_greedy_reference_guard_exit_2(capsys):
     assert "refused" in err
 
 
-def test_greedy_limit_too_small_exit_64(capsys, monkeypatch):
-    limits = record_table_limits(monkeypatch)
-    code, out, err = run_cli(capsys, "greedy", "--n", "5000", "--limit", "1000")
-    assert code == 64
-    assert out == ""
-    assert err.startswith("greedy: ") and err.count("\n") == 1
-    assert limits == []  # refused before any sieve
-
-
 def test_verify_small_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "--from", "2", "--to", "2000")
     assert code == 0
@@ -87,19 +79,9 @@ def test_verify_bad_range_exit_64(capsys):
     assert "bad range" in err
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_limit_too_small_exit_64(capsys, workers):
-    code, out, err = run_cli(capsys, "verify", "--from", "2", "--to", "100000",
-                             "--limit", "1000", "--workers", workers)
-    assert code == 64
-    assert out == ""
-    assert err.startswith("verify: --limit 1000 ") and err.count("\n") == 1
-
-
 def record_table_limits(monkeypatch, table=None):
     """Make ``cli.build_prime_table`` log each limit asked for; return the log.
     With ``table`` given, that table stands in for every build."""
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     limits = []
     build = cli.build_prime_table
 
@@ -122,7 +104,6 @@ def test_verify_default_table_size(capsys, monkeypatch, table):
 def test_verify_above_spf_limit_sieves_no_spf(capsys, monkeypatch):
     # every integer of this window is above the SPF limit and is factored by
     # trial division, so the table never sieves its SPF array
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     sieved = []
     sieve = primes._sieve_spf
     monkeypatch.setattr(primes, "_sieve_spf",
@@ -132,19 +113,8 @@ def test_verify_above_spf_limit_sieves_no_spf(capsys, monkeypatch):
     assert sieved == []
 
 
-def test_verify_workers_save_cache_once(capfd, tmp_path, monkeypatch):
-    # fd-level capture, because the workers write to stderr from their own
-    # processes; the 10^7 table takes long enough to sieve that workers each
-    # building it would overlap
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    code = main(["verify", "--from", "9999000", "--to", "10000000", "--workers", "2"])
-    err = capfd.readouterr().err
-    assert code == 0
-    assert err.count("saved prime cache") == 1
-    assert "loaded prime cache" in err and "unusable" not in err
-
-
-def test_verify_workers_deterministic(capsys, tmp_path):
+def test_verify_workers_deterministic(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code1, out1, _ = run_cli(capsys, "verify", "--from", "2", "--to", "3000")
     out_path = tmp_path / "w2.jsonl"
     code2 = main(["verify", "--from", "2", "--to", "3000", "--workers", "2",
@@ -154,8 +124,9 @@ def test_verify_workers_deterministic(capsys, tmp_path):
     assert out_path.read_text() == out1
 
 
-def test_verify_workers_match_serial_near_1e8(capsys, tmp_path):
+def test_verify_workers_match_serial_near_1e8(capsys, monkeypatch, tmp_path):
     # each chunk opens its own class sizes where it starts
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     argv = ["verify", "--from", "111546300", "--to", "111546600"]
     code1, out1, _ = run_cli(capsys, *argv)
     out_path = tmp_path / "w2.jsonl"
@@ -185,24 +156,6 @@ def test_verify_golden_window_above_1e8(capsys, data_dir):
     code, out, _ = run_cli(capsys, "verify", "--from", "111546400", "--to", "111546500")
     assert code == 1
     assert out == (data_dir / "verify_111546400_111546500.jsonl").read_text()
-
-
-def test_verify_stale_cache_rebuilt(capsys, monkeypatch, tmp_path):
-    # a 10^4 cache whose header claims 10^7 covers this window's 9000999
-    # table; loaded, it would leave out every prime above 10^4
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    argv = ["verify", "--from", "9000001", "--to", "9000999"]
-    code1, fresh, _ = run_cli(capsys, *argv)
-    cache = tmp_path / "primes.bin"
-    primes.save_prime_cache(primes.build_prime_table(10 ** 4), cache)
-    raw = bytearray(cache.read_bytes())
-    raw[1:9] = (10 ** 7).to_bytes(8, "little")
-    cache.write_bytes(bytes(raw))
-    code2, out, err = run_cli(capsys, "--seed-cache", str(cache), *argv)
-    assert code1 == code2 == 0
-    assert "unusable" in err and "saved prime cache" in err
-    assert out == fresh
-    assert primes.load_prime_cache(cache).limit == 9000999
 
 
 def test_tables_n1_csv(capsys):
@@ -236,6 +189,32 @@ def test_tables_census_csv(capsys):
     code, out, _ = run_cli(capsys, "tables", "--which", "census")
     assert code == 0
     assert out == ("p,count\n19,4\n23,18\n29,65\n31,216\n37,513\n41,1302\n43,3097\n")
+
+
+def test_tables_census_beyond_default_table(capsys, monkeypatch):
+    # every r of 19 * q * r below 10^6 is at most 999999 // (19 * 23) = 2288
+    monkeypatch.setattr(cli, "TABLES_LIMIT", 1000)
+    limits = record_table_limits(monkeypatch)
+    code, out, _ = run_cli(capsys, "tables", "--which", "census", "--p", "19",
+                           "--bound", "1000000")
+    qr = range(23 * 29, 999999 // 19 + 1)  # q * r with 19 < q < r prime
+    want = sum(1 for m in qr if 19 < (q := naive_spf(m)) < m // q == naive_spf(m // q))
+    assert code == 0
+    assert limits == [2288]
+    assert out == f"p,count\n19,{want}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--which", "census", "--p", "20"),
+    ("--which", "census", "--p", "20", "--bound", "1000000"),
+    ("--which", "n1", "--i", "3", "--j", "5", "--t", "1"),
+    ("--which", "n1", "--i", "21"),
+])
+def test_tables_usage_exit_64(capsys, argv):
+    code, out, err = run_cli(capsys, "tables", *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("tables: ") and err.count("\n") == 1
 
 
 def test_tables_census_json_residuals(capsys):
@@ -280,8 +259,6 @@ def test_conflicts_move_delta_at_scale(capsys):
     ("--n", "105", "--to-class", "-1"),
     ("--n", "1", "--to-class", "1"),
     ("--n", "1"),
-    ("--n", "1022117", "--to-class", "1", "--limit", "2000"),  # 1009 * 1013
-    ("--n", "10007", "--to-class", "1", "--limit", "5000"),  # a prime beyond --limit
 ])
 def test_conflicts_out_of_range_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, "conflicts", *argv)
@@ -315,20 +292,22 @@ def test_missing_subcommand_exit_64(capsys):
     capsys.readouterr()
 
 
-def test_cache_flag_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "primes.bin"
-    code1, out1, err1 = run_cli(capsys, "--seed-cache", str(cache),
-                                "greedy", "--n", "50")
-    assert code1 == 0 and cache.exists()
-    code2, out2, err2 = run_cli(capsys, "--seed-cache", str(cache),
-                                "greedy", "--n", "50")
-    assert out2 == out1
-    assert "loaded prime cache" in err2
-    cache.write_bytes(cache.read_bytes()[:-8])  # a cache cut short is rebuilt
-    code3, out3, err3 = run_cli(capsys, "--seed-cache", str(cache),
-                                "greedy", "--n", "50")
-    assert code3 == 0 and out3 == out1
-    assert "unusable" in err3 and "saved prime cache" in err3
+@pytest.mark.parametrize("argv", [
+    ("greedy", "--n", "10", "--limit", "1000"),
+    ("--seed-cache", "x", "greedy", "--n", "10"),
+])
+def test_removed_table_flags_exit_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 64
+    assert capsys.readouterr().err.startswith("gcdcluster: error: ")
+
+
+def test_cache_env_writes_nothing(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("GCDCLUSTER_CACHE_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, "greedy", "--n", "6")
+    assert code == 0 and out == "integer,class\n2,1\n3,2\n4,1\n5,3\n6,1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():

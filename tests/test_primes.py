@@ -8,10 +8,8 @@ from gcdcluster import (
     build_prime_table,
     canonical_partition,
     factorize,
-    load_prime_cache,
     pi_exact,
     rosser_schoenfeld_bounds,
-    save_prime_cache,
     totient,
 )
 from oracles import naive_phi, naive_spf, segmented_prime_count
@@ -205,71 +203,3 @@ def test_rosser_schoenfeld_domain():
     with pytest.raises(ValueError):
         rosser_schoenfeld_bounds(58.9)
 
-
-def test_prime_cache_roundtrip(tmp_path, small_table):
-    path = tmp_path / "primes.bin"
-    save_prime_cache(small_table, path)
-    loaded = load_prime_cache(path)
-    assert loaded.limit == small_table.limit
-    assert np.array_equal(loaded.primes, small_table.primes)
-
-
-def test_prime_cache_truncation(tmp_path, small_table):
-    path = tmp_path / "primes.bin"
-    save_prime_cache(small_table, path)
-    loaded = load_prime_cache(path, limit=100)
-    assert loaded.primes.tolist() == [p for p in small_table.primes.tolist() if p <= 100]
-    with pytest.raises(OutOfRangeError):
-        load_prime_cache(path, limit=small_table.limit + 1)
-
-
-def test_prime_cache_cut_short_refused(tmp_path):
-    # cut at an 8-byte boundary, the file still parses; the stored count must catch it
-    table = build_prime_table(10 ** 6)
-    path = tmp_path / "primes.bin"
-    save_prime_cache(table, path)
-    assert [p.name for p in tmp_path.iterdir()] == ["primes.bin"]  # no temp left
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 8 * 38498])
-    with pytest.raises(ValueError, match="truncated"):
-        load_prime_cache(path)
-    with pytest.raises(ValueError, match="truncated"):
-        load_prime_cache(path, limit=1000)
-
-
-def _with_header_limit(path, limit: int) -> None:
-    raw = bytearray(path.read_bytes())
-    raw[1:9] = limit.to_bytes(8, "little")
-    path.write_bytes(bytes(raw))
-
-
-@pytest.mark.parametrize("header_limit, message", [
-    (10 ** 7, "lacks the prime 10007"),   # primes to 10^4 under a 10^7 header
-    (9_000, "exceeds the cached limit"),  # last prime 9973 above the header
-    (10 ** 9, "below sqrt"),              # too few primes to certify the gap
-])
-def test_prime_cache_stale_limit_refused(tmp_path, small_table, header_limit, message):
-    path = tmp_path / "primes.bin"
-    save_prime_cache(small_table, path)
-    _with_header_limit(path, header_limit)
-    with pytest.raises(ValueError, match=message):
-        load_prime_cache(path)
-    with pytest.raises(ValueError, match=message):
-        load_prime_cache(path, limit=1000)
-
-
-@pytest.mark.parametrize("limit", [2, 3, 4, 10, 9973, 10_006, 10 ** 5])
-def test_prime_cache_last_prime_accepted(tmp_path, limit):
-    path = tmp_path / "primes.bin"
-    save_prime_cache(build_prime_table(limit), path)
-    assert load_prime_cache(path).limit == limit
-
-
-def test_prime_cache_bad_version(tmp_path, small_table):
-    path = tmp_path / "primes.bin"
-    save_prime_cache(small_table, path)
-    raw = bytearray(path.read_bytes())
-    raw[0] = 99
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        load_prime_cache(path)

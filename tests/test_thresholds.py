@@ -8,6 +8,8 @@ import pytest
 from gcdcluster import (
     DegenerateThresholdError,
     FIRST_IRREGULAR,
+    OutOfRangeError,
+    build_prime_table,
     census_report,
     census_three_factor,
     even_class_criterion,
@@ -21,7 +23,7 @@ from gcdcluster import (
     table1_records,
     three_factor_candidates,
 )
-from gcdcluster.thresholds import table1_csv, threshold_T
+from gcdcluster.thresholds import census_table_limit, table1_csv, threshold_T
 from oracles import tally_wheel_oracle
 
 # The published threshold table n1(i, i-1, t): {i: [(t, n1, certified), ...]},
@@ -211,6 +213,17 @@ def test_census_remark_prime_residual_documented(table):
     assert last["count"] == 88798
     assert last["residual"] == -1540
     assert last["bound"] == FIRST_IRREGULAR
+
+
+def test_census_small_table_refused(small_table):
+    # 19 * 23 * r < 10^6 reaches r = 2288; a table to 1000 would miss most of them
+    table = build_prime_table(1000)
+    with pytest.raises(OutOfRangeError, match="needs primes up to 2288"):
+        three_factor_candidates(19, 10 ** 6, table)
+    with pytest.raises(OutOfRangeError, match="needs primes up to 2288"):
+        census_three_factor(19, 10 ** 6, table, distinct_only=False)
+    assert census_table_limit(19, 10 ** 6) == 2288
+    assert 19 * 23 * 2287 in three_factor_candidates(19, 10 ** 6, small_table)
 
 
 def test_census_rejects_non_prime(table):
