@@ -12,11 +12,11 @@ from math import gcd
 
 from gcdcluster import (
     build_prime_table,
+    class_scores,
     class_size,
     factorize,
     floor_identity_lhs_rhs,
     tally_even_class,
-    tally_fast,
     totient,
 )
 
@@ -38,8 +38,9 @@ brute = sum(1 for m in evens if gcd(m, n) > 1)
 print(f"    brute even scan: friends = {brute}, enemies = {len(evens) - brute}")
 
 print("\n  class 2 (odd multiples of 3): inclusion-exclusion over n's primes")
-t2 = tally_fast(2, n, f, table)
-print(f"    coprime counting: friends = {t2.friends}, enemies = {t2.enemies}")
+d2 = class_scores(n, f, table)[2]  # friends - enemies
+s2 = class_size(2, n - 1, table)    # friends + enemies
+print(f"    coprime counting: friends = {(s2 + d2) // 2}, enemies = {(s2 - d2) // 2}")
 members = range(3, n, 6)  # odd multiples of 3 below n
 brute = sum(1 for m in members if gcd(m, n) > 1)
 print(f"    brute gcd scan:   friends = {brute}, enemies = {len(members) - brute}")

@@ -11,15 +11,11 @@ at 3*5*7*11*13*17*19*23.
 from fractions import Fraction
 
 from gcdcluster import (
-    ClassTally,
     build_prime_table,
     even_class_criterion,
-    class_size,
-    conflict_delta_of_move,
     factorize,
     find_n0,
     n1_remark_candidate,
-    tally_even_class,
     totient,
     verify_single,
 )
@@ -56,11 +52,8 @@ print(f"  even-class score:  {rec.deltas[1]:>9}")
 print(f"  class-of-3 score:  {rec.deltas[2]:>9}")
 
 f = factorize(n0, table)
-tallies = {
-    1: tally_even_class(n0, f),
-    2: ClassTally(2, n0, class_size(2, n0 - 1, table), 0),
-}
-delta = conflict_delta_of_move(n0, 2, 1, tallies)
+# a move changes the conflicts by the score it leaves minus the score it joins
+delta = rec.deltas[2] - rec.deltas[1]
 print(f"\n  moving {n0} from class 2 to class 1 changes conflicts by {delta}")
 print(f"  check: (n-3)/6 - ((n-1)/2 - phi(n)) = "
       f"{(n0 - 3) // 6 - ((n0 - 1) // 2 - totient(f))}")

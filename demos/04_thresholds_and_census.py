@@ -11,11 +11,11 @@ enumerates and the exact tally then disposes of one by one.
 from gcdcluster import (
     build_prime_table,
     census_report,
+    class_scores,
     factorize,
     prime_count_inequality,
     n1_table,
     table1_records,
-    tally_fast,
     three_factor_candidates,
 )
 from gcdcluster.thresholds import FIRST_IRREGULAR
@@ -49,7 +49,7 @@ print("  every candidate for p in {29, 31} loses its class-below contest:")
 for p, j in ((29, 9), (31, 10)):
     bound = n1_table(table.prime_index(p), table.prime_index(p) - 1, 3, table).n1
     cands = three_factor_candidates(p, min(bound, FIRST_IRREGULAR), table)
-    worst = max(tally_fast(j, n, factorize(n, table), table).diff for n in cands)
+    worst = max(class_scores(n, factorize(n, table), table)[j] for n in cands)
     print(f"    p={p}: {len(cands)} candidates, "
           f"max friends-minus-enemies = {worst} (< 0)")
 

@@ -9,19 +9,17 @@ greedy places irregularly: 111_546_435 = 3*5*7*11*13*17*19*23.
 """
 
 from .counts import (ClassTally, class_size, coprime_count,
-                     floor_identity_lhs_rhs, tally_even_class, tally_fast)
+                     floor_identity_lhs_rhs, tally_even_class)
 from .errors import (BudgetExceededError, DegenerateThresholdError,
                      GcdClusterError, OutOfRangeError, ResourceGuardError,
-                     TallyInconsistencyError, UnsupportedCaseError)
+                     UnsupportedCaseError)
 from .greedy import (GreedyState, VerifyRecord, VerifyReport, class_scores,
-                     greedy_step, initial_state, run_accelerated, run_reference,
-                     verify_range, verify_single)
-from .partition import (Partition, canonical_partition, conflict_delta_of_move,
-                        count_conflicts, exceptional_partition,
-                        partition_to_csv, read_partition_csv, similar,
-                        write_partition_csv)
+                     run_accelerated, run_reference, verify_range, verify_single)
+from .partition import (Partition, canonical_partition, count_conflicts,
+                        exceptional_partition, partition_to_csv,
+                        read_partition_csv, similar)
 from .primes import (Factorization, PrimeTable, build_prime_table, factorize,
-                     pi_exact, rosser_schoenfeld_bounds, totient)
+                     rosser_schoenfeld_bounds, totient)
 from .thresholds import (FIRST_IRREGULAR, CandidateCensus, ThresholdRecord,
                          census_report, census_three_factor, even_class_criterion,
                          prime_count_inequality, find_n0, n1_remark_candidate, n1_table,

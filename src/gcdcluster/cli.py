@@ -123,6 +123,12 @@ def cmd_greedy(args) -> int:
     finally:
         if close:
             fh.close()
+    if state.anomalies:
+        n, expected, chosen = state.anomalies[0]
+        print(f"greedy: anomaly at n={n} (class {chosen} beat class {expected}); "
+              f"the {len(state.unverified)} integers after it are unverified",
+              file=sys.stderr)
+        return EXIT_ANOMALY
     return EXIT_OK
 
 
@@ -212,7 +218,7 @@ def cmd_tables(args) -> int:
 
 def _tables_text(args) -> str:
     limit = TABLES_LIMIT
-    if args.which == "census" and args.p is not None and args.bound is not None:
+    if args.which == "census" and args.p is not None:
         limit = max(limit, thresholds.census_table_limit(args.p, args.bound))
     table = build_prime_table(limit)
     if args.which == "n1":

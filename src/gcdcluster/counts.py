@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import UnsupportedCaseError
 from .primes import Factorization, PrimeTable, totient
 
 _WHEEL_PRIMES = (2, 3, 5, 7)
@@ -151,31 +150,6 @@ def tally_even_class(n: int, f: Factorization) -> ClassTally:
     return ClassTally(1, n, friends, enemies)
 
 
-def tally_fast(j: int, n: int, f: Factorization, table: PrimeTable) -> ClassTally:
-    """Exact tally of class j against probe n through the coprime-counting function.
-
-    Valid for j == 1 (the totient shortcut) or for j >= 2 with p_j smaller
-    than every prime divisor of n and n odd.  The pair follows from the
-    difference ``tally_diff_fast`` and the class size, which is their sum.
-    """
-    if f.n != n:
-        raise ValueError(f"factorization is for {f.n}, not {n}")
-    if j < 1:
-        raise ValueError(f"need class index >= 1, got {j}")
-    if j == 1:
-        return tally_even_class(n, f)
-    if n % 2 == 0:
-        raise UnsupportedCaseError(f"class {j} tally needs odd n, got {n}")
-    p_j = table.prime(j)
-    qs = f.distinct_primes
-    if p_j >= qs[0]:
-        raise UnsupportedCaseError(
-            f"p_{j} = {p_j} must be below the smallest prime divisor {qs[0]} of {n}")
-    s_j = class_size(j, n - 1, table)
-    d = tally_diff_fast(j, n, mobius_divisors(qs), s_j, table)
-    return ClassTally(j, n, (s_j + d) // 2, (s_j - d) // 2)
-
-
 def mobius_divisors(qs) -> list[tuple[int, int]]:
     """(d, mu(d)) for every squarefree d whose prime factors are among
     ``qs``, starting with (1, 1)."""
@@ -188,11 +162,12 @@ def mobius_divisors(qs) -> list[tuple[int, int]]:
 def tally_diff_fast(j: int, n: int, divisors, s_j: int, table: PrimeTable) -> int:
     """friends - enemies of n in class j, one Moebius sum over n's divisors.
 
-    Same preconditions as ``tally_fast``; ``divisors`` is
-    ``mobius_divisors`` of n's distinct primes, built once per n and shared
-    by its classes, and ``s_j`` is ``class_size(j, n - 1)``.  Enemies are the
-    class members p_j * k, k <= x = (n-1) // p_j, with k coprime to n: the
-    sum of mu(d) * phi(x // d, j-1), whose d = 1 term is s_j itself.
+    Needs odd n and j >= 2 with p_j below every prime divisor of n;
+    ``divisors`` is ``mobius_divisors`` of n's distinct primes, built once
+    per n and shared by its classes, and ``s_j`` is ``class_size(j, n - 1)``.
+    Enemies are the class members p_j * k, k <= x = (n-1) // p_j, with k
+    coprime to n: the sum of mu(d) * phi(x // d, j-1), whose d = 1 term is
+    s_j itself.
     """
     primes = table._primes_list
     x = (n - 1) // primes[j - 1]

@@ -26,9 +26,5 @@ class UnsupportedCaseError(GcdClusterError, ValueError):
     """Inputs outside the case split a counting formula is valid for."""
 
 
-class TallyInconsistencyError(GcdClusterError, ValueError):
-    """Friend/enemy tallies do not add up against the partition they describe."""
-
-
 class DegenerateThresholdError(GcdClusterError, ArithmeticError):
     """A threshold denominator is zero or negative; no finite bound exists."""

@@ -32,14 +32,11 @@ import numpy as np
 
 from .counts import (ClassTally, class_size, mobius_divisors, tally_diff_fast,
                      tally_even_class)
-from .errors import OutOfRangeError, ResourceGuardError, TallyInconsistencyError
+from .errors import OutOfRangeError, ResourceGuardError
 from .partition import Partition
 from .primes import Factorization, PrimeTable, _sieve_spf, factorize, totient
 
 DEFAULT_REFERENCE_GUARD = 100_000
-# Past the first irregular point the canonical shortcuts are unsound, so the
-# engine falls back to direct scans; above this n it stops verifying instead.
-DEFAULT_NAIVE_BUDGET = 1_000_000
 
 
 @dataclass
@@ -116,54 +113,6 @@ def _argmax_min_index(values: list[int]) -> int:
     return best_j
 
 
-def greedy_step(state: GreedyState, n: int, tallies: dict[int, ClassTally]) -> GreedyState:
-    """Adjoin n to the partition using caller-supplied exact tallies.
-
-    ``tallies`` must cover every existing class; the empty class 0 defaults to
-    a (0, 0) tally.  Returns a new state; the input state is not modified.
-    The chosen class maximizes friends-minus-enemies with smallest-index
-    tie-break, and the conflict counter grows by the enemies kept plus the
-    friends separated.
-    """
-    if n != state.m + 1:
-        raise ValueError(f"next integer must be {state.m + 1}, got {n}")
-    part = state.partition
-    existing = sorted(part.class_sizes)
-    missing = [c for c in existing if c not in tallies]
-    if missing:
-        raise TallyInconsistencyError(f"missing tallies for classes {missing}")
-    covered = sum(tallies[c].total for c in existing)
-    if covered != n - 2:
-        raise TallyInconsistencyError(
-            f"tally totals sum to {covered}, expected {n - 2}")
-    ids = [0] + existing
-    values = [0] + [tallies[c].diff for c in existing]
-    chosen = ids[_argmax_min_index(values)]
-    total_friends = sum(tallies[c].friends for c in existing)
-    if chosen == 0:
-        new_id = max(existing) + 1 if existing else 1
-        added = total_friends
-    else:
-        new_id = chosen
-        t = tallies[chosen]
-        added = t.enemies + (total_friends - t.friends)
-    labels = np.append(part.labels, np.int64(new_id))
-    return GreedyState(
-        partition=Partition(n, labels),
-        m=n,
-        mode=state.mode,
-        anomalies=list(state.anomalies),
-        unverified=list(state.unverified),
-        conflicts=state.conflicts + added,
-    )
-
-
-def initial_state(mode: str = "reference") -> GreedyState:
-    """The run start: {2} alone in class 1, zero conflicts."""
-    part = Partition(2, np.array([1], dtype=np.int64))
-    return GreedyState(partition=part, m=2, mode=mode)
-
-
 def _fill_friend_mask(mask: np.ndarray, m: int, primes_of_m) -> None:
     """mask[a - 2] = True for every friend a < m, i.e. every multiple of a
     prime divisor of m (the definition of friendship, stride by stride)."""
@@ -232,8 +181,7 @@ def run_reference(n: int, guard: int = DEFAULT_REFERENCE_GUARD) -> GreedyState:
     return state
 
 
-def run_accelerated(n: int, table: PrimeTable,
-                    naive_budget: int = DEFAULT_NAIVE_BUDGET) -> GreedyState:
+def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     """Greedy run using the structural shortcuts; every choice is exact.
 
     While the partition stays canonical: even n joins class 1, prime n opens
@@ -245,11 +193,11 @@ def run_accelerated(n: int, table: PrimeTable,
     classes j < i by a friend-count bound and counts exactly only where the
     bound cannot rule j out.
 
-    A step whose winner differs from class i is recorded as an anomaly and the
-    run continues with the actual winner, but then the canonical shortcuts are
-    no longer sound, so later steps degrade to member-by-member scans; steps
-    beyond ``naive_budget`` in that regime are recorded as unverified and
-    labeled by the canonical rule.
+    A step whose winner differs from class i is recorded as an anomaly and
+    labeled with the actual winner.  The scores of every later step assume
+    the canonical clustering, which no longer holds, so every integer after
+    the first anomaly is labeled by the canonical rule, recorded as
+    unverified, and left out of ``conflicts``.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -258,77 +206,53 @@ def run_accelerated(n: int, table: PrimeTable,
     labels = np.zeros(n - 1, dtype=np.int64)
     labels[0] = 1
     sizes = [0, 1]  # sizes[c] = members of class c; exact while canonical
-    mask = None  # friend-mask buffer, allocated only if a step degrades
     conflicts = 0
     anomalies: list[tuple[int, int, int]] = []
     unverified: list[int] = []
     canonical = True
-    max_id = 1
     for m in range(3, n + 1):
-        if canonical:
-            # b_total: friends of m below it, m - 1 - phi(m)
-            f = factorize(m, table)
-            qs = f.distinct_primes
-            if m % 2 == 0:
-                chosen = 1
-                b_total = m - 1 - totient(f)
-                b_chosen = (m - 2) // 2  # every smaller even is a friend
-                e_chosen = 0
-            elif qs[0] == m:
-                chosen = 0
-                b_total = b_chosen = e_chosen = 0
-            else:
-                vals = class_scores(m, f, table, sizes, bound=True)
-                b_total = (m - 1) // 2 + vals[1]  # vals[1] = (m-1)//2 - phi(m)
-                i = len(vals) - 1
-                chosen = _argmax_min_index(vals)
-                if chosen == i:
-                    b_chosen, e_chosen = vals[i], 0
-                else:
-                    # class i scores s_i >= 1 > 0, so a fresh class never wins here
-                    if chosen == 1:
-                        t = tally_even_class(m, f)
-                    else:
-                        # recover the tally pair from the diff and the class size
-                        s_j = sizes[chosen]
-                        t = ClassTally(chosen, m, (s_j + vals[chosen]) // 2,
-                                       (s_j - vals[chosen]) // 2)
-                    b_chosen, e_chosen = t.friends, t.enemies
-                    anomalies.append((m, i, chosen))
-                    canonical = False
-            if chosen == 0:
-                new_id = table.prime_index(m) if qs[0] == m else max_id + 1
-                labels[m - 2] = new_id
-                max_id = max(max_id, new_id)
-                conflicts += b_total
-                sizes.append(1)
-            else:
-                labels[m - 2] = chosen
-                max_id = max(max_id, chosen)
-                conflicts += e_chosen + (b_total - b_chosen)
-                sizes[chosen] += 1
-        elif m <= naive_budget:
-            if mask is None:
-                mask = np.zeros(n - 1, dtype=bool)
-            f = factorize(m, table)
-            _fill_friend_mask(mask, m, f.distinct_primes)
-            chosen, added, _ = _scan_step(labels[: m - 2], mask[: m - 2], max_id)
-            if chosen == 0:
-                chosen = max_id + 1
-            labels[m - 2] = chosen
-            max_id = max(max_id, chosen)
-            conflicts += added
-        else:
-            # too large to score against a non-canonical partition: label by
-            # the canonical rule and say so
+        f = factorize(m, table)
+        qs = f.distinct_primes
+        if not canonical:
             unverified.append(m)
-            f = factorize(m, table)
-            if f.distinct_primes[0] == m:
-                new_id = max_id + 1
-                labels[m - 2] = new_id
-                max_id = new_id
+            labels[m - 2] = table.prime_index(qs[0])
+            continue
+        # b_total: friends of m below it, m - 1 - phi(m)
+        if m % 2 == 0:
+            chosen = 1
+            b_total = m - 1 - totient(f)
+            b_chosen = (m - 2) // 2  # every smaller even is a friend
+            e_chosen = 0
+        elif qs[0] == m:
+            chosen = 0
+            b_total = b_chosen = e_chosen = 0
+        else:
+            vals = class_scores(m, f, table, sizes, bound=True)
+            b_total = (m - 1) // 2 + vals[1]  # vals[1] = (m-1)//2 - phi(m)
+            i = len(vals) - 1
+            chosen = _argmax_min_index(vals)
+            if chosen == i:
+                b_chosen, e_chosen = vals[i], 0
             else:
-                labels[m - 2] = table.prime_index(f.distinct_primes[0])
+                # class i scores s_i >= 1 > 0, so a fresh class never wins here
+                if chosen == 1:
+                    t = tally_even_class(m, f)
+                else:
+                    # recover the tally pair from the diff and the class size
+                    s_j = sizes[chosen]
+                    t = ClassTally(chosen, m, (s_j + vals[chosen]) // 2,
+                                   (s_j - vals[chosen]) // 2)
+                b_chosen, e_chosen = t.friends, t.enemies
+                anomalies.append((m, i, chosen))
+                canonical = False
+        if chosen == 0:  # only a prime opens a class
+            labels[m - 2] = table.prime_index(m)
+            conflicts += b_total
+            sizes.append(1)
+        else:
+            labels[m - 2] = chosen
+            conflicts += e_chosen + (b_total - b_chosen)
+            sizes[chosen] += 1
     state = GreedyState(partition=Partition(n, labels), m=n, mode="accelerated",
                         anomalies=anomalies, unverified=unverified)
     state.conflicts = conflicts

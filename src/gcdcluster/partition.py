@@ -23,8 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from .counts import ClassTally
-from .errors import OutOfRangeError, ResourceGuardError, TallyInconsistencyError
+from .errors import OutOfRangeError, ResourceGuardError
 from .primes import PrimeTable
 
 # O(n^2) pair enumeration above this point is refused unless overridden.
@@ -124,7 +123,7 @@ def count_conflicts(p: Partition, guard: int = DEFAULT_CONFLICT_GUARD) -> int:
 
     A pair conflicts when friendship and co-membership disagree.  Quadratic in
     p.n, hence refused above ``guard``; the greedy engine never needs this at
-    scale because single-element moves are scored from tallies instead.
+    scale because it scores single-element moves by class scores instead.
     Deterministic regardless of internal chunking.
     """
     if p.n > guard:
@@ -142,60 +141,12 @@ def count_conflicts(p: Partition, guard: int = DEFAULT_CONFLICT_GUARD) -> int:
     return total
 
 
-def conflict_delta_of_move(n: int, from_class: int, to_class: int,
-                           tallies: dict[int, ClassTally],
-                           partition: Partition | None = None) -> int:
-    """Change in conflict count caused by relabeling n from one class to another.
-
-    ``tallies`` maps class id -> exact ClassTally of n against that class,
-    with n itself excluded from its home class tally.  Id 0 (fresh empty
-    class) is always available implicitly.  Computed from tallies only --
-    never by pair enumeration -- so it stays exact at any scale:
-
-        delta = (friends - enemies)[from] - (friends - enemies)[to]
-
-    When ``partition`` is supplied the tallies are validated against it: every
-    class must be covered and the tally totals must sum to n - 2 (all
-    integers in [2, n] except n itself).
-    """
-    if partition is not None:
-        if n < 2 or n > partition.n:
-            raise ValueError(f"{n} outside partition range [2, {partition.n}]")
-        missing = set(partition.class_sizes) - set(tallies)
-        if missing:
-            raise TallyInconsistencyError(f"missing tallies for classes {sorted(missing)}")
-        covered = sum(t.total for t in tallies.values())
-        if covered != partition.n - 2:
-            raise TallyInconsistencyError(
-                f"tally totals sum to {covered}, expected {partition.n - 2}")
-        if from_class != partition.label(n):
-            raise ValueError(
-                f"{n} is labeled {partition.label(n)}, not {from_class}")
-    if from_class == to_class:
-        return 0
-
-    def diff(cid: int) -> int:
-        if cid == 0:
-            return 0
-        try:
-            t = tallies[cid]
-        except KeyError:
-            raise TallyInconsistencyError(f"no tally for class {cid}") from None
-        return t.diff
-
-    return diff(from_class) - diff(to_class)
-
-
-def write_partition_csv(p: Partition, fh) -> None:
-    """CSV serialization: header then one "integer,class" row per integer."""
-    fh.write(CSV_HEADER + "\n")
-    for m in range(2, p.n + 1):
-        fh.write(f"{m},{int(p.labels[m - 2])}\n")
-
-
 def partition_to_csv(p: Partition) -> str:
+    """CSV serialization: header then one "integer,class" row per integer."""
     buf = io.StringIO()
-    write_partition_csv(p, buf)
+    buf.write(CSV_HEADER + "\n")
+    for m in range(2, p.n + 1):
+        buf.write(f"{m},{int(p.labels[m - 2])}\n")
     return buf.getvalue()
 
 

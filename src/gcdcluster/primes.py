@@ -192,13 +192,6 @@ def totient(f: Factorization) -> int:
     return result
 
 
-def pi_exact(x: int, table: PrimeTable) -> int:
-    """Exact number of primes <= x (x must be within the table)."""
-    if x < 1:
-        raise ValueError(f"need x >= 1, got {x}")
-    return table.pi(x)
-
-
 def rosser_schoenfeld_bounds(x: float) -> tuple[float, float]:
     """Classical two-sided bracket for pi(x), valid for x >= 59.
 

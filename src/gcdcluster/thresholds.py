@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DegenerateThresholdError, OutOfRangeError
-from .primes import Factorization, PrimeTable, factorize, pi_exact, rosser_schoenfeld_bounds
+from .primes import Factorization, PrimeTable, factorize, rosser_schoenfeld_bounds
 
 # 3*5*7*11*13*17*19*23: the first integer the greedy clusters irregularly.
 FIRST_IRREGULAR = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
@@ -214,13 +214,22 @@ def table1_records(table: PrimeTable,
     return records
 
 
-def census_table_limit(p: int, bound: int) -> int:
-    """The table limit a census of p below ``bound`` reads: p itself and every
-    r of a candidate p*q*r < bound, so max(p, (bound-1) // (p*q)) with q the
-    prime after p."""
-    q = p + 1
+def _next_prime(x: int) -> int:
+    q = x + 1
     while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
         q += 1
+    return q
+
+
+def census_table_limit(p: int, bound: int | None = None) -> int:
+    """The table limit a census of p below ``bound`` reads: p itself and every
+    r of a candidate p*q*r < bound, so max(p, (bound-1) // (p*q)) with q the
+    prime after p.  With no bound, the census's default bound n1(i, i-1, 3)
+    (capped at the first irregular integer) also reads the two primes after p.
+    """
+    q = _next_prime(p)
+    if bound is None:
+        return max(_next_prime(q), census_table_limit(p, FIRST_IRREGULAR))
     return max(p, (bound - 1) // (p * q))
 
 
@@ -351,9 +360,9 @@ def prime_count_inequality(x_grid, t_grid, table: PrimeTable) -> list[dict]:
             quot = int(x / t)
             row = {"x": x, "t": t}
             if xf <= table.limit:
-                pi_x = pi_exact(xf, table)
-                pi_sq = pi_exact(sq, table)
-                pi_q = pi_exact(quot, table)
+                pi_x = table.pi(xf)
+                pi_sq = table.pi(sq)
+                pi_q = table.pi(quot)
                 lhs = pi_x - pi_sq
                 rhs = 18 * pi_q + 56
                 row.update({"pi_x": pi_x, "pi_sqrt": pi_sq, "pi_quot": pi_q,
@@ -395,9 +404,8 @@ def proposition_census(n: int, ell: int, table: PrimeTable) -> tuple[int, int]:
     if not (37 <= p_ell < qs[0]):
         raise ValueError(f"need 37 <= p_ell < {qs[0]}, got p_ell={p_ell}")
     q1 = qs[0]
-    friends_bound = 52 + 18 * pi_exact(FIRST_IRREGULAR // (p_ell * q1), table)
-    enemies_bound = (pi_exact(FIRST_IRREGULAR // p_ell, table)
-                     - pi_exact(p_ell, table) - 4)
+    friends_bound = 52 + 18 * table.pi(FIRST_IRREGULAR // (p_ell * q1))
+    enemies_bound = table.pi(FIRST_IRREGULAR // p_ell) - table.pi(p_ell) - 4
     return friends_bound, enemies_bound
 
 

@@ -13,30 +13,27 @@ import numpy as np
 import pytest
 
 from gcdcluster import (
-    ClassTally,
     canonical_partition,
     census_report,
     census_three_factor,
     class_scores,
     class_size,
-    conflict_delta_of_move,
     count_conflicts,
     factorize,
     find_n0,
     floor_identity_lhs_rhs,
-    pi_exact,
     rosser_schoenfeld_bounds,
     run_accelerated,
     run_reference,
     table1_records,
     tally_even_class,
-    tally_fast,
     three_factor_candidates,
     totient,
     verify_range,
     verify_single,
     prime_count_inequality,
 )
+from gcdcluster.counts import mobius_divisors, tally_diff_fast
 from gcdcluster.partition import Partition
 from oracles import naive_all_tallies, tally_exact, tally_wheel_oracle
 from test_thresholds import PUBLISHED_CENSUS, PUBLISHED_TABLE
@@ -107,12 +104,12 @@ def test_criterion_03_first_irregular_discovery(table):
 def test_criterion_04_conflict_improvement_at_first_irregular(table):
     n = FIRST_IRREGULAR
     f = factorize(n, table)
-    t1 = tally_even_class(n, f)
+    vals = class_scores(n, f, table)
     # class 2 below n: the odd multiples of 3, all friends of n
-    s2 = class_size(2, n - 1, table)
-    assert s2 == (n - 3) // 6
-    tallies = {1: t1, 2: ClassTally(2, n, s2, 0)}
-    delta = conflict_delta_of_move(n, 2, 1, tallies)
+    assert vals[2] == class_size(2, n - 1, table) == (n - 3) // 6
+    assert vals[1] == tally_even_class(n, f).diff
+    # moving n from class 2 to class 1: delta = score 2 - score 1
+    delta = vals[2] - vals[1]
     expected = (n - 3) // 6 - ((n - 1) // 2 - totient(f))
     assert delta == expected == -686785
     assert delta < 0
@@ -200,7 +197,8 @@ def test_criterion_07c_tally_estimate_bound_random(table):
             continue
         i = table.prime_index(qs[0])
         j = rng.randrange(2, i)
-        diff = tally_fast(j, n, f, table).diff
+        s_j = class_size(j, n - 1, table)
+        diff = tally_diff_fast(j, n, mobius_divisors(qs), s_j, table)
         t = len(qs)
         main = Fraction(n - 1, table.prime(j))
         for l in range(1, j):
@@ -241,16 +239,16 @@ def test_criterion_08_oracle_equivalence_tallies(table):
         for j in range(1, i):
             assert scores[j] == nf.get(j, 0) - ne.get(j, 0), (n, j)
             te = tally_exact(j, n, f, table)
-            tf = tally_fast(j, n, f, table)
+            s_j = class_size(j, n - 1, table)
             tw = tally_wheel_oracle(j, n, table)
             want = (nf.get(j, 0), ne.get(j, 0))
             assert (te.friends, te.enemies) == want, (n, j)
-            assert (tf.friends, tf.enemies) == want, (n, j)
+            assert ((s_j + scores[j]) // 2, (s_j - scores[j]) // 2) == want, (n, j)
             assert (tw.friends, tw.enemies) == want, (n, j)
             pairs += 1
     assert pairs > 4000
-    _ok(8, f"three tally routes and the class scores equal naive gcd scans on "
-           f"{pairs} (n, j) pairs, n <= 5000")
+    _ok(8, f"two oracle tally routes and the class scores with class sizes "
+           f"equal naive gcd scans on {pairs} (n, j) pairs, n <= 5000")
 
 
 def test_criterion_08b_move_delta_equals_brute_force(table):
@@ -265,21 +263,21 @@ def test_criterion_08b_move_delta_equals_brute_force(table):
         targets = list(part.class_sizes) + [max(part.class_sizes) + 1]
         for n in range(2, n_max + 1):
             frm = part.label(n)
-            tallies = {}
+            diffs = {}  # friends minus enemies of n per class, n excluded
             for cid in part.class_sizes:
                 members = part.members(cid)
                 members = members[members != n]
                 friends = int(np.count_nonzero(np.gcd(members, n) > 1))
-                tallies[cid] = ClassTally(cid, n, friends, len(members) - friends)
+                diffs[cid] = 2 * friends - len(members)
             for to in targets:
-                if to not in tallies:
-                    tallies[to] = ClassTally(to, n, 0, 0)
                 moved = part.copy()
                 moved.move(n, to)
-                assert conflict_delta_of_move(n, frm, to, tallies) \
+                # a fresh class scores 0
+                assert diffs[frm] - diffs.get(to, 0) \
                     == count_conflicts(moved) - base, (n_max, n, to)
-    _ok("8b", "tally-based move deltas equal brute-force conflict differences "
-              "for every n <= 200 and every target class, over random partitions")
+    _ok("8b", "move deltas diff[from] - diff[to] equal brute-force conflict "
+              "differences for every n <= 200 and every target class, over "
+              "random partitions")
 
 
 def test_criterion_09_three_prime_candidates_lose(table):
@@ -311,7 +309,7 @@ def test_criterion_10_prime_count_inequality_grid(table):
         if x < 59:
             continue
         lo, hi = rosser_schoenfeld_bounds(x)
-        p = pi_exact(int(x), table)
+        p = table.pi(int(x))
         assert lo < p < hi, x
     _ok(10, "pi(x) - pi(sqrt x) > 18 pi(x/t) + 56 holds with exact counts on "
             "the 20x4 grid; the classical bracket holds at every grid point")

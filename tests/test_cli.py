@@ -7,10 +7,11 @@ from math import isqrt
 
 import pytest
 
-from gcdcluster import cli, primes
+from gcdcluster import build_prime_table, cli, greedy, partition_to_csv, primes
 from gcdcluster.cli import main
 from gcdcluster.primes import DEFAULT_SPF_LIMIT
 from oracles import naive_spf
+from test_greedy import class_1_wins_at
 
 FIRST_IRREGULAR = 111546435
 
@@ -43,6 +44,23 @@ def test_greedy_json(capsys):
     assert doc["classes"]["2"] == [3, 9, 15]
     assert doc["conflicts"] == 10
     assert doc["anomalies"] == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_greedy_anomaly_exit_1(capsys, monkeypatch, fmt):
+    class_1_wins_at(105, monkeypatch)
+    st = greedy.run_accelerated(300, build_prime_table(1000))
+    code, out, err = run_cli(capsys, "greedy", "--n", "300", "--format", fmt)
+    assert code == 1
+    assert err == ("greedy: anomaly at n=105 (class 1 beat class 2); "
+                   "the 195 integers after it are unverified\n")
+    if fmt == "csv":
+        assert out == partition_to_csv(st.partition)
+    else:
+        doc = json.loads(out)
+        assert doc["anomalies"] == [[105, 2, 1]]
+        assert doc["conflicts"] == st.conflicts
+        assert 105 in doc["classes"]["1"]
 
 
 def test_greedy_reference_guard_exit_2(capsys):
@@ -202,6 +220,18 @@ def test_tables_census_beyond_default_table(capsys, monkeypatch):
     assert code == 0
     assert limits == [2288]
     assert out == f"p,count\n19,{want}\n"
+
+
+@pytest.mark.parametrize("p,limit", [(997, 1013), (1009, 1019)])
+def test_tables_census_default_bound_near_table_end(capsys, monkeypatch, p, limit):
+    # the default bound n1(i, i-1, 3) reads the two primes after p, past
+    # the 1000 table for p = 997 and p itself for p = 1009
+    monkeypatch.setattr(cli, "TABLES_LIMIT", 1000)
+    limits = record_table_limits(monkeypatch)
+    code, out, _ = run_cli(capsys, "tables", "--which", "census", "--p", str(p))
+    assert code == 0
+    assert limits == [limit]
+    assert out == f"p,count\n{p},0\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from gcdcluster import (
     BudgetExceededError,
     UnsupportedCaseError,
+    class_scores,
     class_size,
     coprime_count,
     factorize,
     floor_identity_lhs_rhs,
     tally_even_class,
-    tally_fast,
 )
 from gcdcluster.counts import mobius_divisors
 from oracles import (_friends_termsum, _size_S_termsum, naive_spf, naive_tally,
@@ -91,7 +91,8 @@ def test_friends_term_count_bound(table):
         qs = f.distinct_primes
         ts = _friends_termsum(j, n, qs, table)
         assert ts.terms <= 1 << (len(qs) + j - 1)
-        assert ts.value == tally_fast(j, n, f, table).friends
+        s_j = class_size(j, n - 1, table)
+        assert ts.value == (s_j + class_scores(n, f, table)[j]) // 2
 
 
 # ------------------------------------------------------------- floor identity
@@ -197,14 +198,15 @@ def test_three_routes_agree_sampled(table):
         q1 = f.distinct_primes[0]
         if q1 == n:
             continue
-        i = table.prime_index(q1)
-        for j in range(1, i):
+        scores = class_scores(n, f, table)
+        for j in range(1, len(scores) - 1):
             te = tally_exact(j, n, f, table)
-            tf = tally_fast(j, n, f, table)
+            s_j = class_size(j, n - 1, table)
+            tf = ((s_j + scores[j]) // 2, (s_j - scores[j]) // 2)
             tw = tally_wheel_oracle(j, n, table)
             nv = naive_tally(j, n, primes)
-            assert (te.friends, te.enemies) == (tf.friends, tf.enemies) \
-                == (tw.friends, tw.enemies) == nv, (n, j)
+            assert (te.friends, te.enemies) == tf == (tw.friends, tw.enemies) \
+                == nv, (n, j)
         checked += 1
 
 
@@ -224,10 +226,13 @@ def test_tally_invariant_friends_plus_enemies(table):
         f = factorize(n, table)
         if f.distinct_primes[0] == n:
             continue
-        i = table.prime_index(f.distinct_primes[0])
-        for j in range(1, i):
-            t = tally_fast(j, n, f, table)
-            assert t.total == class_size(j, n - 1, table)
+        # each score d of a class of size s splits into friends (s + d) / 2
+        # and enemies (s - d) / 2, both whole and non-negative
+        scores = class_scores(n, f, table)
+        assert tally_even_class(n, f).total == class_size(1, n - 1, table)
+        for j in range(1, len(scores) - 1):
+            s_j = class_size(j, n - 1, table)
+            assert abs(scores[j]) <= s_j and (s_j - scores[j]) % 2 == 0, (n, j)
 
 
 # ------------------------------------------------------------------ the wheel

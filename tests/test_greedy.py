@@ -13,14 +13,11 @@ from gcdcluster import (
     ClassTally,
     OutOfRangeError,
     ResourceGuardError,
-    TallyInconsistencyError,
     canonical_partition,
     class_scores,
     class_size,
     count_conflicts,
     factorize,
-    greedy_step,
-    initial_state,
     run_accelerated,
     run_reference,
     verify_range,
@@ -46,43 +43,27 @@ def _tallies_by_scan(labels_by_int: dict[int, int], n: int) -> dict[int, ClassTa
     return {c: ClassTally(c, n, f, e) for c, (f, e) in out.items()}
 
 
-def test_step_3_opens_a_class():
-    st = initial_state()
-    st = greedy_step(st, 3, {1: ClassTally(1, 3, 0, 1)})
-    assert st.partition.label(2) == 1 and st.partition.label(3) == 2
-    assert st.conflicts == 0
+def test_step_3_opens_a_class(table):
+    for st in (run_reference(3), run_accelerated(3, table)):
+        assert st.partition.label(2) == 1 and st.partition.label(3) == 2
+        assert st.conflicts == 0
 
 
-def test_step_4_joins_the_evens():
-    st = initial_state()
-    st = greedy_step(st, 3, {1: ClassTally(1, 3, 0, 1)})
-    st = greedy_step(st, 4, {1: ClassTally(1, 4, 1, 0), 2: ClassTally(2, 4, 0, 1)})
-    assert st.partition.label(4) == 1
-    assert st.conflicts == 0
+def test_step_4_joins_the_evens(table):
+    for st in (run_reference(4), run_accelerated(4, table)):
+        assert st.partition.label(4) == 1
+        assert st.conflicts == 0
 
 
-def test_step_9_joins_class_of_3(small_table):
+def test_step_9_joins_class_of_3(table):
     st = run_reference(8)
     labels = {m: st.partition.label(m) for m in range(2, 9)}
     tallies = _tallies_by_scan(labels, 9)
     assert [tallies[c].diff for c in sorted(tallies)] == [-2, 1, -1, -1]
-    st9 = greedy_step(st, 9, tallies)
-    assert st9.partition.label(9) == 2
-    assert st9.conflicts == st.conflicts + 1
-
-
-def test_step_requires_consecutive_n():
-    st = initial_state()
-    with pytest.raises(ValueError):
-        greedy_step(st, 5, {})
-
-
-def test_step_requires_full_tallies():
-    st = initial_state()
-    with pytest.raises(TallyInconsistencyError):
-        greedy_step(st, 3, {})
-    with pytest.raises(TallyInconsistencyError):
-        greedy_step(st, 3, {1: ClassTally(1, 3, 4, 4)})
+    assert class_scores(9, factorize(9, table), table) == [0, -2, 1]
+    for st9 in (run_reference(9), run_accelerated(9, table)):
+        assert st9.partition.label(9) == 2
+        assert st9.conflicts == st.conflicts + 1
 
 
 def test_scan_step_matches_definition():
@@ -195,6 +176,39 @@ def test_accelerated_conflicts_identity(table):
 def test_accelerated_refuses_n_beyond_table(small_table):
     with pytest.raises(OutOfRangeError):
         run_accelerated(small_table.limit + 1, small_table)
+
+
+def class_1_wins_at(m0: int, monkeypatch) -> None:
+    """Make greedy.class_scores rank class 1 first at odd m0 = 3 * 5 * 7 * k:
+    class 1's exact score there is positive, and class 2's is lowered below
+    it (no class scores between them)."""
+    scores = greedy.class_scores
+
+    def doctored(n, f, table, sizes=None, bound=False):
+        vals = scores(n, f, table, sizes, bound)
+        if n == m0:
+            assert len(vals) == 3 and vals[1] > 0
+            vals[2] = vals[1] - 1
+        return vals
+
+    monkeypatch.setattr(greedy, "class_scores", doctored)
+
+
+def test_accelerated_stops_verifying_after_an_anomaly(table, monkeypatch):
+    class_1_wins_at(105, monkeypatch)
+    n = 300
+    st = run_accelerated(n, table)
+    assert st.anomalies == [(105, 2, 1)]
+    assert st.unverified == list(range(106, n + 1))
+    canon = canonical_partition(n, table)
+    assert st.partition.label(105) == 1 and canon.label(105) == 2
+    assert np.array_equal(st.partition.labels[:103], canon.labels[:103])
+    assert np.array_equal(st.partition.labels[104:], canon.labels[104:])
+    # conflicts count every step up to the anomaly and none after it
+    at_105 = run_accelerated(105, table)
+    assert at_105.anomalies == [(105, 2, 1)] and at_105.unverified == []
+    assert at_105.conflicts == count_conflicts(at_105.partition)
+    assert st.conflicts == at_105.conflicts
 
 
 # ------------------------------------------------------------- verify_single

@@ -1,4 +1,4 @@
-"""Partition model, conflict counting, and tally-based move deltas."""
+"""Partition model, conflict counting, and move deltas from class scores."""
 
 import io
 import random
@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from gcdcluster import (
-    ClassTally,
     ResourceGuardError,
-    TallyInconsistencyError,
     build_prime_table,
     canonical_partition,
-    conflict_delta_of_move,
+    class_scores,
     count_conflicts,
     exceptional_partition,
     factorize,
@@ -162,49 +160,46 @@ def test_canonical_beats_singletons(small_table):
 
 # ---------------------------------------------------------------- move deltas
 
-def _full_tallies(part: Partition, n: int) -> dict[int, ClassTally]:
-    """Exact tallies of n against every class of part, n excluded, by gcd scan."""
-    tallies = {}
+def _scan_diffs(part: Partition, n: int) -> dict[int, int]:
+    """Friends minus enemies of n in every class of part, n excluded, by gcd scan."""
+    diffs = {}
     for cid in part.class_sizes:
-        friends = enemies = 0
-        for m in part.members(cid):
-            if m == n:
-                continue
-            if gcd(int(m), n) > 1:
-                friends += 1
-            else:
-                enemies += 1
-        tallies[cid] = ClassTally(cid, n, friends, enemies)
-    return tallies
+        members = [int(m) for m in part.members(cid) if m != n]
+        diffs[cid] = sum(1 if gcd(m, n) > 1 else -1 for m in members)
+    return diffs
 
 
-def test_delta_identity_move(small_table):
-    part = canonical_partition(15, small_table)
-    tallies = _full_tallies(part, 15)
-    assert conflict_delta_of_move(15, 2, 2, tallies, partition=part) == 0
+def _moved_delta(part: Partition, n: int, to: int) -> int:
+    """Brute-force change in conflicts when n moves to class ``to``."""
+    moved = part.copy()
+    moved.move(n, to)
+    return count_conflicts(moved) - count_conflicts(part)
 
 
 def test_delta_9_to_even_class(small_table):
+    # moving n from class i to class j changes the conflicts by score i - score j
     part = canonical_partition(9, small_table)
-    tallies = _full_tallies(part, 9)
-    assert conflict_delta_of_move(9, 2, 1, tallies, partition=part) == 3
+    vals = class_scores(9, factorize(9, small_table), small_table)
+    assert vals[2] - vals[1] == 3 == _moved_delta(part, 9, 1)
 
 
 def test_delta_at_first_irregular(table):
     """The one-element move that beats the canonical clustering, scored from
-    closed-form tallies: moving the first irregular integer to the evens
-    removes 686785 conflicts."""
+    closed forms: moving the first irregular integer to the evens removes
+    686785 conflicts."""
     n = FIRST_IRREGULAR
-    t1 = tally_even_class(n, factorize(n, table))
+    f = factorize(n, table)
+    vals = class_scores(n, f, table)
     s2 = (n - 3) // 6  # odd multiples of 3 below n, all friends
-    tallies = {1: t1, 2: ClassTally(2, n, s2, 0)}
-    delta = conflict_delta_of_move(n, 2, 1, tallies)
-    assert delta == s2 - t1.diff
+    assert vals[1:] == [tally_even_class(n, f).diff, s2]
+    delta = vals[2] - vals[1]
     assert delta == -686785
     assert delta < 0
 
 
 def test_delta_matches_brute_force_on_random_partitions(small_table):
+    # the identity behind the move scoring: delta = diff[from] - diff[to],
+    # with diff 0 for a fresh class
     rng = random.Random(99)
     for trial in range(40):
         n_max = rng.randrange(8, 60)
@@ -216,34 +211,9 @@ def test_delta_matches_brute_force_on_random_partitions(small_table):
         frm = part.label(n)
         targets = list(part.class_sizes) + [max(part.class_sizes) + 1]
         to = rng.choice(targets)
-        tallies = _full_tallies(part, n)
-        if to not in tallies:
-            tallies[to] = ClassTally(to, n, 0, 0)
-        before = count_conflicts(part)
-        moved = part.copy()
-        moved.move(n, to)
-        after = count_conflicts(moved)
-        got = conflict_delta_of_move(n, frm, to, tallies)
-        assert got == after - before, (n_max, n, frm, to)
-
-
-def test_delta_requires_consistent_tallies(small_table):
-    part = canonical_partition(9, small_table)
-    tallies = _full_tallies(part, 9)
-    bad = dict(tallies)
-    bad[1] = ClassTally(1, 9, 99, 0)
-    with pytest.raises(TallyInconsistencyError):
-        conflict_delta_of_move(9, 2, 1, bad, partition=part)
-    del tallies[3]
-    with pytest.raises(TallyInconsistencyError):
-        conflict_delta_of_move(9, 2, 1, tallies, partition=part)
-
-
-def test_delta_missing_target_tally(small_table):
-    part = canonical_partition(9, small_table)
-    tallies = _full_tallies(part, 9)
-    with pytest.raises(TallyInconsistencyError):
-        conflict_delta_of_move(9, 2, 42, tallies)
+        diffs = _scan_diffs(part, n)
+        got = diffs[frm] - diffs.get(to, 0)
+        assert got == _moved_delta(part, n, to), (n_max, n, frm, to)
 
 
 # ------------------------------------------------------------------------ CSV

@@ -8,7 +8,6 @@ from gcdcluster import (
     build_prime_table,
     canonical_partition,
     factorize,
-    pi_exact,
     rosser_schoenfeld_bounds,
     totient,
 )
@@ -49,17 +48,17 @@ def test_limit_below_two_rejected():
 
 @pytest.mark.parametrize("x,expected", [(1, 0), (23, 9), (10 ** 6, 78498)])
 def test_pi_known_values(table, x, expected):
-    assert pi_exact(x, table) == expected
+    assert table.pi(x) == expected
 
 
 def test_pi_against_segmented_sieve_oracle(table):
     for x in (10, 97, 5000, 10 ** 5, 10 ** 6):
-        assert pi_exact(x, table) == segmented_prime_count(x)
+        assert table.pi(x) == segmented_prime_count(x)
 
 
 def test_pi_ten_million(table):
     # frozen from the independent segmented sieve (run once, value pinned)
-    assert pi_exact(10 ** 7, table) == 664579
+    assert table.pi(10 ** 7) == 664579
     assert segmented_prime_count(10 ** 7) == 664579
 
 
@@ -74,7 +73,7 @@ def test_pi_monotone_steps_at_primes(small_table):
 
 def test_pi_out_of_range(small_table):
     with pytest.raises(OutOfRangeError):
-        pi_exact(small_table.limit + 1, small_table)
+        small_table.pi(small_table.limit + 1)
 
 
 def test_lookups_at_boundaries():
@@ -180,7 +179,7 @@ def test_totient_brute_small(table):
 
 def test_rosser_schoenfeld_at_59(table):
     lo, hi = rosser_schoenfeld_bounds(59)
-    assert lo <= pi_exact(59, table) <= hi
+    assert lo <= table.pi(59) <= hi
 
 
 def test_rosser_schoenfeld_brackets_pi(table):
@@ -188,14 +187,14 @@ def test_rosser_schoenfeld_brackets_pi(table):
     xs = np.unique(np.geomspace(59, table.limit, 60).astype(np.int64))
     for x in xs:
         lo, hi = rosser_schoenfeld_bounds(float(x))
-        p = pi_exact(int(x), table)
+        p = table.pi(int(x))
         assert lo < p < hi, (x, lo, p, hi)
 
 
 def test_rosser_schoenfeld_brackets_at_irregular_root(table):
     x = FIRST_IRREGULAR ** (2.0 / 3.0)
     lo, hi = rosser_schoenfeld_bounds(x)
-    p = pi_exact(int(x), table)
+    p = table.pi(int(x))
     assert lo < p < hi
 
 

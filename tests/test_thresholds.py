@@ -18,7 +18,6 @@ from gcdcluster import (
     find_n0,
     n1_remark_candidate,
     n1_table,
-    pi_exact,
     proposition_census,
     table1_records,
     three_factor_candidates,
@@ -271,8 +270,8 @@ def test_proposition_bounds_hold(table):
 def test_proposition_bound_values(table):
     n = 41 * 43 * 47
     fb, eb = proposition_census(n, 12, table)
-    assert fb == 52 + 18 * pi_exact(FIRST_IRREGULAR // (37 * 41), table)
-    assert eb == pi_exact(FIRST_IRREGULAR // 37, table) - pi_exact(37, table) - 4
+    assert fb == 52 + 18 * table.pi(FIRST_IRREGULAR // (37 * 41))
+    assert eb == table.pi(FIRST_IRREGULAR // 37) - table.pi(37) - 4
 
 
 def test_proposition_rejects_bad_inputs(table):
