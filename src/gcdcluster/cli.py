@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import greedy as greedy_mod
@@ -31,6 +32,7 @@ EXIT_REFUSED = 2
 EXIT_USAGE = 64
 
 TABLES_LIMIT = 1_000_000  # the table ``tables`` builds unless a census needs more
+VERIFY_CHUNK = 200_000  # integers per ``verify`` span: one progress line, one memo
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,23 +134,19 @@ def cmd_greedy(args) -> int:
     return EXIT_OK
 
 
-def _verify_chunk(chunk: tuple[int, int]) -> tuple[list[str], int, int, list]:
-    start, stop = chunk
-    table = _WORKER_TABLE
-    lines: list[str] = []
-    report = greedy_mod.verify_range(
-        start, stop, table, collect_records=True)
-    for rec in report.records:
-        lines.append(rec.to_json())
-    return lines, report.checked, report.auto_passed, report.anomalies
-
-
 _WORKER_TABLE: PrimeTable | None = None
 
 
 def _worker_init(limit: int):
     global _WORKER_TABLE
     _WORKER_TABLE = build_prime_table(limit)
+
+
+def _verify_chunk(span: tuple[int, int]) -> tuple[list, greedy_mod.VerifyReport]:
+    """One span verified in a worker: its record lines, and its report."""
+    lines: list[str] = []
+    report = greedy_mod.verify_range(*span, _WORKER_TABLE, lines.append)
+    return lines, report
 
 
 def cmd_verify(args) -> int:
@@ -161,49 +159,39 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     limit = _verify_limit(args.stop)
+    spans = [(a, min(a + VERIFY_CHUNK - 1, args.stop))
+             for a in range(args.start, args.stop + 1, VERIFY_CHUNK)]
     fh, close = _open_out(args.out)
+    pool = None
     try:
         if args.workers == 1:
             table = build_prime_table(limit)
-
-            def progress(n, report):
-                print(f"verify: at n={n}, {report.checked} checked, "
-                      f"{len(report.anomalies)} anomalies", file=sys.stderr)
-
-            report = greedy_mod.verify_range(args.start, args.stop, table,
-                                             jsonl_fh=fh, progress=progress)
-            anomalies = report.anomalies
+            # records stream straight to the output; no lines are left over
+            chunks = (([], greedy_mod.verify_range(a, b, table, fh.write))
+                      for a, b in spans)
         else:
-            spans = _split_range(args.start, args.stop, args.workers * 8)
-            checked = auto = 0
-            anomalies = []
-            with ProcessPoolExecutor(max_workers=args.workers,
-                                     initializer=_worker_init,
-                                     initargs=(limit,)) as pool:
-                for lines, ck, ap, anom in pool.map(_verify_chunk, spans):
-                    for line in lines:
-                        fh.write(line + "\n")
-                    checked += ck
-                    auto += ap
-                    anomalies.extend(anom)
-            summary = greedy_mod.VerifyReport(args.start, args.stop, checked,
-                                              auto, anomalies)
-            fh.write(summary.summary_json() + "\n")
+            pool = ProcessPoolExecutor(max_workers=args.workers,
+                                       initializer=_worker_init, initargs=(limit,))
+            chunks = pool.map(_verify_chunk, spans)
+        total = greedy_mod.VerifyReport(args.start, args.stop)
+        started = time.monotonic()
+        for lines, report in chunks:
+            fh.writelines(lines)
+            total.checked += report.checked
+            total.auto_passed += report.auto_passed
+            total.anomalies += report.anomalies
+            elapsed = max(time.monotonic() - started, 1e-9)
+            rate = (report.stop - args.start + 1) / elapsed
+            print(f"verify: at n={report.stop}, {total.checked} checked, "
+                  f"{len(total.anomalies)} anomalies, {rate:.0f} integers/s",
+                  file=sys.stderr)
+        fh.write(total.summary_json() + "\n")
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if close:
             fh.close()
-    return EXIT_ANOMALY if anomalies else EXIT_OK
-
-
-def _split_range(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
-    width = max(1, (stop - start + 1) // parts)
-    spans = []
-    a = start
-    while a <= stop:
-        b = min(stop, a + width - 1)
-        spans.append((a, b))
-        a = b + 1
-    return spans
+    return EXIT_ANOMALY if total.anomalies else EXIT_OK
 
 
 def cmd_tables(args) -> int:

@@ -14,7 +14,9 @@ totient (``tally_even_class``).  The test suite pins these against slow
 brute-force referees kept in ``tests/oracles.py``.
 
 All functions here are pure; the per-table memo behind ``coprime_count`` is
-written under the GIL, so concurrent callers at worst duplicate work.
+written under the GIL, so concurrent callers at worst duplicate work.  Nothing
+here evicts from the memo: ``greedy.verify_range`` clears it at the start of
+each call, and other callers keep it as long as their table.
 """
 
 from __future__ import annotations

@@ -82,7 +82,6 @@ class VerifyReport:
     auto_passed: int = 0
     anomalies: list[tuple[int, int, int]] = field(default_factory=list)
     unverified: list[int] = field(default_factory=list)
-    records: list[VerifyRecord] = field(default_factory=list)
 
     @property
     def all_pass(self) -> bool:
@@ -336,23 +335,26 @@ def verify_table_limit(stop: int) -> int:
 
 
 def verify_range(start: int, stop: int, table: PrimeTable,
-                 collect_records: bool = False, jsonl_fh=None,
-                 progress=None) -> VerifyReport:
+                 out=None) -> VerifyReport:
     """Check every n in [start, stop] for canonical class selection.
 
-    Even and prime n auto-pass; each odd composite gets an exact check.  The
-    window keeps the canonical class sizes as it goes: a class is opened
-    when an integer first needs it, and each odd composite then joins the
-    class of its smallest prime, pass or fail, since every check is against
-    the canonical state.  Disjoint ranges can run anywhere, each with its own
-    sizes, and their reports merge deterministically (records are emitted in
-    increasing n).
+    Even and prime n auto-pass; each odd composite gets an exact check, and
+    ``out``, when given, is called with its record as one JSONL line, in
+    increasing n.  The window keeps the canonical class sizes as it goes: a
+    class is opened when an integer first needs it, and each odd composite
+    then joins the class of its smallest prime, pass or fail, since every
+    check is against the canonical state.  Disjoint ranges can run anywhere,
+    each with its own sizes, and their reports merge deterministically.
+
+    Each call starts by clearing the table's phi memo, so a sweep that runs
+    its range as a sequence of calls holds at most one call's memo.
     """
     if start < 2 or stop < start:
         raise ValueError(f"bad range [{start}, {stop}]")
     if table.limit < verify_table_limit(stop):
         raise ValueError(f"table limit {table.limit} too small to verify up to "
                          f"{stop}; need at least {verify_table_limit(stop)}")
+    table._phi_cache.clear()
     report = VerifyReport(start=start, stop=stop)
     report.auto_passed += stop // 2 - (start - 1) // 2  # the evens
     first_odd = start if start % 2 == 1 else start + 1
@@ -366,12 +368,6 @@ def verify_range(start: int, stop: int, table: PrimeTable,
         report.checked += 1
         if rec.status == "fail":
             report.anomalies.append((rec.n, rec.expected_j, rec.chosen_j))
-        if collect_records:
-            report.records.append(rec)
-        if jsonl_fh is not None:
-            jsonl_fh.write(rec.to_json() + "\n")
-        if progress is not None and report.checked % 20000 == 0:
-            progress(n, report)
-    if jsonl_fh is not None:
-        jsonl_fh.write(report.summary_json() + "\n")
+        if out is not None:
+            out(rec.to_json() + "\n")
     return report

@@ -9,7 +9,8 @@ modules.
 
 A ``PrimeTable`` is safe to share between threads: its only later writes
 are that first sieve, which two racing readers both build the same, and the
-entries of its phi memo (see ``counts``).
+entries of its phi memo (see ``counts``); clearing the memo loses work,
+never a value.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ class PrimeTable:
     prime, 1-based.  ``spf_limit`` bounds the smallest-prime-factor array,
     which ``spf()`` sieves on first read; factorization of larger integers
     falls back to trial division against the stored primes.  ``_phi_cache``
-    is the memo of ``counts.coprime_count`` over this table.
+    is the memo of ``counts.coprime_count`` over this table; ``counts`` only
+    adds to it, and ``greedy.verify_range`` clears it at the start of each
+    call, so a sweep run as a sequence of spans holds one span's entries.
     """
 
     def __init__(self, limit: int, spf_limit: int | None = None):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import DegenerateThresholdError, OutOfRangeError
 from .primes import Factorization, PrimeTable, factorize, rosser_schoenfeld_bounds
@@ -141,29 +141,38 @@ def _beats_class3(qs) -> bool:
 
 
 def threshold_T(i: int, j: int, t: int, table: PrimeTable) -> Fraction:
-    """The per-integer margin density between class i and class j.
+    """The per-integer margin density between class i and class j < i.
 
     T = (1/p_i) prod_{l<i}(1 - 1/p_l)
       + (1/p_j) prod_{l<j}(1 - 1/p_l) * (2 prod_k(1 - 1/q_k) - 1)
 
     with q_1..q_t the t consecutive primes starting at p_i (that choice
     minimizes the product term, making the derived threshold safe for every
-    admissible divisor set).
+    admissible divisor set).  Both terms are put over the primorial of
+    q_t in integers and reduced once: reducing i - 1 fractions one by one
+    costs a gcd of ever larger integers at every step.
     """
-    term_i = Fraction(1, table.prime(i))
-    for l in range(1, i):
-        pl = table.prime(l)
-        term_i *= Fraction(pl - 1, pl)
-    prod_q = Fraction(1)
-    for k in range(t):
-        q = table.prime(i + k)
-        prod_q *= Fraction(q - 1, q)
-    term_j = Fraction(1, table.prime(j))
-    for l in range(1, j):
-        pl = table.prime(l)
-        term_j *= Fraction(pl - 1, pl)
-    term_j *= 2 * prod_q - 1
-    return term_i + term_j
+    if not i > j >= 1 or t < 1:
+        raise ValueError(f"need i > j >= 1 and t >= 1, got (i={i}, j={j}, t={t})")
+    table.prime(i + t - 1)  # raises if the table does not reach q_t
+    primes = table._primes_list
+    head, mid, qs = primes[:j - 1], primes[j - 1:i - 1], primes[i - 1:i - 1 + t]
+    num_q, den_q = _product([q - 1 for q in qs]), _product(qs)
+    # over the product of the primes up to q_t, with [xs] = prod (p - 1):
+    # term i = [head][mid] * prod qs[1:],
+    # term j = [head](2 num_q - den_q) * prod mid[1:]
+    num = _product([p - 1 for p in head]) * (
+        _product([p - 1 for p in mid]) * _product(qs[1:])
+        + (2 * num_q - den_q) * _product(mid[1:]))
+    return Fraction(num, _product(head) * _product(mid) * den_q)
+
+
+def _product(xs: list[int]) -> int:
+    """Product of ``xs``, halves first, so that large factors meet equals."""
+    if len(xs) <= 16:
+        return prod(xs)
+    h = len(xs) // 2
+    return _product(xs[:h]) * _product(xs[h:])
 
 
 def n1_table(i: int, j: int, t: int, table: PrimeTable) -> ThresholdRecord:
@@ -174,8 +183,6 @@ def n1_table(i: int, j: int, t: int, table: PrimeTable) -> ThresholdRecord:
     primes starting at p_i: then every actual candidate already clears the
     threshold and the (i, t) family is certified wholesale.
     """
-    if not (j >= 1 and i > j and t >= 1):
-        raise ValueError(f"need i > j >= 1 and t >= 1, got (i={i}, j={j}, t={t})")
     T = threshold_T(i, j, t, table)
     if T <= 0:
         raise DegenerateThresholdError(

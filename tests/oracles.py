@@ -8,10 +8,12 @@ The subset-sum and wheel referees below them (``tally_exact``,
 ``size_S_exact``, ``tally_wheel_oracle``) are independently structured
 counting routes that still take a ``PrimeTable`` for the primes and, for the
 wheel, ``factorize`` for the probe's divisors; the package's own tallies are
-pinned against them and against the naive scans.
+pinned against them and against the naive scans.  ``threshold_T_stepwise``
+builds the threshold density one reduced ``Fraction`` factor at a time.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -139,6 +141,24 @@ def segmented_prime_count(x: int, block: int = 1 << 16) -> int:
         count += sum(seg)
         lo = hi + 1
     return count
+
+
+def threshold_T_stepwise(i: int, j: int, t: int, table: PrimeTable) -> Fraction:
+    """The threshold density T of ``thresholds.threshold_T`` as the literal
+    product of reduced fractions, one factor (1 - 1/p) at a time."""
+    term_i = Fraction(1, table.prime(i))
+    for l in range(1, i):
+        pl = table.prime(l)
+        term_i *= Fraction(pl - 1, pl)
+    prod_q = Fraction(1)
+    for k in range(t):
+        q = table.prime(i + k)
+        prod_q *= Fraction(q - 1, q)
+    term_j = Fraction(1, table.prime(j))
+    for l in range(1, j):
+        pl = table.prime(l)
+        term_j *= Fraction(pl - 1, pl)
+    return term_i + term_j * (2 * prod_q - 1)
 
 
 def size_S_exact(i: int, u: int, table: PrimeTable,

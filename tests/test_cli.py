@@ -154,6 +154,28 @@ def test_verify_workers_match_serial_near_1e8(capsys, monkeypatch, tmp_path):
     assert out_path.read_text() == out1
 
 
+@pytest.mark.parametrize("start, stop, code", [(2, 3000, 0),
+                                               (111546300, 111546600, 1)])
+def test_verify_small_chunks_match_one_chunk(capsys, monkeypatch, start, stop, code):
+    # spans of 97 integers from --from: every chunk opens its own class sizes
+    # and memo, both paths print one progress line per chunk, and the output
+    # is the one-chunk serial run's, byte for byte
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ["verify", "--from", str(start), "--to", str(stop)]
+    code1, out1, _ = run_cli(capsys, *argv)
+    assert code1 == code
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", 97)
+    chunks = -(-(stop - start + 1) // 97)
+    for workers in ("1", "2"):
+        code2, out2, err = run_cli(capsys, *argv, "--workers", workers)
+        assert (code2, out2) == (code1, out1)
+        progress = [line for line in err.splitlines() if line.startswith("verify:")]
+        assert len(progress) == chunks
+        assert progress[-1].startswith(f"verify: at n={stop}, ")
+    summary = json.loads(out1.splitlines()[-1])["summary"]
+    assert summary["anomalies"] == ([[FIRST_IRREGULAR, 2, 1]] if code else [])
+
+
 @pytest.mark.parametrize("workers", ["0", "-1", "3", "100000"])
 def test_verify_workers_out_of_range_exit_64(capsys, monkeypatch, workers):
     def no_pool(*args, **kwargs):

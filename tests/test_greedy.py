@@ -255,10 +255,11 @@ def test_verify_range_counts(table):
 
 
 def test_verify_range_at_first_irregular(table):
-    report = verify_range(FIRST_IRREGULAR, FIRST_IRREGULAR, table, collect_records=True)
+    lines = []
+    report = verify_range(FIRST_IRREGULAR, FIRST_IRREGULAR, table, lines.append)
     assert report.anomalies == [(FIRST_IRREGULAR, 2, 1)]
     assert not report.all_pass
-    assert report.records[0].status == "fail"
+    assert [json.loads(line)["status"] for line in lines] == ["fail"]
 
 
 def test_verify_range_bad_range(table):
@@ -268,7 +269,8 @@ def test_verify_range_bad_range(table):
 
 def test_verify_range_golden_jsonl(table, data_dir):
     buf = io.StringIO()
-    verify_range(2, 1000, table, jsonl_fh=buf)
+    report = verify_range(2, 1000, table, buf.write)
+    buf.write(report.summary_json() + "\n")
     golden = (data_dir / "verify_2_1000.jsonl").read_text()
     assert buf.getvalue() == golden
     # the stream is well-formed JSONL with a trailing summary
@@ -278,11 +280,29 @@ def test_verify_range_golden_jsonl(table, data_dir):
     assert summary["checked"] == len(lines) - 1
 
 
+def test_verify_range_clears_memo_per_call(table, monkeypatch):
+    # the memo a call leaves behind is gone before the next call's first integer
+    first_seen = {}
+    single = greedy.verify_single
+
+    def recording_single(n, tb, sizes=None):
+        first_seen.setdefault(n, len(tb._phi_cache))
+        return single(n, tb, sizes)
+
+    monkeypatch.setattr(greedy, "verify_single", recording_single)
+    start = 1_000_001
+    for a in (start, start + 2_000):
+        verify_range(a, a + 1_999, table)
+        assert len(table._phi_cache) > 0
+        assert first_seen[a] == 0
+
+
 def _check_window_sizes(start: int, stop: int, table) -> None:
     """verify_range's kept class sizes give every record standalone scoring gives."""
-    report = verify_range(start, stop, table, collect_records=True)
+    lines = []
+    verify_range(start, stop, table, lines.append)
     standalone = [verify_single(n, table) for n in range(start, stop + 1)]
-    assert report.records == [rec for rec in standalone if rec is not None]
+    assert lines == [rec.to_json() + "\n" for rec in standalone if rec is not None]
 
 
 @settings(max_examples=40, deadline=None)

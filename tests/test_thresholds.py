@@ -23,7 +23,7 @@ from gcdcluster import (
     three_factor_candidates,
 )
 from gcdcluster.thresholds import census_table_limit, table1_csv, threshold_T
-from oracles import tally_wheel_oracle
+from oracles import tally_wheel_oracle, threshold_T_stepwise
 
 # The published threshold table n1(i, i-1, t): {i: [(t, n1, certified), ...]},
 # certified = the displayed italics = every candidate of the (i, t) family
@@ -150,6 +150,13 @@ def test_threshold_density_positive_cells(table):
             assert threshold_T(i, i - 1, t, table) > 0
 
 
+@pytest.mark.parametrize("i, j, t", [(2, 1, 1), (3, 1, 20), (5, 4, 3), (9, 3, 2),
+                                     (20, 19, 5), (2000, 1999, 3), (8000, 7999, 3),
+                                     (8000, 2, 4)])
+def test_threshold_density_matches_stepwise_product(table, i, j, t):
+    assert threshold_T(i, j, t, table) == threshold_T_stepwise(i, j, t, table)
+
+
 def test_degenerate_threshold(table):
     with pytest.raises(DegenerateThresholdError):
         n1_table(3, 1, 20, table)
@@ -160,6 +167,8 @@ def test_n1_rejects_bad_indices(table):
         n1_table(3, 3, 1, table)
     with pytest.raises(ValueError):
         n1_table(3, 2, 0, table)
+    with pytest.raises(ValueError):
+        threshold_T(3, 3, 1, table)
 
 
 def test_table_csv_shape(table):
