@@ -16,7 +16,6 @@ from gcdcluster import (
     class_size,
     factorize,
     floor_identity_lhs_rhs,
-    tally_even_class,
     totient,
 )
 
@@ -29,10 +28,10 @@ print(f"  probe n = {n} = {'*'.join(str(q) for q, _ in f.factors)}")
 print("=" * 70)
 
 print("\n  class 1 (the evens): enemies are half the totient")
-t1 = tally_even_class(n, f)
+d1 = class_scores(n, f, table)[1]  # friends - enemies: (n-1)//2 - phi(n)
+s1 = (n - 1) // 2                  # friends + enemies: the evens below n
 print(f"    phi({n}) = {totient(f)}")
-print(f"    friends = {t1.friends}, enemies = {t1.enemies}, "
-      f"diff = {t1.diff}")
+print(f"    friends = {(s1 + d1) // 2}, enemies = {(s1 - d1) // 2}, diff = {d1}")
 evens = [m for m in range(2, n, 2)]
 brute = sum(1 for m in evens if gcd(m, n) > 1)
 print(f"    brute even scan: friends = {brute}, enemies = {len(evens) - brute}")

@@ -8,8 +8,7 @@ makes it fast, and the threshold analysis that locates the first integer the
 greedy places irregularly: 111_546_435 = 3*5*7*11*13*17*19*23.
 """
 
-from .counts import (ClassTally, class_size, coprime_count,
-                     floor_identity_lhs_rhs, tally_even_class)
+from .counts import class_size, coprime_count, floor_identity_lhs_rhs
 from .errors import (BudgetExceededError, DegenerateThresholdError,
                      GcdClusterError, OutOfRangeError, ResourceGuardError,
                      UnsupportedCaseError)

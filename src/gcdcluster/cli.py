@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 from . import greedy as greedy_mod
@@ -32,7 +33,6 @@ EXIT_REFUSED = 2
 EXIT_USAGE = 64
 
 TABLES_LIMIT = 1_000_000  # the table ``tables`` builds unless a census needs more
-VERIFY_CHUNK = 200_000  # integers per ``verify`` span: one progress line, one memo
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,6 +149,18 @@ def _verify_chunk(span: tuple[int, int]) -> tuple[list, greedy_mod.VerifyReport]
     return lines, report
 
 
+def _map_ahead(pool, fn, items, ahead: int):
+    """``pool.map(fn, items)`` in order, with at most ``ahead`` items submitted
+    and not yet taken by the caller (finished ones wait in this process)."""
+    pending = deque()
+    for item in items:
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
 def cmd_verify(args) -> int:
     if args.start < 2 or args.stop < args.start:
         print(f"verify: bad range [{args.start}, {args.stop}]", file=sys.stderr)
@@ -159,8 +171,8 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     limit = _verify_limit(args.stop)
-    spans = [(a, min(a + VERIFY_CHUNK - 1, args.stop))
-             for a in range(args.start, args.stop + 1, VERIFY_CHUNK)]
+    spans = [(a, min(a + greedy_mod.SPAN - 1, args.stop))
+             for a in range(args.start, args.stop + 1, greedy_mod.SPAN)]
     fh, close = _open_out(args.out)
     pool = None
     try:
@@ -172,7 +184,7 @@ def cmd_verify(args) -> int:
         else:
             pool = ProcessPoolExecutor(max_workers=args.workers,
                                        initializer=_worker_init, initargs=(limit,))
-            chunks = pool.map(_verify_chunk, spans)
+            chunks = _map_ahead(pool, _verify_chunk, spans, args.workers + 1)
         total = greedy_mod.VerifyReport(args.start, args.stop)
         started = time.monotonic()
         for lines, report in chunks:

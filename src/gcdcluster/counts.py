@@ -10,8 +10,9 @@ floating point is used anywhere on a counting path.
 Class sizes come from the coprime-counting function ``coprime_count``; the
 friend/enemy tally of class j >= 2 is one Moebius sum over the squarefree
 divisors of n (``tally_diff_fast``), and the even class closes through the
-totient (``tally_even_class``).  The test suite pins these against slow
-brute-force referees kept in ``tests/oracles.py``.
+totient.  ``_WHEELS`` also gives ``greedy`` its friend bound, read for a
+whole span in numpy.  The test suite pins these against slow brute-force
+referees kept in ``tests/oracles.py``.
 
 All functions here are pure; the per-table memo behind ``coprime_count`` is
 written under the GIL, so concurrent callers at worst duplicate work.  Nothing
@@ -21,7 +22,6 @@ each call, and other callers keep it as long as their table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .primes import Factorization, PrimeTable, totient
@@ -39,24 +39,6 @@ for _r in range(5):
     for _x in range(_mod):
         _pref.append(_pref[-1] + (1 if all(_x % _q for _q in _WHEEL_PRIMES[:_r]) else 0))
     _WHEELS.append((_mod, _pref[-1], _pref))
-
-
-@dataclass(frozen=True)
-class ClassTally:
-    """Exact (friends, enemies) of probe n inside canonical class j."""
-
-    j: int
-    n: int
-    friends: int
-    enemies: int
-
-    @property
-    def diff(self) -> int:
-        return self.friends - self.enemies
-
-    @property
-    def total(self) -> int:
-        return self.friends + self.enemies
 
 
 def coprime_count(y: int, r: int, table: PrimeTable) -> int:
@@ -135,21 +117,13 @@ def floor_identity_lhs_rhs(n: int, u: int, qs) -> tuple[int, int]:
     return lhs, rhs
 
 
-def tally_even_class(n: int, f: Factorization) -> ClassTally:
-    """Friends/enemies of odd n among the even integers below it.
-
-    Exact: enemies are half the totient (the even coprime residues), friends
-    are the remaining evens.
-    """
-    if n % 2 == 0:
-        raise ValueError(f"need odd n, got {n}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if f.n != n:
-        raise ValueError(f"factorization is for {f.n}, not {n}")
+def tally_even_class(n: int, f: Factorization) -> tuple[int, int]:
+    """(friends, enemies) of odd n among the evens below it.  Unused: the
+    traced benchmark wraps ``greedy.tally_even_class`` by name."""
+    if n % 2 == 0 or n < 3 or f.n != n:
+        raise ValueError(f"need odd n >= 3 and its factorization, got n={n}, f.n={f.n}")
     enemies = totient(f) // 2
-    friends = (n - 1) // 2 - enemies
-    return ClassTally(1, n, friends, enemies)
+    return (n - 1) // 2 - enemies, enemies
 
 
 def mobius_divisors(qs) -> list[tuple[int, int]]:

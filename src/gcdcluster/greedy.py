@@ -6,45 +6,45 @@ here scores moves) into the class maximizing friends-minus-enemies of n, with
 ties broken toward the smallest class index and a fresh class counting as
 index 0 with value 0.
 
-Two run modes compute the same partitions:
+Two run modes compute the same partitions.  ``run_reference`` scores every
+class member by member, with no shortcut; quadratic and guarded, it is the
+ground truth.  ``run_accelerated`` certifies each canonical choice (the
+class of the smallest prime) a span at a time in numpy: a segmented sieve,
+exact class sizes, class 1 from the totient and a sound wheel bound on every
+other class.  It reads no smallest-prime-factor array.
 
-* ``run_reference``   -- scores every class member by member with no
-                         structural shortcuts; quadratic, guarded, trusted as
-                         the ground-truth executable.
-* ``run_accelerated`` -- exploits the regular structure: evens go to class 1,
-                         primes open classes, and for odd composite n only the
-                         classes up to n's smallest-prime-factor index can win,
-                         scored by exact counting formulas.
-
-``verify_range`` asks the same question per n ("does n join the class of
-its smallest prime factor?") against the canonical clustering of [2, n-1],
-so its only running state is its window's class sizes, and a sweep can fan
-out over windows and still merge deterministically.
+``verify_range`` asks the same question per n against the canonical
+clustering of [2, n-1], scoring every class exactly with ``class_scores``, so
+its only running state is its window's class sizes, and a sweep can fan out
+over windows and still merge deterministically.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
-from .counts import (ClassTally, class_size, mobius_divisors, tally_diff_fast,
-                     tally_even_class)
+from .counts import _WHEELS, class_size, mobius_divisors, tally_diff_fast
+from .counts import tally_even_class  # noqa: F401  (perfbench/probe.py wraps it)
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import Partition
 from .primes import Factorization, PrimeTable, _sieve_spf, factorize, totient
 
 DEFAULT_REFERENCE_GUARD = 100_000
+SPAN = 200_000  # integers per span of ``run_accelerated`` and per CLI ``verify`` call
+
+# the wheel prefix tables of ``counts`` as arrays: phi(y, r), r <= 4, in numpy
+_WHEEL_PREFIX = [(mod, tot, np.array(pref, dtype=np.int64)) for mod, tot, pref in _WHEELS]
 
 
 @dataclass
 class GreedyState:
-    """Snapshot of a greedy run after adjoining every integer up to m."""
+    """Snapshot of a greedy run over [2, partition.n]."""
 
     partition: Partition
-    m: int
     mode: str  # "reference" | "accelerated"
     anomalies: list[tuple[int, int, int]] = field(default_factory=list)  # (n, expected, chosen)
     unverified: list[int] = field(default_factory=list)
@@ -99,17 +99,6 @@ class VerifyReport:
                 "all_pass": self.all_pass,
             }
         })
-
-
-def _argmax_min_index(values: list[int]) -> int:
-    """Index of the maximum, smallest index on ties (values[0] is class 0)."""
-    best_j = 0
-    best = values[0]
-    for j in range(1, len(values)):
-        if values[j] > best:
-            best = values[j]
-            best_j = j
-    return best_j
 
 
 def _fill_friend_mask(mask: np.ndarray, m: int, primes_of_m) -> None:
@@ -175,22 +164,117 @@ def run_reference(n: int, guard: int = DEFAULT_REFERENCE_GUARD) -> GreedyState:
             chosen = next_id
         labels[m - 2] = chosen
         conflicts += added
-    state = GreedyState(partition=Partition(n, labels), m=n, mode="reference")
-    state.conflicts = conflicts
-    return state
+    return GreedyState(Partition(n, labels), "reference", conflicts=conflicts)
+
+
+def _sieve_span(a: int, b: int, primes: np.ndarray):
+    """Factor [a, b] by striding each of ``primes`` (those up to isqrt(b))
+    from its first multiple there that is at least p * p; what the strides
+    leave of m is 1 or m's one prime above sqrt(m).  Returns phi over the
+    span and, per odd integer, its distinct odd primes, smallest first,
+    padded with the dtype's maximum, and their count (0 for a prime)."""
+    phi = np.arange(a, b + 1, dtype=np.int64)
+    rest = phi.copy()
+    o0, n_odd = a | 1, (b - (a | 1)) // 2 + 1
+    width = 1  # the most distinct odd primes below sqrt(b) that fit, and one more
+    while width < len(primes) and prod(primes[1 : width + 1].tolist()) <= b:
+        width += 1
+    dtype = np.int32 if b < 2 ** 31 else np.int64
+    qs = np.full((n_odd, width), np.iinfo(dtype).max, dtype=dtype)
+    used = np.zeros(n_odd, dtype=np.int8)
+    for p in primes.tolist():
+        lo = max(p * p, -(-a // p) * p)
+        phi[lo - a :: p] //= p
+        phi[lo - a :: p] *= p - 1
+        pk = p
+        while pk <= b:
+            rest[max(lo, -(-a // pk) * pk) - a :: pk] //= p
+            pk *= p
+        if p > 2:
+            rows = np.arange((lo + p * (lo % 2 == 0) - o0) // 2, n_odd, p)
+            qs[rows, used[rows]] = p
+            used[rows] += 1
+    rows = np.flatnonzero((rest[o0 - a :: 2] > 1) & (used > 0))  # not the primes
+    qs[rows, used[rows]] = rest[o0 - a :: 2][rows]
+    used[rows] += 1
+    phi //= rest  # and times rest - 1 where rest is a prime
+    rest -= 1
+    phi *= np.maximum(rest, 1, out=rest)
+    return phi, qs, used
+
+
+class _Span:
+    """The canonical clustering over [a, b]: writes each integer's class into
+    ``labels``, and adds the span's members to ``sizes`` (class c >= 2 within
+    [2, a - 1] on entry).  The odd composites are rows sorted by class i,
+    descending, so the rows with i > j are a prefix for every j: ``m``,
+    ``i``, exact ``s_i`` and ``d1`` (scores of classes i and 1), primes
+    ``qs``.  ``gain[m - a]`` is the conflicts m adds in its canonical class.
+    """
+
+    def __init__(self, a: int, b: int, table: PrimeTable, sizes: np.ndarray,
+                 labels: np.ndarray):
+        phi, qs, used = _sieve_span(a, b, table.primes[: table.pi(isqrt(b))])
+        # m - 1 - phi(m) friends below m, less those in its class: the
+        # (m - 2) / 2 evens for even m, s_i for an odd composite (below)
+        self.gain = np.subtract(np.arange(a - 1, b), phi, out=phi)
+        self.gain[a % 2 :: 2] -= np.arange((a + a % 2) // 2 - 1, b // 2)
+        o0 = a | 1
+        odd = np.arange(o0, b + 1, 2, dtype=np.int64)
+        comp = qs[:, 0] != np.iinfo(qs.dtype).max
+        olab = np.searchsorted(table.primes, np.where(comp, qs[:, 0], odd)) + 1
+        labels[a % 2 :: 2] = 1
+        labels[o0 - a :: 2] = olab
+        # class c's odd integers, in order: rows order[start[c]:start[c + 1]]
+        np.minimum(olab, len(sizes), out=olab)
+        self.order = np.argsort(olab, kind="stable")
+        self.start = np.searchsorted(olab[self.order], np.arange(len(sizes) + 1))
+        rows = np.flatnonzero(comp)
+        self.rows = rows[np.argsort(-olab[rows], kind="stable")]
+        self.i = olab[self.rows]
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(len(olab))
+        self.s_i = sizes[self.i] + rank[self.rows] - self.start[self.i]
+        self.m = odd[self.rows]
+        gain_odd = self.gain[o0 - a :: 2]
+        self.d1 = gain_odd[self.rows] - (self.m - 1) // 2  # (m - 1) // 2 - phi(m)
+        gain_odd[self.rows] -= self.s_i
+        self.qs = qs[self.rows]
+        self.width = np.maximum.accumulate(used[self.rows])  # columns rows[:k + 1] use
+        self.base = sizes.copy()
+        sizes += np.diff(self.start)
+
+    def bounds(self, table: PrimeTable):
+        """Yield (j, bound) for 2 <= j < largest i: bound[k] >= the score of
+        class j for each row k with i > j.  A friend of m in class j is p_j * k,
+        k <= x = (m - 1) // p_j with no prime below p_j, and a prime q | m,
+        q > p_j, divides k.  So friends <= W = sum of phi(x // q, j - 1) <=
+        sum of phi(x // q, min(j - 1, 4)), a wheel lookup each, and the score
+        2 * friends - s_j is at most 2 * min(W, s_j) - s_j.
+        """
+        neg_i = -self.i  # ascending
+        for j in range(2, int(self.i[0]) if len(self.i) else 2):
+            k = int(np.searchsorted(neg_i, -j))
+            x = (self.m[:k] - 1) // table._primes_list[j - 1]
+            mod, tot, pref = _WHEEL_PREFIX[min(j - 1, 4)]
+            w = np.zeros(k, dtype=np.int64)
+            for q in self.qs[:k, : self.width[k - 1]].T:
+                y, r = np.divmod(x // q, mod)
+                w += y * tot + pref[r + 1]
+            members = self.order[self.start[j] : self.start[j + 1]]
+            s_j = self.base[j] + np.searchsorted(members, self.rows[:k])
+            yield j, 2 * np.minimum(w, s_j) - s_j
 
 
 def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
-    """Greedy run using the structural shortcuts; every choice is exact.
+    """Greedy run that certifies every canonical choice by counting.
 
-    While the partition stays canonical: even n joins class 1, prime n opens
-    the class of its prime index, and an odd composite n with smallest prime
-    factor index i is scored only against classes 0..i (no larger class can
-    beat class i: friends-minus-enemies there is at most the class size,
-    which is at most |S_i|, and ties resolve to the smaller index).  The run
-    keeps the class sizes as it labels, so ``class_scores`` settles most
-    classes j < i by a friend-count bound and counts exactly only where the
-    bound cannot rule j out.
+    Evens join class 1 and primes open their class; an odd composite joins
+    the class i of its smallest prime if s_i beats class 1, a fresh class
+    (0) and each class 2 <= j < i (no class beyond i can beat it).  Per
+    ``SPAN`` (``_Span``), class 1 is scored exactly, each class j is ruled
+    out by a sound bound, an integer left open is scored exactly by
+    ``class_scores``, and the conflicts are summed in closed form.
 
     A step whose winner differs from class i is recorded as an anomaly and
     labeled with the actual winner.  The scores of every later step assume
@@ -202,65 +286,38 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
         raise ValueError(f"need n >= 2, got {n}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    labels = np.zeros(n - 1, dtype=np.int64)
-    labels[0] = 1
-    sizes = [0, 1]  # sizes[c] = members of class c; exact while canonical
+    labels = np.empty(n - 1, dtype=np.int64)
+    sizes = np.zeros(table.pi(isqrt(n)) + 1, dtype=np.int64)
     conflicts = 0
     anomalies: list[tuple[int, int, int]] = []
-    unverified: list[int] = []
-    canonical = True
-    for m in range(3, n + 1):
-        f = factorize(m, table)
-        qs = f.distinct_primes
-        if not canonical:
-            unverified.append(m)
-            labels[m - 2] = table.prime_index(qs[0])
+    for a in range(2, n + 1, SPAN):
+        b = min(a + SPAN - 1, n)
+        span = _Span(a, b, table, sizes, labels[a - 2 : b - 1])
+        if anomalies:
             continue
-        # b_total: friends of m below it, m - 1 - phi(m)
-        if m % 2 == 0:
-            chosen = 1
-            b_total = m - 1 - totient(f)
-            b_chosen = (m - 2) // 2  # every smaller even is a friend
-            e_chosen = 0
-        elif qs[0] == m:
-            chosen = 0
-            b_total = b_chosen = e_chosen = 0
+        settled = span.d1 < span.s_i
+        for _, bound in span.bounds(table):
+            settled[: len(bound)] &= bound < span.s_i[: len(bound)]
+        for m in np.sort(span.m[~settled]).tolist():
+            vals = class_scores(m, factorize(m, table), table)
+            chosen = vals.index(max(vals))  # ties to the smallest class
+            if chosen != len(vals) - 1:  # s_i >= 1, so never a fresh class
+                anomalies.append((m, len(vals) - 1, chosen))
+                labels[m - 2] = chosen
+                # friends of m below it, less those in class chosen
+                conflicts += (int(span.gain[: m - a].sum())
+                              + (m - 1) // 2 + vals[1] - vals[chosen])
+                break
         else:
-            vals = class_scores(m, f, table, sizes, bound=True)
-            b_total = (m - 1) // 2 + vals[1]  # vals[1] = (m-1)//2 - phi(m)
-            i = len(vals) - 1
-            chosen = _argmax_min_index(vals)
-            if chosen == i:
-                b_chosen, e_chosen = vals[i], 0
-            else:
-                # class i scores s_i >= 1 > 0, so a fresh class never wins here
-                if chosen == 1:
-                    t = tally_even_class(m, f)
-                else:
-                    # recover the tally pair from the diff and the class size
-                    s_j = sizes[chosen]
-                    t = ClassTally(chosen, m, (s_j + vals[chosen]) // 2,
-                                   (s_j - vals[chosen]) // 2)
-                b_chosen, e_chosen = t.friends, t.enemies
-                anomalies.append((m, i, chosen))
-                canonical = False
-        if chosen == 0:  # only a prime opens a class
-            labels[m - 2] = table.prime_index(m)
-            conflicts += b_total
-            sizes.append(1)
-        else:
-            labels[m - 2] = chosen
-            conflicts += e_chosen + (b_total - b_chosen)
-            sizes[chosen] += 1
-    state = GreedyState(partition=Partition(n, labels), m=n, mode="accelerated",
-                        anomalies=anomalies, unverified=unverified)
-    state.conflicts = conflicts
-    return state
+            conflicts += int(span.gain.sum())
+    unverified = list(range(anomalies[0][0] + 1, n + 1)) if anomalies else []
+    return GreedyState(Partition(n, labels), "accelerated", anomalies, unverified,
+                       conflicts)
 
 
 def class_scores(n: int, f: Factorization, table: PrimeTable,
-                 sizes: list[int] | None = None, bound: bool = False) -> list[int]:
-    """Scores of odd n >= 3 against the canonical clustering of [2, n-1].
+                 sizes: list[int] | None = None) -> list[int]:
+    """Exact scores of odd n >= 3 against the canonical clustering of [2, n-1].
 
     With i the index of n's smallest prime, entry 0 is the fresh class (0),
     entry j < i is friends-minus-enemies of n in class j, and entry i is the
@@ -273,13 +330,6 @@ def class_scores(n: int, f: Factorization, table: PrimeTable,
     and adds each integer to its class afterwards; a class the list does not
     reach yet is opened here with one ``class_size(c, n - 1)``.  Without
     ``sizes``, classes 2..i are opened for n alone.
-
-    With ``bound``, an entry 2 <= j < i may be an upper bound instead of the
-    exact score: each friend in class j is p_j * k with k <= x = (n-1) // p_j
-    and k a multiple of some prime q | n, so friends <= min(sum x // q, s_j)
-    and the score, 2 * friends - s_j, is at most the bound.  A bound is kept
-    only when it is below s_i, so it can never be the argmax; entries 0, 1,
-    i, the argmax and its value are exact either way.
     """
     qs = f.distinct_primes
     i = table.prime_index(qs[0])
@@ -287,22 +337,11 @@ def class_scores(n: int, f: Factorization, table: PrimeTable,
         sizes = [0, 0]
     for c in range(len(sizes), i + 1):
         sizes.append(class_size(c, n - 1, table))
-    s_i = sizes[i]
     vals = [0, (n - 1) // 2 - totient(f)]  # class 1: (n-1)/2 evens, phi(n)/2 enemies
-    primes = table._primes_list
-    divisors = None  # built on the first exact count, then shared by the classes
-    for j in range(2, i):
-        s_j = sizes[j]
-        if bound:
-            x = (n - 1) // primes[j - 1]
-            b = 2 * min(sum(x // q for q in qs), s_j) - s_j
-            if b < s_i:
-                vals.append(b)
-                continue
-        if divisors is None:
-            divisors = mobius_divisors(qs)
-        vals.append(tally_diff_fast(j, n, divisors, s_j, table))
-    vals.append(s_i)
+    if i > 2:
+        divisors = mobius_divisors(qs)  # shared by the classes
+        vals += [tally_diff_fast(j, n, divisors, sizes[j], table) for j in range(2, i)]
+    vals.append(sizes[i])
     return vals
 
 
@@ -324,7 +363,7 @@ def verify_single(n: int, table: PrimeTable,
     i = len(vals) - 1
     deltas = {j: vals[j] for j in range(1, i + 1)}
     return VerifyRecord(n=n, spf_index=i, deltas=deltas,
-                        chosen_j=_argmax_min_index(vals), expected_j=i)
+                        chosen_j=vals.index(max(vals)), expected_j=i)
 
 
 def verify_table_limit(stop: int) -> int:

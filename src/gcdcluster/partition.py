@@ -17,8 +17,7 @@ single-owner.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -50,7 +49,6 @@ class Partition:
 
     n: int
     labels: np.ndarray
-    class_sizes: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 2:
@@ -58,35 +56,20 @@ class Partition:
         if len(self.labels) != self.n - 1:
             raise ValueError(
                 f"labels cover {len(self.labels)} integers, expected {self.n - 1}")
-        if not self.class_sizes:
-            self.class_sizes = _sizes_from_labels(self.labels)
+
+    @property
+    def class_sizes(self) -> dict[int, int]:
+        """Size of each nonempty class, counted from the labels on each read."""
+        ids, counts = np.unique(self.labels, return_counts=True)
+        return {int(c): int(k) for c, k in zip(ids, counts)}
 
     def label(self, m: int) -> int:
         if m < 2 or m > self.n:
             raise ValueError(f"{m} outside [2, {self.n}]")
         return int(self.labels[m - 2])
 
-    def move(self, m: int, new_class: int) -> None:
-        """Relabel m, keeping class sizes consistent; empty classes drop out."""
-        old = self.label(m)
-        if old == new_class:
-            return
-        self.labels[m - 2] = new_class
-        self.class_sizes[old] -= 1
-        if self.class_sizes[old] == 0:
-            del self.class_sizes[old]
-        self.class_sizes[new_class] = self.class_sizes.get(new_class, 0) + 1
-
     def members(self, class_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == class_id) + 2
-
-    def copy(self) -> "Partition":
-        return Partition(self.n, self.labels.copy(), dict(self.class_sizes))
-
-
-def _sizes_from_labels(labels: np.ndarray) -> dict[int, int]:
-    ids, counts = np.unique(labels, return_counts=True)
-    return {int(c): int(k) for c, k in zip(ids, counts)}
 
 
 def canonical_partition(n: int, table: PrimeTable) -> Partition:
@@ -114,7 +97,7 @@ def exceptional_partition(n: int, table: PrimeTable) -> Partition:
     if n % 2 == 0 or n % 3 != 0:
         raise ValueError(f"need odd n divisible by 3, got {n}")
     part = canonical_partition(n, table)
-    part.move(n, 1)
+    part.labels[n - 2] = 1
     return part
 
 
@@ -142,12 +125,14 @@ def count_conflicts(p: Partition, guard: int = DEFAULT_CONFLICT_GUARD) -> int:
 
 
 def partition_to_csv(p: Partition) -> str:
-    """CSV serialization: header then one "integer,class" row per integer."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for m in range(2, p.n + 1):
-        buf.write(f"{m},{int(p.labels[m - 2])}\n")
-    return buf.getvalue()
+    """CSV serialization: header then one "integer,class" row per integer,
+    joined a block at a time so that one block's row strings are alive."""
+    blocks = [CSV_HEADER + "\n"]
+    for k in range(0, p.n - 1, 4096):
+        labels = p.labels[k : k + 4096].tolist()
+        rows = zip(range(k + 2, p.n + 1), labels)
+        blocks.append("".join([f"{m},{c}\n" for m, c in rows]))
+    return "".join(blocks)
 
 
 def read_partition_csv(fh) -> Partition:

@@ -78,11 +78,7 @@ def even_class_criterion(f: Factorization) -> bool:
     qs = f.distinct_primes
     if not qs or qs[0] != 3:
         raise ValueError(f"criterion needs smallest prime divisor 3, got {f.n}")
-    num = den = 1
-    for q in qs[1:]:
-        num *= q - 1
-        den *= q
-    return 2 * num < den
+    return 2 * prod(q - 1 for q in qs[1:]) < prod(qs[1:])
 
 
 def find_n0(search_bound: int, table: PrimeTable) -> int | None:
@@ -121,9 +117,7 @@ def n1_remark_candidate(table: PrimeTable) -> int:
     the last prime dropped (otherwise a smaller candidate would exist).
     """
     primes = [table.prime(k) for k in range(4, 15)]
-    value = 5
-    for q in primes:
-        value *= q
+    value = 5 * prod(primes)
     if not _beats_class3(primes):
         raise AssertionError("criterion unexpectedly fails for the full kernel")
     if _beats_class3(primes[:-1]):
@@ -133,24 +127,26 @@ def n1_remark_candidate(table: PrimeTable) -> int:
 
 def _beats_class3(qs) -> bool:
     """prod (1 - 1/q) < 13/24 over the given primes, exact."""
-    num = den = 1
-    for q in qs:
-        num *= q - 1
-        den *= q
-    return num * _EVEN_BEATS_CLASS3.denominator < den * _EVEN_BEATS_CLASS3.numerator
+    return (prod(q - 1 for q in qs) * _EVEN_BEATS_CLASS3.denominator
+            < prod(qs) * _EVEN_BEATS_CLASS3.numerator)
 
 
 def threshold_T(i: int, j: int, t: int, table: PrimeTable) -> Fraction:
-    """The per-integer margin density between class i and class j < i.
+    """The per-integer margin density between class i and class j < i, reduced."""
+    return Fraction(*_threshold_parts(i, j, t, table))
+
+
+def _threshold_parts(i: int, j: int, t: int, table: PrimeTable) -> tuple[int, int]:
+    """``threshold_T`` as a numerator and a positive denominator, unreduced:
 
     T = (1/p_i) prod_{l<i}(1 - 1/p_l)
       + (1/p_j) prod_{l<j}(1 - 1/p_l) * (2 prod_k(1 - 1/q_k) - 1)
 
     with q_1..q_t the t consecutive primes starting at p_i (that choice
     minimizes the product term, making the derived threshold safe for every
-    admissible divisor set).  Both terms are put over the primorial of
-    q_t in integers and reduced once: reducing i - 1 fractions one by one
-    costs a gcd of ever larger integers at every step.
+    admissible divisor set).  Both terms are put over the primorial of q_t
+    in integers; a reduction costs a gcd of integers of a million bits at
+    i = 78498, which ``n1_table`` does without.
     """
     if not i > j >= 1 or t < 1:
         raise ValueError(f"need i > j >= 1 and t >= 1, got (i={i}, j={j}, t={t})")
@@ -164,7 +160,7 @@ def threshold_T(i: int, j: int, t: int, table: PrimeTable) -> Fraction:
     num = _product([p - 1 for p in head]) * (
         _product([p - 1 for p in mid]) * _product(qs[1:])
         + (2 * num_q - den_q) * _product(mid[1:]))
-    return Fraction(num, _product(head) * _product(mid) * den_q)
+    return num, _product(head) * _product(mid) * den_q
 
 
 def _product(xs: list[int]) -> int:
@@ -183,17 +179,14 @@ def n1_table(i: int, j: int, t: int, table: PrimeTable) -> ThresholdRecord:
     primes starting at p_i: then every actual candidate already clears the
     threshold and the (i, t) family is certified wholesale.
     """
-    T = threshold_T(i, j, t, table)
-    if T <= 0:
+    num, den = _threshold_parts(i, j, t, table)  # T = num / den, den > 0
+    if num <= 0:
         raise DegenerateThresholdError(
             f"threshold density T <= 0 for (i={i}, j={j}, t={t}); no finite bound")
     error_budget = (1 << (t + j - 2)) + (1 << (i - 2))
-    n1 = error_budget * T.denominator // T.numerator
-    smallest_candidate = 1
-    for k in range(t):
-        smallest_candidate *= table.prime(i + k)
-    return ThresholdRecord(i=i, j=j, t=t, n1=int(n1),
-                           infeasible=n1 <= smallest_candidate)
+    n1 = error_budget * den // num
+    smallest_candidate = prod(table.prime(i + k) for k in range(t))
+    return ThresholdRecord(i=i, j=j, t=t, n1=n1, infeasible=n1 <= smallest_candidate)
 
 
 def table1_records(table: PrimeTable,
@@ -208,9 +201,7 @@ def table1_records(table: PrimeTable,
     for i in range(3, 21):
         t = 1
         while True:
-            smallest = 1
-            for k in range(t):
-                smallest *= table.prime(i + k)
+            smallest = prod(table.prime(i + k) for k in range(t))
             if smallest > horizon:
                 break
             rec = n1_table(i, i - 1, t, table)

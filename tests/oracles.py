@@ -7,19 +7,21 @@ set-based greedy steps.  Slow but unarguable.
 The subset-sum and wheel referees below them (``tally_exact``,
 ``size_S_exact``, ``tally_wheel_oracle``) are independently structured
 counting routes that still take a ``PrimeTable`` for the primes and, for the
-wheel, ``factorize`` for the probe's divisors; the package's own tallies are
-pinned against them and against the naive scans.  ``threshold_T_stepwise``
-builds the threshold density one reduced ``Fraction`` factor at a time.
+wheel, ``factorize`` for the probe's divisors.  The tally referees return a
+``ClassTally``, and the package's own tallies are pinned against them and
+against the naive scans.  ``threshold_T_stepwise`` builds the threshold
+density one reduced ``Fraction`` factor at a time.
 """
 
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 
-from gcdcluster import (BudgetExceededError, ClassTally, PrimeTable,
-                        UnsupportedCaseError, factorize, tally_even_class)
+from gcdcluster import (BudgetExceededError, PrimeTable, UnsupportedCaseError,
+                        factorize, totient)
 
 # Refusal thresholds for the literal subset-sum routes.  2**22 terms is a few
 # seconds of work.
@@ -32,6 +34,24 @@ _WHEEL_RESIDUES = np.array(
 
 # An alternating floor sum together with the number of floor terms used.
 SieveTermSum = namedtuple("SieveTermSum", "value terms")
+
+
+@dataclass(frozen=True)
+class ClassTally:
+    """Exact (friends, enemies) of probe n inside canonical class j."""
+
+    j: int
+    n: int
+    friends: int
+    enemies: int
+
+    @property
+    def diff(self) -> int:
+        return self.friends - self.enemies
+
+    @property
+    def total(self) -> int:
+        return self.friends + self.enemies
 
 
 def naive_spf(n: int) -> int:
@@ -187,8 +207,8 @@ def tally_exact(j: int, n: int, f, table: PrimeTable,
                 max_terms: int = DEFAULT_MAX_TERMS) -> ClassTally:
     """Exact tally of class j against probe n by double inclusion-exclusion.
 
-    Valid for j == 1 (delegates to the totient shortcut) or for j >= 2 with
-    p_j smaller than every prime divisor of n and n odd.  The double subset
+    Needs odd n.  Valid for j == 1 (the totient shortcut) or for j >= 2 with
+    p_j smaller than every prime divisor of n.  The double subset
     walk runs over nonempty subsets of n's prime divisors crossed with subsets
     of the first j-1 primes; refused if that exceeds ``max_terms``.
     """
@@ -196,10 +216,11 @@ def tally_exact(j: int, n: int, f, table: PrimeTable,
         raise ValueError(f"factorization is for {f.n}, not {n}")
     if j < 1:
         raise ValueError(f"need class index >= 1, got {j}")
-    if j == 1:
-        return tally_even_class(n, f)
     if n % 2 == 0:
         raise UnsupportedCaseError(f"class {j} tally needs odd n, got {n}")
+    if j == 1:  # the even coprime residues are half the totient
+        enemies = totient(f) // 2
+        return ClassTally(1, n, (n - 1) // 2 - enemies, enemies)
     p_j = table.prime(j)
     qs = f.distinct_primes
     if p_j >= qs[0]:

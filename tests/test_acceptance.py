@@ -26,14 +26,13 @@ from gcdcluster import (
     run_accelerated,
     run_reference,
     table1_records,
-    tally_even_class,
     three_factor_candidates,
     totient,
     verify_range,
     verify_single,
     prime_count_inequality,
 )
-from gcdcluster.counts import mobius_divisors, tally_diff_fast
+from gcdcluster.counts import mobius_divisors, tally_diff_fast, tally_even_class
 from gcdcluster.partition import Partition
 from oracles import naive_all_tallies, tally_exact, tally_wheel_oracle
 from test_thresholds import PUBLISHED_CENSUS, PUBLISHED_TABLE
@@ -107,7 +106,7 @@ def test_criterion_04_conflict_improvement_at_first_irregular(table):
     vals = class_scores(n, f, table)
     # class 2 below n: the odd multiples of 3, all friends of n
     assert vals[2] == class_size(2, n - 1, table) == (n - 3) // 6
-    assert vals[1] == tally_even_class(n, f).diff
+    assert vals[1] == tally_exact(1, n, f, table).diff
     # moving n from class 2 to class 1: delta = score 2 - score 1
     delta = vals[2] - vals[1]
     expected = (n - 3) // 6 - ((n - 1) // 2 - totient(f))
@@ -215,10 +214,13 @@ def test_criterion_07c_tally_estimate_bound_random(table):
 
 def test_criterion_07d_even_class_exact_exhaustive(table):
     for n in range(3, 10_001, 2):
-        t = tally_even_class(n, factorize(n, table))
+        f = factorize(n, table)
         evens = np.arange(2, n, 2)
         friends = int(np.count_nonzero(np.gcd(evens, n) > 1))
-        assert (t.friends, t.enemies) == (friends, len(evens) - friends), n
+        want = (friends, len(evens) - friends)
+        assert tally_even_class(n, f) == want, n
+        if f.distinct_primes[0] != n:  # class 1's score, as the greedy reads it
+            assert class_scores(n, f, table)[1] == want[0] - want[1], n
     _ok("7d", "even-class tally exact for every odd n <= 1e4")
 
 
@@ -270,8 +272,8 @@ def test_criterion_08b_move_delta_equals_brute_force(table):
                 friends = int(np.count_nonzero(np.gcd(members, n) > 1))
                 diffs[cid] = 2 * friends - len(members)
             for to in targets:
-                moved = part.copy()
-                moved.move(n, to)
+                moved = Partition(part.n, part.labels.copy())
+                moved.labels[n - 2] = to
                 # a fresh class scores 0
                 assert diffs[frm] - diffs.get(to, 0) \
                     == count_conflicts(moved) - base, (n_max, n, to)

@@ -164,7 +164,7 @@ def test_verify_small_chunks_match_one_chunk(capsys, monkeypatch, start, stop, c
     argv = ["verify", "--from", str(start), "--to", str(stop)]
     code1, out1, _ = run_cli(capsys, *argv)
     assert code1 == code
-    monkeypatch.setattr(cli, "VERIFY_CHUNK", 97)
+    monkeypatch.setattr(greedy, "SPAN", 97)
     chunks = -(-(stop - start + 1) // 97)
     for workers in ("1", "2"):
         code2, out2, err = run_cli(capsys, *argv, "--workers", workers)
@@ -174,6 +174,35 @@ def test_verify_small_chunks_match_one_chunk(capsys, monkeypatch, start, stop, c
         assert progress[-1].startswith(f"verify: at n={stop}, ")
     summary = json.loads(out1.splitlines()[-1])["summary"]
     assert summary["anomalies"] == ([[FIRST_IRREGULAR, 2, 1]] if code else [])
+
+
+def test_map_ahead_keeps_k_plus_1_spans_in_flight():
+    # a finished span waits in the parent until it is written; with K workers
+    # at most K + 1 spans are submitted and not yet taken
+    class Future:
+        def __init__(self, pool, value):
+            self.pool, self.value = pool, value
+
+        def result(self):
+            self.pool.in_flight -= 1
+            return self.value
+
+    class Pool:
+        in_flight = peak = 0
+
+        def submit(self, fn, item):
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            return Future(self, fn(item))
+
+    for workers, items in ((1, 10), (2, 7), (3, 2), (2, 0)):
+        pool = Pool()
+        taken = []
+        for value in cli._map_ahead(pool, lambda x: x * x, range(items), workers + 1):
+            taken.append(value)
+            assert pool.in_flight <= workers  # plus the one being written
+        assert taken == [x * x for x in range(items)]
+        assert pool.peak == min(workers + 1, items) and pool.in_flight == 0
 
 
 @pytest.mark.parametrize("workers", ["0", "-1", "3", "100000"])

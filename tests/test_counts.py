@@ -22,9 +22,8 @@ from gcdcluster import (
     coprime_count,
     factorize,
     floor_identity_lhs_rhs,
-    tally_even_class,
 )
-from gcdcluster.counts import mobius_divisors
+from gcdcluster.counts import mobius_divisors, tally_even_class
 from oracles import (_friends_termsum, _size_S_termsum, naive_spf, naive_tally,
                      size_S_exact, tally_exact, tally_wheel_oracle)
 
@@ -136,27 +135,37 @@ def test_floor_identity_property(data):
 
 # ------------------------------------------------------------------- tallies
 
+def _even_class_tally(n: int, table) -> tuple[int, int]:
+    """(friends, enemies) of odd composite n in class 1, from class_scores:
+    the class holds the (n - 1) // 2 evens below n."""
+    d = class_scores(n, factorize(n, table), table)[1]
+    s = (n - 1) // 2
+    assert (s + d) % 2 == 0, n
+    return (s + d) // 2, (s - d) // 2
+
+
 def test_even_class_examples(table):
-    t15 = tally_even_class(15, factorize(15, table))
-    assert (t15.friends, t15.enemies) == (3, 4)  # friends {6,10,12}, enemies {2,4,8,14}
-    t9 = tally_even_class(9, factorize(9, table))
-    assert (t9.friends, t9.enemies) == (1, 3)
+    # friends {6,10,12}, enemies {2,4,8,14}
+    assert _even_class_tally(15, table) == (3, 4)
+    assert _even_class_tally(9, table) == (1, 3)
 
 
 def test_even_class_at_first_irregular(table):
-    t = tally_even_class(FIRST_IRREGULAR, factorize(FIRST_IRREGULAR, table))
-    assert t.enemies == 36495360 // 2 == 18247680
+    friends, enemies = _even_class_tally(FIRST_IRREGULAR, table)
+    assert enemies == 36495360 // 2 == 18247680
     # friends = (n-1)/2 - phi/2, frozen from the formula itself
-    assert t.friends == (FIRST_IRREGULAR - 1) // 2 - 18247680 == 37525537
-    assert t.diff == (FIRST_IRREGULAR - 1) // 2 - 36495360 == 19277857
+    assert friends == (FIRST_IRREGULAR - 1) // 2 - 18247680 == 37525537
+    assert friends - enemies == (FIRST_IRREGULAR - 1) // 2 - 36495360 == 19277857
 
 
 def test_even_class_matches_scan(table):
     for n in range(3, 2001, 2):
-        t = tally_even_class(n, factorize(n, table))
         evens = np.arange(2, n, 2)
         friends = int(np.count_nonzero(np.gcd(evens, n) > 1))
-        assert (t.friends, t.enemies) == (friends, len(evens) - friends), n
+        want = (friends, len(evens) - friends)
+        assert tally_even_class(n, factorize(n, table)) == want, n
+        if naive_spf(n) != n:
+            assert _even_class_tally(n, table) == want, n
 
 
 def test_even_class_rejects_even(table):
@@ -229,7 +238,7 @@ def test_tally_invariant_friends_plus_enemies(table):
         # each score d of a class of size s splits into friends (s + d) / 2
         # and enemies (s - d) / 2, both whole and non-negative
         scores = class_scores(n, f, table)
-        assert tally_even_class(n, f).total == class_size(1, n - 1, table)
+        assert sum(tally_even_class(n, f)) == class_size(1, n - 1, table)
         for j in range(1, len(scores) - 1):
             s_j = class_size(j, n - 1, table)
             assert abs(scores[j]) <= s_j and (s_j - scores[j]) % 2 == 0, (n, j)

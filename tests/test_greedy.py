@@ -3,14 +3,13 @@
 import io
 import json
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
 from gcdcluster import (
-    ClassTally,
     OutOfRangeError,
     ResourceGuardError,
     canonical_partition,
@@ -24,8 +23,8 @@ from gcdcluster import (
     verify_single,
 )
 from gcdcluster import greedy
-from gcdcluster.greedy import VerifyRecord, _argmax_min_index, _scan_step
-from oracles import naive_greedy
+from gcdcluster.greedy import VerifyRecord, _scan_step
+from oracles import ClassTally, naive_greedy
 
 FIRST_IRREGULAR = 111546435
 
@@ -179,36 +178,58 @@ def test_accelerated_refuses_n_beyond_table(small_table):
 
 
 def class_1_wins_at(m0: int, monkeypatch) -> None:
-    """Make greedy.class_scores rank class 1 first at odd m0 = 3 * 5 * 7 * k:
-    class 1's exact score there is positive, and class 2's is lowered below
-    it (no class scores between them)."""
+    """Make class 1 win at odd m0 = 3 * 5 * 7 * k: the span engine leaves m0
+    to the exact kernel, and greedy.class_scores lowers class 2 there below
+    class 1's exact score, which is positive (no class scores between them)."""
     scores = greedy.class_scores
+    span_init = greedy._Span.__init__
 
-    def doctored(n, f, table, sizes=None, bound=False):
-        vals = scores(n, f, table, sizes, bound)
+    def doctored(n, f, table, sizes=None):
+        vals = scores(n, f, table, sizes)
         if n == m0:
             assert len(vals) == 3 and vals[1] > 0
             vals[2] = vals[1] - 1
         return vals
 
+    def leave_open(span, *args):
+        span_init(span, *args)
+        at = span.m == m0
+        span.d1[at] = span.s_i[at]  # class 1 is no longer ruled out
+
     monkeypatch.setattr(greedy, "class_scores", doctored)
+    monkeypatch.setattr(greedy._Span, "__init__", leave_open)
 
 
 def test_accelerated_stops_verifying_after_an_anomaly(table, monkeypatch):
     class_1_wins_at(105, monkeypatch)
     n = 300
-    st = run_accelerated(n, table)
-    assert st.anomalies == [(105, 2, 1)]
-    assert st.unverified == list(range(106, n + 1))
-    canon = canonical_partition(n, table)
-    assert st.partition.label(105) == 1 and canon.label(105) == 2
-    assert np.array_equal(st.partition.labels[:103], canon.labels[:103])
-    assert np.array_equal(st.partition.labels[104:], canon.labels[104:])
-    # conflicts count every step up to the anomaly and none after it
-    at_105 = run_accelerated(105, table)
-    assert at_105.anomalies == [(105, 2, 1)] and at_105.unverified == []
-    assert at_105.conflicts == count_conflicts(at_105.partition)
-    assert st.conflicts == at_105.conflicts
+    for span in (greedy.SPAN, 40):  # one span; then the anomaly in the third of 8
+        monkeypatch.setattr(greedy, "SPAN", span)
+        st = run_accelerated(n, table)
+        assert st.anomalies == [(105, 2, 1)]
+        assert st.unverified == list(range(106, n + 1))
+        canon = canonical_partition(n, table)
+        assert st.partition.label(105) == 1 and canon.label(105) == 2
+        assert np.array_equal(st.partition.labels[:103], canon.labels[:103])
+        assert np.array_equal(st.partition.labels[104:], canon.labels[104:])
+        # conflicts count every step up to the anomaly and none after it
+        at_105 = run_accelerated(105, table)
+        assert at_105.anomalies == [(105, 2, 1)] and at_105.unverified == []
+        assert at_105.conflicts == count_conflicts(at_105.partition)
+        assert st.conflicts == at_105.conflicts
+
+
+@pytest.mark.parametrize("span", [1, 2, 97, 1000])
+def test_accelerated_spans_match_reference(table, monkeypatch, span):
+    # class sizes carried across span ends, spans starting odd and even,
+    # and spans holding no odd integer at all
+    monkeypatch.setattr(greedy, "SPAN", span)
+    n = 5000 if span > 2 else 300
+    acc = run_accelerated(n, table)
+    ref = run_reference(n)
+    assert np.array_equal(acc.partition.labels, ref.partition.labels)
+    assert acc.conflicts == ref.conflicts
+    assert acc.anomalies == [] and acc.unverified == []
 
 
 # ------------------------------------------------------------- verify_single
@@ -323,23 +344,37 @@ def test_window_sizes_match_standalone_near_1e8(table, start, width):
     _check_window_sizes(start, start + width - 1, table)
 
 
-# ------------------------------------------------- the bound in class_scores
+# ------------------------------------------------ the span engine's bound
 
-def _check_bounded_scores(n: int, table) -> None:
-    """class_scores with the greedy's bound against the exact list for odd n."""
+def _engine_scores(a: int, b: int, table, top: int) -> dict[int, list[int]]:
+    """What the span engine checks for each odd composite m of [a, b] against
+    the canonical clustering: [0, delta_1, its bound on delta_j for
+    2 <= j < i, s_i].  ``top`` exceeds every class i of the span."""
+    sizes = np.array([0, 0] + [class_size(c, a - 1, table) for c in range(2, top)])
+    span = greedy._Span(a, b, table, sizes, np.empty(b - a + 1, dtype=np.int64))
+    scores = {m: [0, d1] + [None] * (i - 2) + [s_i] for m, i, d1, s_i in
+              zip(span.m.tolist(), span.i.tolist(), span.d1.tolist(), span.s_i.tolist())}
+    for j, bound in span.bounds(table):
+        for m, b_j in zip(span.m.tolist(), bound.tolist()):
+            scores[m][j] = b_j
+    return scores
+
+
+def _check_bounded_scores(n: int, table, engine=None) -> None:
+    """The engine's scores for odd n (from ``engine``, or from the one-integer
+    span [n, n]) against the exact list: an upper bound for every class
+    2 <= j < i, and exact for the fresh class, class 1 and class i."""
     f = factorize(n, table)
     if f.distinct_primes[0] == n:
         return
     exact = class_scores(n, f, table)
     i = len(exact) - 1
     sizes = [0] + [class_size(c, n - 1, table) for c in range(1, i + 1)]
-    assert class_scores(n, f, table, list(sizes)) == exact, n
-    bounded = class_scores(n, f, table, sizes, bound=True)
+    assert class_scores(n, f, table, sizes) == exact, n
+    bounded = (engine or _engine_scores(n, n, table, i + 1))[n]
     assert len(bounded) == len(exact), n
     assert all(b >= e for b, e in zip(bounded, exact)), n
     assert [bounded[k] for k in (0, 1, i)] == [exact[k] for k in (0, 1, i)], n
-    assert _argmax_min_index(bounded) == _argmax_min_index(exact), n
-    assert all(b < exact[i] for b, e in zip(bounded, exact) if b != e), n
 
 
 def _hard_region_sample(count: int, seed: int) -> list[int]:
@@ -354,8 +389,9 @@ def _hard_region_sample(count: int, seed: int) -> list[int]:
 
 
 def test_class_score_bound_sound(table):
+    engine = _engine_scores(2, 20_000, table, table.pi(isqrt(20_000)) + 1)
     for n in range(9, 20_001, 2):
-        _check_bounded_scores(n, table)
+        _check_bounded_scores(n, table, engine)
     for n in _hard_region_sample(200, seed=4):
         _check_bounded_scores(n, table)
     _check_bounded_scores(FIRST_IRREGULAR, table)
@@ -369,7 +405,7 @@ def test_class_score_bound_sound_property(table, k):
 
 def test_accelerated_settles_classes_by_bound(table, monkeypatch):
     n = 20_000
-    calls = {"tally_diff_fast": 0, "class_size": 0}
+    calls = {"tally_diff_fast": 0, "class_size": 0, "factorize": 0}
 
     def counting(name):
         inner = getattr(greedy, name)
@@ -385,7 +421,7 @@ def test_accelerated_settles_classes_by_bound(table, monkeypatch):
     # one check per odd composite m and class 2 <= j < i(m)
     checks = sum(max(table.prime_index(table.smallest_prime_factor(m)) - 2, 0)
                  for m in range(9, n + 1, 2) if not table.is_prime(m))
-    assert calls["class_size"] == 0
+    assert calls["class_size"] == calls["factorize"] == 0
     assert calls["tally_diff_fast"] < checks / 100
     ref = run_reference(n)
     assert np.array_equal(ref.partition.labels, acc.partition.labels)

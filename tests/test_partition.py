@@ -18,10 +18,9 @@ from gcdcluster import (
     partition_to_csv,
     read_partition_csv,
     similar,
-    tally_even_class,
 )
 from gcdcluster.partition import Partition
-from oracles import naive_conflicts, naive_spf
+from oracles import naive_conflicts, naive_spf, tally_exact
 
 FIRST_IRREGULAR = 111546435
 
@@ -171,8 +170,8 @@ def _scan_diffs(part: Partition, n: int) -> dict[int, int]:
 
 def _moved_delta(part: Partition, n: int, to: int) -> int:
     """Brute-force change in conflicts when n moves to class ``to``."""
-    moved = part.copy()
-    moved.move(n, to)
+    moved = Partition(part.n, part.labels.copy())
+    moved.labels[n - 2] = to
     return count_conflicts(moved) - count_conflicts(part)
 
 
@@ -191,7 +190,7 @@ def test_delta_at_first_irregular(table):
     f = factorize(n, table)
     vals = class_scores(n, f, table)
     s2 = (n - 3) // 6  # odd multiples of 3 below n, all friends
-    assert vals[1:] == [tally_even_class(n, f).diff, s2]
+    assert vals[1:] == [tally_exact(1, n, f, table).diff, s2]
     delta = vals[2] - vals[1]
     assert delta == -686785
     assert delta < 0

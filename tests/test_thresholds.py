@@ -157,6 +157,16 @@ def test_threshold_density_matches_stepwise_product(table, i, j, t):
     assert threshold_T(i, j, t, table) == threshold_T_stepwise(i, j, t, table)
 
 
+def test_n1_unreduced_equals_floor_of_reduced_density(table):
+    # n1_table divides by T unreduced; the floor is that of the reduced fraction
+    cells = [(r.i, r.j, r.t) for r in table1_records(table)]
+    cells.append((table.prime_index(999983), table.prime_index(999983) - 1, 3))
+    for i, j, t in cells:
+        T = threshold_T(i, j, t, table)
+        budget = (1 << (t + j - 2)) + (1 << (i - 2))
+        assert n1_table(i, j, t, table).n1 == budget * T.denominator // T.numerator
+
+
 def test_degenerate_threshold(table):
     with pytest.raises(DegenerateThresholdError):
         n1_table(3, 1, 20, table)
