@@ -8,7 +8,7 @@ answers conflict-count and move-delta queries.
 
 stdout carries only machine-readable output; progress goes to stderr.  Exit
 codes: 0 success (all checks pass), 1 a verification anomaly was found, 2 a
-resource guard refused the work, 64 usage error.
+resource guard refused the work or memory ran out, 64 usage error.
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import greedy as greedy_mod
 from . import thresholds
 from .errors import OutOfRangeError, ResourceGuardError
-from .partition import count_conflicts, canonical_partition, partition_to_csv
+from .partition import (DEFAULT_CONFLICT_GUARD, canonical_partition, check_conflict_guard,
+                        count_conflicts, partition_to_csv)
 from .primes import DEFAULT_SPF_LIMIT, PrimeTable, build_prime_table, factorize
 
 EXIT_OK = 0
@@ -97,6 +100,16 @@ def _open_out(path: str | None):
     return open(path, "w"), True
 
 
+def _classes_json(labels: np.ndarray) -> dict[str, list[int]]:
+    """Each class's integers in increasing order, keyed by class id as text,
+    in increasing id; ``labels[k]`` is the class of k + 2."""
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    ids = labels[order[np.r_[0, cuts]]].tolist()
+    order += 2
+    return {str(c): ms.tolist() for c, ms in zip(ids, np.split(order, cuts))}
+
+
 def cmd_greedy(args) -> int:
     if args.n < 2:
         print("greedy: --n must be at least 2", file=sys.stderr)
@@ -112,15 +125,12 @@ def cmd_greedy(args) -> int:
         if args.fmt == "csv":
             fh.write(partition_to_csv(state.partition))
         else:
-            classes: dict[int, list[int]] = {}
-            for m in range(2, state.partition.n + 1):
-                classes.setdefault(state.partition.label(m), []).append(m)
             fh.write(json.dumps({
                 "n": state.partition.n,
                 "mode": state.mode,
                 "conflicts": state.conflicts,
                 "anomalies": [list(a) for a in state.anomalies],
-                "classes": {str(c): ms for c, ms in sorted(classes.items())},
+                "classes": _classes_json(state.partition.labels),
             }) + "\n")
     finally:
         if close:
@@ -270,10 +280,10 @@ def cmd_conflicts(args) -> int:
         print("conflicts: --n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
     if args.to_class is None:
+        guard = args.guard if args.guard is not None else DEFAULT_CONFLICT_GUARD
+        check_conflict_guard(n, guard)  # before the table and the partition
         table = build_prime_table(max(n, 1000))
-        part = canonical_partition(n, table)
-        guard = args.guard if args.guard is not None else 100_000
-        total = count_conflicts(part, guard=guard)
+        total = count_conflicts(canonical_partition(n, table), guard=guard)
         sys.stdout.write(json.dumps({"n": n, "clustering": "canonical",
                                      "conflicts": total}) + "\n")
         return EXIT_OK
@@ -302,6 +312,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ResourceGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
+    except MemoryError as exc:
+        print(f"refused: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except OutOfRangeError as exc:  # a query beyond what its table covers
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -46,6 +46,18 @@ def test_greedy_json(capsys):
     assert doc["anomalies"] == []
 
 
+def test_greedy_json_classes_in_label_order(capsys, table):
+    code, out, _ = run_cli(capsys, "greedy", "--n", "3000", "--format", "json")
+    assert code == 0
+    part = greedy.run_accelerated(3000, table).partition
+    classes = {}
+    for m in range(2, 3001):
+        classes.setdefault(part.label(m), []).append(m)
+    got = json.loads(out)["classes"]
+    assert got == {str(c): ms for c, ms in classes.items()}
+    assert list(got) == [str(c) for c in sorted(classes)]  # in increasing class id
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_greedy_anomaly_exit_1(capsys, monkeypatch, fmt):
     class_1_wins_at(105, monkeypatch)
@@ -221,6 +233,12 @@ def test_verify_workers_out_of_range_exit_64(capsys, monkeypatch, workers):
     assert limits == []  # refused before any sieve
 
 
+def test_verify_golden_window_straddling_1e7(capsys, data_dir):
+    code, out, _ = run_cli(capsys, "verify", "--from", "9999901", "--to", "10000100")
+    assert code == 0
+    assert out == (data_dir / "verify_9999901_10000100.jsonl").read_text()
+
+
 def test_verify_golden_window_above_1e8(capsys, data_dir):
     code, out, _ = run_cli(capsys, "verify", "--from", "111546400", "--to", "111546500")
     assert code == 1
@@ -324,6 +342,28 @@ def test_conflicts_count(capsys):
 def test_conflicts_guard_exit_2(capsys):
     code, _, err = run_cli(capsys, "conflicts", "--n", "200000")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("--n", "100001"), ("--n", "501", "--guard", "500")])
+def test_conflicts_guard_refuses_before_table(capsys, monkeypatch, argv):
+    limits = record_table_limits(monkeypatch)
+    code, out, err = run_cli(capsys, "conflicts", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("refused: O(n^2) conflict count")
+    assert limits == []
+
+
+@pytest.mark.parametrize("argv", [("verify", "--from", "2", "--to", "100"),
+                                  ("greedy", "--n", "100")])
+def test_memory_error_exit_2(capsys, monkeypatch, argv):
+    def no_memory(limit):
+        raise MemoryError("Unable to allocate the table")
+
+    monkeypatch.setattr(cli, "build_prime_table", no_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"refused: {argv[0]} ran out of memory: Unable to allocate the table\n"
 
 
 def test_conflicts_move_delta_at_scale(capsys):

@@ -23,7 +23,8 @@ from gcdcluster import (
     verify_single,
 )
 from gcdcluster import greedy
-from gcdcluster.greedy import VerifyRecord, _scan_step
+from gcdcluster.greedy import VerifyRecord, _scan_step, _sieve_span
+from gcdcluster.primes import totient
 from oracles import ClassTally, naive_greedy
 
 FIRST_IRREGULAR = 111546435
@@ -316,6 +317,23 @@ def test_verify_range_clears_memo_per_call(table, monkeypatch):
         verify_range(a, a + 1_999, table)
         assert len(table._phi_cache) > 0
         assert first_seen[a] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(anchor=strategies.sampled_from([2, 10 ** 7, FIRST_IRREGULAR])
+       | strategies.integers(2, 2 * 10 ** 8),
+       width=strategies.integers(1, 3_000), offset=strategies.integers(0, 2_999))
+@example(anchor=2, width=3_000, offset=0)
+@example(anchor=10 ** 7, width=2_000, offset=1_000)  # straddles 10^7
+@example(anchor=FIRST_IRREGULAR, width=2_000, offset=1_000)
+def test_sieve_span_matches_factorize(table, anchor, width, offset):
+    # the window [a, b] holds anchor
+    a = max(2, anchor - offset % width)
+    b = a + width - 1
+    phi, qs, used = _sieve_span(a, b, table.primes[: table.pi(isqrt(b))])
+    assert phi.tolist() == [totient(factorize(m, table)) for m in range(a, b + 1)]
+    for m, row, count in zip(range(a | 1, b + 1, 2), qs.tolist(), used.tolist()):
+        assert (tuple(row[:count]) or (m,)) == factorize(m, table).distinct_primes, m
 
 
 def _check_window_sizes(start: int, stop: int, table) -> None:
