@@ -100,14 +100,16 @@ def _open_out(path: str | None):
     return open(path, "w"), True
 
 
-def _classes_json(labels: np.ndarray) -> dict[str, list[int]]:
-    """Each class's integers in increasing order, keyed by class id as text,
-    in increasing id; ``labels[k]`` is the class of k + 2."""
+def _write_classes_json(fh, labels: np.ndarray) -> None:
+    """Write, one class at a time, the JSON object mapping each class id (text,
+    increasing) to its integers (increasing); ``labels[k]`` is k + 2's class."""
     order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    ids = labels[order[np.r_[0, cuts]]].tolist()
+    bounds = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1, len(order)].tolist()
+    ids = labels[order[bounds[:-1]]].tolist()
     order += 2
-    return {str(c): ms.tolist() for c, ms in zip(ids, np.split(order, cuts))}
+    for c, lo, hi in zip(ids, bounds, bounds[1:]):
+        fh.write(f'{", " if lo else "{"}"{c}": {json.dumps(order[lo:hi].tolist())}')
+    fh.write("}")
 
 
 def cmd_greedy(args) -> int:
@@ -130,8 +132,9 @@ def cmd_greedy(args) -> int:
                 "mode": state.mode,
                 "conflicts": state.conflicts,
                 "anomalies": [list(a) for a in state.anomalies],
-                "classes": _classes_json(state.partition.labels),
-            }) + "\n")
+            })[:-1] + ', "classes": ')  # the object stays open for the classes
+            _write_classes_json(fh, state.partition.labels)
+            fh.write("}\n")
     finally:
         if close:
             fh.close()

@@ -48,7 +48,7 @@ def coprime_count(y: int, r: int, table: PrimeTable) -> int:
     phi(y, r) = phi(y, r-1) - phi(y // p_r, r-1), truncated to a prime-count
     lookup once p_{r+1}**2 exceeds y.  Memoized per table.
     """
-    primes = table._primes_list
+    primes = table._primes_view
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     if r > 4 and r >= len(primes):
@@ -56,7 +56,7 @@ def coprime_count(y: int, r: int, table: PrimeTable) -> int:
     return _phi(y, r, primes, table, table._phi_cache)
 
 
-def _phi(y: int, r: int, primes: list, table: PrimeTable, memo: dict) -> int:
+def _phi(y: int, r: int, primes: memoryview, table: PrimeTable, memo: dict) -> int:
     if y <= 0:
         return 0
     if r == 0:
@@ -145,7 +145,7 @@ def tally_diff_fast(j: int, n: int, divisors, s_j: int, table: PrimeTable) -> in
     coprime to n: the sum of mu(d) * phi(x // d, j-1), whose d = 1 term is
     s_j itself.
     """
-    primes = table._primes_list
+    primes = table._primes_view
     x = (n - 1) // primes[j - 1]
     r = j - 1
     memo = table._phi_cache

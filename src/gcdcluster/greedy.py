@@ -31,7 +31,7 @@ from .counts import _WHEELS, class_size, mobius_divisors, tally_diff_fast
 from .counts import tally_even_class  # noqa: F401  (perfbench/probe.py wraps it)
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import Partition
-from .primes import Factorization, PrimeTable, _sieve_spf, factorize, totient
+from .primes import Factorization, PrimeTable, factorize, totient
 
 DEFAULT_REFERENCE_GUARD = 100_000
 SPAN = 200_000  # integers per span of ``run_accelerated`` and per CLI ``verify`` call
@@ -128,16 +128,6 @@ def _scan_step(lab: np.ndarray, friend: np.ndarray,
     return chosen, added, b_total
 
 
-def _distinct_primes_chase(m: int, spf: np.ndarray) -> list[int]:
-    out = []
-    while m > 1:
-        q = int(spf[m])
-        out.append(q)
-        while m % q == 0:
-            m //= q
-    return out
-
-
 def run_reference(n: int, guard: int = DEFAULT_REFERENCE_GUARD) -> GreedyState:
     """Greedy run scored member by member over all previous integers.
 
@@ -150,14 +140,14 @@ def run_reference(n: int, guard: int = DEFAULT_REFERENCE_GUARD) -> GreedyState:
     if n > guard:
         raise ResourceGuardError(
             f"reference greedy at n={n} refused (guard {guard})")
-    spf = _sieve_spf(n)
+    table = PrimeTable(n)
     labels = np.zeros(n - 1, dtype=np.int64)
     labels[0] = 1
     mask = np.zeros(n - 1, dtype=bool)
     next_id = 1
     conflicts = 0
     for m in range(3, n + 1):
-        _fill_friend_mask(mask, m, _distinct_primes_chase(m, spf))
+        _fill_friend_mask(mask, m, factorize(m, table).distinct_primes)
         chosen, added, _ = _scan_step(labels[: m - 2], mask[: m - 2], next_id)
         if chosen == 0:
             next_id += 1
@@ -255,7 +245,7 @@ class _Span:
         neg_i = -self.i  # ascending
         for j in range(2, int(self.i[0]) if len(self.i) else 2):
             k = int(np.searchsorted(neg_i, -j))
-            x = (self.m[:k] - 1) // table._primes_list[j - 1]
+            x = (self.m[:k] - 1) // table._primes_view[j - 1]
             mod, tot, pref = _WHEEL_PREFIX[min(j - 1, 4)]
             w = np.zeros(k, dtype=np.int64)
             for q in self.qs[:k, : self.width[k - 1]].T:

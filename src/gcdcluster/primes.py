@@ -1,11 +1,12 @@
 """Prime infrastructure: sieve, factorization, totient, exact prime counting.
 
 Everything downstream leans on ``PrimeTable``: the ordered primes up to a
-limit, exact pi(x) lookups, and a smallest-prime-factor array for fast
-factorization, sieved on its first read so that a job which never reads it
-never pays for it.  Prime indices are 1-based throughout (prime 1 is 2,
-prime 2 is 3, ...), matching the class indexing used by the clustering
-modules.
+limit, held once as a numpy array, exact pi(x) lookups, and a
+smallest-prime-factor array for fast factorization, sieved on its first read
+so that a job which never reads it never pays for it; above it, trial
+division is one numpy remainder.  Prime indices are 1-based throughout
+(prime 1 is 2, prime 2 is 3, ...), matching the class indexing used by the
+clustering modules.
 
 A ``PrimeTable`` is safe to share between threads: its only later writes
 are that first sieve, which two racing readers both build the same, and the
@@ -41,8 +42,10 @@ class Factorization:
 class PrimeTable:
     """Ordered primes up to ``limit`` plus an SPF array for fast factorization.
 
-    ``primes`` is a sorted numpy int64 array.  ``prime(i)`` returns the i-th
-    prime, 1-based.  ``spf_limit`` bounds the smallest-prime-factor array,
+    ``primes`` is a sorted numpy int64 array, the only copy of the primes;
+    scalar reads go through ``_primes_view``, a zero-copy memoryview of it
+    that yields Python ints, so exact counting never wraps.  ``prime(i)``
+    returns the i-th prime, 1-based.  ``spf_limit`` bounds the SPF array,
     which ``spf()`` sieves on first read; factorization of larger integers
     falls back to trial division against the stored primes.  ``_phi_cache``
     is the memo of ``counts.coprime_count`` over this table; ``counts`` only
@@ -55,10 +58,8 @@ class PrimeTable:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
         self.limit = int(limit)
         self.primes = _sieve_primes(self.limit)
-        self._primes_list = self.primes.tolist()
-        if spf_limit is None:
-            spf_limit = min(self.limit, DEFAULT_SPF_LIMIT)
-        self.spf_limit = int(min(spf_limit, self.limit))
+        self._primes_view = memoryview(self.primes)
+        self.spf_limit = int(min(self.limit, DEFAULT_SPF_LIMIT if spf_limit is None else spf_limit))
         self._spf = None
         self._phi_cache: dict = {}
 
@@ -73,23 +74,19 @@ class PrimeTable:
 
     def prime(self, i: int) -> int:
         """The i-th prime, 1-based: prime(1) = 2, prime(2) = 3."""
-        if i < 1 or i > len(self._primes_list):
-            raise OutOfRangeError(f"prime index {i} outside table (1..{len(self._primes_list)})")
-        return self._primes_list[i - 1]
+        if i < 1 or i > len(self.primes):
+            raise OutOfRangeError(f"prime index {i} outside table (1..{len(self.primes)})")
+        return self._primes_view[i - 1]
 
     def prime_index(self, p: int) -> int:
         """1-based index of the prime p; raises if p is not a stored prime."""
-        pos = bisect_left(self._primes_list, p)
-        if pos >= len(self._primes_list) or self._primes_list[pos] != p:
+        pos = bisect_left(self._primes_view, p)
+        if pos >= len(self.primes) or self._primes_view[pos] != p:
             raise ValueError(f"{p} is not a prime <= {self.limit}")
         return pos + 1
 
     def is_prime(self, n: int) -> bool:
-        if n < 2:
-            return False
-        if n <= self.spf_limit:
-            return int(self.spf()[n]) == n
-        return self.pi(n) > self.pi(n - 1)
+        return n >= 2 and self.pi(n) > self.pi(n - 1)
 
     def pi(self, x: int) -> int:
         """Exact count of primes <= x."""
@@ -97,19 +94,17 @@ class PrimeTable:
             return 0
         if x > self.limit:
             raise OutOfRangeError(f"pi({x}) exceeds sieve limit {self.limit}")
-        return bisect_right(self._primes_list, x)
+        return bisect_right(self._primes_view, x)
 
     def smallest_prime_factor(self, n: int) -> int:
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         if n <= self.spf_limit:
             return int(self.spf()[n])
-        for p in self._primes_list:
-            if p * p > n:
-                return n
-            if n % p == 0:
-                return p
-        # survived every stored prime; conclusive only if they reach sqrt(n)
+        qs = _dividing_primes(n, self)
+        if qs:
+            return qs[0]
+        # no stored prime divides n; conclusive only if they reach sqrt(n)
         if isqrt(n) <= self.limit:
             return n
         raise OutOfRangeError(f"cannot factor {n} with primes up to {self.limit}")
@@ -124,12 +119,17 @@ def build_prime_table(limit: int, spf_limit: int | None = None) -> PrimeTable:
 
 
 def _sieve_primes(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for q in range(2, isqrt(limit) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    """The primes up to ``limit`` >= 2 as int64, sieving odd numbers only:
+    ``odd[k]`` stands for 2k + 1, and ``odd[0]`` stays set to stand for 2."""
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for q in range(3, isqrt(limit) + 1, 2):
+        if odd[q // 2]:
+            odd[q * q // 2 :: q] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def _sieve_spf(limit: int) -> np.ndarray:
@@ -167,24 +167,31 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
             factors.append((q, a))
             qs.append(q)
         return Factorization(n, tuple(factors), tuple(qs))
-    for q in table._primes_list:
-        if q * q > rem:
-            break
-        if rem % q == 0:
-            a = 0
-            while rem % q == 0:
-                rem //= q
-                a += 1
-            factors.append((q, a))
-            qs.append(q)
+    for q in _dividing_primes(n, table):
+        a = 0
+        while rem % q == 0:
+            rem //= q
+            a += 1
+        factors.append((q, a))
+        qs.append(q)
     if rem > 1:
-        # rem has no prime factor <= sqrt(rem) among the stored primes
+        # every prime factor of rem exceeds min(sqrt(n), limit), so rem is
+        # prime when the stored primes reach sqrt(rem)
         if isqrt(rem) > table.limit:
             raise OutOfRangeError(
                 f"cofactor {rem} of {n} not certifiable with primes up to {table.limit}")
         factors.append((rem, 1))
         qs.append(rem)
     return Factorization(n, tuple(factors), tuple(qs))
+
+
+def _dividing_primes(n: int, table: PrimeTable) -> list[int]:
+    """The stored primes up to sqrt(n) that divide n, ascending, as Python
+    ints: one numpy remainder over them."""
+    ps = table.primes[: table.pi(min(isqrt(n), table.limit))]
+    if n >= 2 ** 63:  # beyond int64, where numpy would raise OverflowError
+        ps = ps.astype(object)
+    return ps[n % ps == 0].tolist()
 
 
 def totient(f: Factorization) -> int:

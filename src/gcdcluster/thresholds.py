@@ -151,7 +151,7 @@ def _threshold_parts(i: int, j: int, t: int, table: PrimeTable) -> tuple[int, in
     if not i > j >= 1 or t < 1:
         raise ValueError(f"need i > j >= 1 and t >= 1, got (i={i}, j={j}, t={t})")
     table.prime(i + t - 1)  # raises if the table does not reach q_t
-    primes = table._primes_list
+    primes = table._primes_view
     head, mid, qs = primes[:j - 1], primes[j - 1:i - 1], primes[i - 1:i - 1 + t]
     num_q, den_q = _product([q - 1 for q in qs]), _product(qs)
     # over the product of the primes up to q_t, with [xs] = prod (p - 1):
@@ -249,7 +249,7 @@ def three_factor_candidates(p: int, bound: int, table: PrimeTable) -> list[int]:
     """
     _check_census_table(p, bound, table)
     out = []
-    primes = table._primes_list
+    primes = table._primes_view
     iq = bisect.bisect_right(primes, p)
     while iq + 1 < len(primes):
         q = primes[iq]
@@ -287,7 +287,7 @@ def census_three_factor(p: int, bound: int | None, table: PrimeTable,
 def _count_with_multiplicity(p: int, bound: int, table: PrimeTable) -> int:
     """Integers n < bound, spf = p, exactly three distinct primes >= p."""
     _check_census_table(p, bound, table)
-    primes = table._primes_list
+    primes = table._primes_view
     count = 0
     stack = []
     ip = bisect.bisect_left(primes, p)

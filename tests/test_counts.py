@@ -179,7 +179,7 @@ def test_tally_exact_examples(table):
     t = tally_exact(1, 15, factorize(15, table), table)
     assert (t.friends, t.enemies) == (3, 4)
     t = tally_exact(3, 539, factorize(539, table), table)
-    assert (t.friends, t.enemies) == naive_tally(3, 539, table._primes_list)
+    assert (t.friends, t.enemies) == naive_tally(3, 539, table.primes.tolist())
 
 
 def test_tally_exact_unsupported_cases(table):
@@ -199,7 +199,7 @@ def test_tally_exact_budget(table):
 
 def test_three_routes_agree_sampled(table):
     rng = random.Random(2024)
-    primes = table._primes_list
+    primes = table.primes.tolist()
     checked = 0
     while checked < 150:
         n = rng.randrange(9, 4000, 2)
@@ -253,12 +253,12 @@ def test_wheel_oracle_low_class_fallback(table):
         i = table.prime_index(f.distinct_primes[0])
         for j in range(1, min(i, 5)):
             t = tally_wheel_oracle(j, n, table)
-            assert (t.friends, t.enemies) == naive_tally(j, n, table._primes_list)
+            assert (t.friends, t.enemies) == naive_tally(j, n, table.primes.tolist())
 
 
 def test_wheel_oracle_small_example(table):
     t = tally_wheel_oracle(5, 100, table)
-    assert (t.friends, t.enemies) == naive_tally(5, 100, table._primes_list)
+    assert (t.friends, t.enemies) == naive_tally(5, 100, table.primes.tolist())
 
 
 def test_wheel_oracle_prime_probe_has_no_friends(table):
@@ -274,7 +274,7 @@ def test_wheel_oracle_four_prime_candidate(table):
     n = 19 * 23 * 29 * 31
     t = tally_wheel_oracle(7, n, table)
     assert t.diff < 0
-    assert (t.friends, t.enemies) == naive_tally(7, n, table._primes_list)
+    assert (t.friends, t.enemies) == naive_tally(7, n, table.primes.tolist())
     # while its own class (index 8, prime 19) is all friends
     t8 = tally_wheel_oracle(8, n, table)
     assert t8.enemies == 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from gcdcluster import (
     OutOfRangeError,
@@ -11,6 +12,7 @@ from gcdcluster import (
     rosser_schoenfeld_bounds,
     totient,
 )
+from gcdcluster.primes import _sieve_primes
 from oracles import naive_phi, naive_spf, segmented_prime_count
 
 FIRST_IRREGULAR = 111546435
@@ -39,6 +41,17 @@ def test_prime_table_invariants(small_table):
         if flags[q]:
             flags[q * q :: q] = False
     assert np.array_equal(np.flatnonzero(flags), primes)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 10 ** 6])
+def test_sieve_primes_against_oracle(limit):
+    got = _sieve_primes(limit)
+    assert got.dtype == np.int64
+    if limit <= 26:
+        assert got.tolist() == [p for p in range(2, limit + 1) if naive_spf(p) == p]
+    else:
+        assert len(got) == segmented_prime_count(limit) == 78498
+        assert all(naive_spf(int(p)) == p for p in got[::97])
 
 
 def test_limit_below_two_rejected():
@@ -155,6 +168,69 @@ def test_factorize_above_spf_limit():
     t = build_prime_table(10_000, spf_limit=100)
     f = factorize(9973 * 9967, t)
     assert f.factors == ((9967, 1), (9973, 1))
+
+
+# the trial-division table: its primes reach sqrt(10^7), its SPF array stops at 10
+TRIAL = build_prime_table(3162, spf_limit=10)
+P_MAX = int(TRIAL.primes[-1])
+
+
+def _powers_below(p, bound):
+    """p**2, p**3, ... while at most ``bound``."""
+    out = [p * p]
+    while out[-1] * p <= bound:
+        out.append(out[-1] * p)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(strategies.one_of(
+    strategies.integers(11, 10 ** 7),
+    strategies.sampled_from(TRIAL.primes.tolist()).flatmap(
+        lambda p: strategies.sampled_from(_powers_below(p, 10 ** 7))),
+))
+@example(P_MAX * P_MAX)
+@example(2 * P_MAX)
+@example(3 ** 14)
+@example(9973 * 997)
+def test_factorize_trial_division_matches_spf(table, n):
+    f = factorize(n, TRIAL)
+    assert f == factorize(n, table)  # the session table's SPF array reaches 10^7
+    assert TRIAL.smallest_prime_factor(n) == table.smallest_prime_factor(n)
+
+
+def test_factorize_uncertifiable_cofactor():
+    t = build_prime_table(1000, spf_limit=100)
+    for n in (1009 * 1013, 2 * 3 * 1009 * 1013, 2 ** 63 * 1009 * 1013):
+        with pytest.raises(OutOfRangeError, match="cofactor 1022117 "):
+            factorize(n, t)
+    with pytest.raises(OutOfRangeError):
+        t.smallest_prime_factor(1009 * 1013)
+    assert factorize(2 * 3 * 1009, t).factors == ((2, 1), (3, 1), (1009, 1))
+    assert factorize(1009 ** 2, build_prime_table(1009)).factors == ((1009, 2),)
+
+
+def test_factorize_beyond_int64():
+    t = build_prime_table(1000)
+    assert factorize(2 ** 64, t).factors == ((2, 64),)
+    assert factorize(3 * 2 ** 63, t).factors == ((2, 63), (3, 1))
+    assert factorize(3 ** 41 * 997, t).factors == ((3, 41), (997, 1))
+    assert t.smallest_prime_factor(3 * 2 ** 63) == 2
+    assert t.smallest_prime_factor(997 * (2 ** 61 - 1)) == 997
+
+
+def test_table_reads_are_python_ints(table):
+    # exact counting must never meet a wrapping fixed-width integer
+    for t in (table, TRIAL):
+        p = t.prime(len(t.primes))
+        assert type(p) is int and type(t.pi(p)) is int and type(t.prime_index(p)) is int
+        assert type(t.smallest_prime_factor(p * p)) is int
+        for n in (p * p, p * (p - 2), 2 ** 64, 3 * 2 ** 63):
+            f = factorize(n, t)
+            assert all(type(q) is int and type(a) is int for q, a in f.factors), n
+            assert all(type(q) is int for q in f.distinct_primes), n
+        # the primes are held once, as the numpy array, never as a Python list
+        assert not [k for k, v in vars(t).items() if isinstance(v, (list, tuple))]
 
 
 @pytest.mark.parametrize("n,expected", [(9, 6), (15, 8), (105, 48), (FIRST_IRREGULAR, 36495360)])
