@@ -9,9 +9,8 @@ greedy places irregularly: 111_546_435 = 3*5*7*11*13*17*19*23.
 """
 
 from .counts import class_size, coprime_count, floor_identity_lhs_rhs
-from .errors import (BudgetExceededError, DegenerateThresholdError,
-                     GcdClusterError, OutOfRangeError, ResourceGuardError,
-                     UnsupportedCaseError)
+from .errors import (DegenerateThresholdError, GcdClusterError, OutOfRangeError,
+                     ResourceGuardError)
 from .greedy import (GreedyState, VerifyRecord, VerifyReport, class_scores,
                      run_accelerated, run_reference, verify_range, verify_single)
 from .partition import (Partition, canonical_partition, count_conflicts,

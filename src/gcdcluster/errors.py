@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The distinction that matters operationally: ``ResourceGuardError`` (and its
-subclass ``BudgetExceededError``) mean "refused, too big for this code path" and
-map to exit code 2 in the CLI; everything else is a plain usage error.
+The distinction that matters operationally: ``ResourceGuardError`` means
+"refused, too big for this code path" and maps to exit code 2 in the CLI;
+everything else is a plain usage error.
 """
 
 
@@ -16,14 +16,6 @@ class OutOfRangeError(GcdClusterError, ValueError):
 
 class ResourceGuardError(GcdClusterError, RuntimeError):
     """An operation was refused because it would be unreasonably expensive."""
-
-
-class BudgetExceededError(ResourceGuardError):
-    """A subset-enumeration term budget would be exceeded."""
-
-
-class UnsupportedCaseError(GcdClusterError, ValueError):
-    """Inputs outside the case split a counting formula is valid for."""
 
 
 class DegenerateThresholdError(GcdClusterError, ArithmeticError):

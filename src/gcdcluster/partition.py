@@ -23,7 +23,7 @@ from math import gcd
 import numpy as np
 
 from .errors import OutOfRangeError, ResourceGuardError
-from .primes import PrimeTable
+from .primes import PrimeTable, _sieve_spf
 
 # O(n^2) pair enumeration above this point is refused unless overridden.
 DEFAULT_CONFLICT_GUARD = 100_000
@@ -73,19 +73,15 @@ class Partition:
 
 
 def canonical_partition(n: int, table: PrimeTable) -> Partition:
-    """The regular clustering: class of m = index of its smallest prime factor."""
+    """The regular clustering: class of m = index of its smallest prime factor,
+    from one smallest-prime-factor sieve of [2, n] (not the table's cached
+    array), so every n up to ``table.limit`` takes the same path."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    if n <= table.spf_limit:
-        spf = table.spf()[2 : n + 1].astype(np.int64)
-        labels = np.searchsorted(table.primes, spf) + 1
-    else:
-        labels = np.fromiter(
-            (table.prime_index(table.smallest_prime_factor(m)) for m in range(2, n + 1)),
-            dtype=np.int64, count=n - 1)
-    return Partition(n, labels.astype(np.int64))
+    labels = np.searchsorted(table.primes, _sieve_spf(n)[2:]) + 1
+    return Partition(n, labels.astype(np.int64, copy=False))
 
 
 def exceptional_partition(n: int, table: PrimeTable) -> Partition:

@@ -4,9 +4,10 @@ Everything downstream leans on ``PrimeTable``: the ordered primes up to a
 limit, held once as a numpy array, exact pi(x) lookups, and a
 smallest-prime-factor array for fast factorization, sieved on its first read
 so that a job which never reads it never pays for it; above it, trial
-division is one numpy remainder.  Prime indices are 1-based throughout
-(prime 1 is 2, prime 2 is 3, ...), matching the class indexing used by the
-clustering modules.
+division takes numpy remainders over blocks of the stored primes and stops
+once the next prime's square exceeds the cofactor.  Prime indices are
+1-based throughout (prime 1 is 2, prime 2 is 3, ...), matching the class
+indexing used by the clustering modules.
 
 A ``PrimeTable`` is safe to share between threads: its only later writes
 are that first sieve, which two racing readers both build the same, and the
@@ -45,21 +46,22 @@ class PrimeTable:
     ``primes`` is a sorted numpy int64 array, the only copy of the primes;
     scalar reads go through ``_primes_view``, a zero-copy memoryview of it
     that yields Python ints, so exact counting never wraps.  ``prime(i)``
-    returns the i-th prime, 1-based.  ``spf_limit`` bounds the SPF array,
-    which ``spf()`` sieves on first read; factorization of larger integers
-    falls back to trial division against the stored primes.  ``_phi_cache``
-    is the memo of ``counts.coprime_count`` over this table; ``counts`` only
-    adds to it, and ``greedy.verify_range`` clears it at the start of each
-    call, so a sweep run as a sequence of spans holds one span's entries.
+    returns the i-th prime, 1-based.  ``spf_limit`` = min(limit,
+    ``DEFAULT_SPF_LIMIT``) bounds the SPF array, which ``spf()`` sieves on
+    first read; ``factorize`` takes larger integers by trial division against
+    the stored primes.  ``_phi_cache`` is the memo of ``counts.coprime_count``
+    over this table; ``counts`` only adds to it, and ``greedy.verify_range``
+    clears it at the start of each call, so a sweep run as a sequence of
+    spans holds one span's entries.
     """
 
-    def __init__(self, limit: int, spf_limit: int | None = None):
+    def __init__(self, limit: int):
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
         self.limit = int(limit)
         self.primes = _sieve_primes(self.limit)
         self._primes_view = memoryview(self.primes)
-        self.spf_limit = int(min(self.limit, DEFAULT_SPF_LIMIT if spf_limit is None else spf_limit))
+        self.spf_limit = min(self.limit, DEFAULT_SPF_LIMIT)
         self._spf = None
         self._phi_cache: dict = {}
 
@@ -96,26 +98,13 @@ class PrimeTable:
             raise OutOfRangeError(f"pi({x}) exceeds sieve limit {self.limit}")
         return bisect_right(self._primes_view, x)
 
-    def smallest_prime_factor(self, n: int) -> int:
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
-        if n <= self.spf_limit:
-            return int(self.spf()[n])
-        qs = _dividing_primes(n, self)
-        if qs:
-            return qs[0]
-        # no stored prime divides n; conclusive only if they reach sqrt(n)
-        if isqrt(n) <= self.limit:
-            return n
-        raise OutOfRangeError(f"cannot factor {n} with primes up to {self.limit}")
 
-
-def build_prime_table(limit: int, spf_limit: int | None = None) -> PrimeTable:
+def build_prime_table(limit: int) -> PrimeTable:
     """Sieve all primes up to ``limit`` (inclusive).
 
     Raises ValueError for limit < 2.
     """
-    return PrimeTable(limit, spf_limit=spf_limit)
+    return PrimeTable(limit)
 
 
 def _sieve_primes(limit: int) -> np.ndarray:
@@ -133,8 +122,9 @@ def _sieve_primes(limit: int) -> np.ndarray:
 
 
 def _sieve_spf(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n (spf[p] = p for primes), n >= 2."""
-    spf = np.zeros(limit + 1, dtype=np.uint32)
+    """spf[n] = smallest prime factor of n (spf[p] = p for primes), n >= 2,
+    in uint32 below 2**32 and in uint64 from there, so no entry wraps."""
+    spf = np.zeros(limit + 1, dtype=np.uint32 if limit < 2 ** 32 else np.uint64)
     for q in range(2, isqrt(limit) + 1):
         if spf[q] == 0:
             sl = spf[q * q :: q]
@@ -148,8 +138,11 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     """Distinct prime divisors of n with exponents, smallest first.
 
     Uses the SPF array when n is inside it, otherwise trial division by the
-    stored primes.  Raises ValueError for n < 2 and OutOfRangeError when the
-    table cannot certify the final cofactor prime.
+    stored primes up to sqrt(n): one numpy remainder per block of them, the
+    first block 4096 primes (every n below 1.5 * 10**9 in one remainder) and
+    each later one twice the last, stopping once the next prime's square
+    exceeds the cofactor.  Raises ValueError for n < 2 and OutOfRangeError
+    when the table cannot certify the final cofactor prime.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -167,31 +160,31 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
             factors.append((q, a))
             qs.append(q)
         return Factorization(n, tuple(factors), tuple(qs))
-    for q in _dividing_primes(n, table):
-        a = 0
-        while rem % q == 0:
-            rem //= q
-            a += 1
-        factors.append((q, a))
-        qs.append(q)
+    ps = table.primes[: table.pi(min(isqrt(n), table.limit))]
+    lo, size = 0, 4096
+    while lo < len(ps) and table._primes_view[lo] ** 2 <= rem:
+        block = ps[lo : lo + size]
+        if rem >= 2 ** 63:  # beyond int64, where numpy would raise OverflowError
+            block = block.astype(object)
+        for q in block[rem % block == 0].tolist():
+            a = 0
+            while rem % q == 0:
+                rem //= q
+                a += 1
+            factors.append((q, a))
+            qs.append(q)
+        lo += size
+        size *= 2
     if rem > 1:
-        # every prime factor of rem exceeds min(sqrt(n), limit), so rem is
-        # prime when the stored primes reach sqrt(rem)
+        # rem has no prime factor up to min(sqrt(n), limit), or none below a
+        # prime whose square exceeds it, so rem is prime when the stored
+        # primes reach sqrt(rem)
         if isqrt(rem) > table.limit:
             raise OutOfRangeError(
                 f"cofactor {rem} of {n} not certifiable with primes up to {table.limit}")
         factors.append((rem, 1))
         qs.append(rem)
     return Factorization(n, tuple(factors), tuple(qs))
-
-
-def _dividing_primes(n: int, table: PrimeTable) -> list[int]:
-    """The stored primes up to sqrt(n) that divide n, ascending, as Python
-    ints: one numpy remainder over them."""
-    ps = table.primes[: table.pi(min(isqrt(n), table.limit))]
-    if n >= 2 ** 63:  # beyond int64, where numpy would raise OverflowError
-        ps = ps.astype(object)
-    return ps[n % ps == 0].tolist()
 
 
 def totient(f: Factorization) -> int:

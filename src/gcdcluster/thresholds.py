@@ -265,51 +265,18 @@ def three_factor_candidates(p: int, bound: int, table: PrimeTable) -> list[int]:
     return out
 
 
-def census_three_factor(p: int, bound: int | None, table: PrimeTable,
-                        distinct_only: bool = True) -> CandidateCensus:
+def census_three_factor(p: int, bound: int | None, table: PrimeTable) -> CandidateCensus:
     """Count the three-prime-factor candidates for prime p below ``bound``.
 
     Default bound: the class-certification threshold n1(i, i-1, 3) for p's
     index i, capped at the first irregular integer (candidates beyond it are
-    moot).  ``distinct_only=False`` additionally counts integers with the
-    same three distinct primes but higher multiplicity.
+    moot).
     """
     i = table.prime_index(p)
     if bound is None:
         bound = min(n1_table(i, i - 1, 3, table).n1, FIRST_IRREGULAR)
-    if distinct_only:
-        count = len(three_factor_candidates(p, bound, table))
-    else:
-        count = _count_with_multiplicity(p, bound, table)
-    return CandidateCensus(p=p, bound=bound, count=count)
-
-
-def _count_with_multiplicity(p: int, bound: int, table: PrimeTable) -> int:
-    """Integers n < bound, spf = p, exactly three distinct primes >= p."""
-    _check_census_table(p, bound, table)
-    primes = table._primes_view
-    count = 0
-    stack = []
-    ip = bisect.bisect_left(primes, p)
-    v = p
-    while v < bound:
-        stack.append((v, ip, 1))
-        v *= p
-    while stack:
-        value, last, npr = stack.pop()
-        if npr == 3:
-            count += 1
-        if npr >= 3:
-            continue
-        k = last + 1
-        while k < len(primes) and value * primes[k] < bound:
-            q = primes[k]
-            v = value * q
-            while v < bound:
-                stack.append((v, k, npr + 1))
-                v *= q
-            k += 1
-    return count
+    return CandidateCensus(p=p, bound=bound,
+                           count=len(three_factor_candidates(p, bound, table)))
 
 
 def census_report(table: PrimeTable, ps=(19, 23, 29, 31, 37, 41, 43),

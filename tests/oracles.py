@@ -10,7 +10,10 @@ counting routes that still take a ``PrimeTable`` for the primes and, for the
 wheel, ``factorize`` for the probe's divisors.  The tally referees return a
 ``ClassTally``, and the package's own tallies are pinned against them and
 against the naive scans.  ``threshold_T_stepwise`` builds the threshold
-density one reduced ``Fraction`` factor at a time.
+density one reduced ``Fraction`` factor at a time, and
+``count_with_multiplicity`` counts the census's candidates with prime powers
+allowed.  The referees refuse oversized work with ``BudgetExceededError`` and
+inputs outside their case split with ``UnsupportedCaseError``.
 """
 
 from collections import namedtuple
@@ -20,8 +23,9 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from gcdcluster import (BudgetExceededError, PrimeTable, UnsupportedCaseError,
-                        factorize, totient)
+from gcdcluster import (GcdClusterError, OutOfRangeError, PrimeTable,
+                        ResourceGuardError, factorize, totient)
+from gcdcluster.thresholds import census_table_limit
 
 # Refusal thresholds for the literal subset-sum routes.  2**22 terms is a few
 # seconds of work.
@@ -34,6 +38,14 @@ _WHEEL_RESIDUES = np.array(
 
 # An alternating floor sum together with the number of floor terms used.
 SieveTermSum = namedtuple("SieveTermSum", "value terms")
+
+
+class BudgetExceededError(ResourceGuardError):
+    """A subset-enumeration term budget would be exceeded."""
+
+
+class UnsupportedCaseError(GcdClusterError, ValueError):
+    """Inputs outside the case split a counting formula is valid for."""
 
 
 @dataclass(frozen=True)
@@ -160,6 +172,38 @@ def segmented_prime_count(x: int, block: int = 1 << 16) -> int:
                 seg[k - lo] = 0
         count += sum(seg)
         lo = hi + 1
+    return count
+
+
+def count_with_multiplicity(p: int, bound: int, table: PrimeTable) -> int:
+    """Integers n < bound whose smallest prime is p and which have exactly
+    three distinct prime factors, any multiplicities: a depth-first walk
+    over prime powers, the reading the census's distinct-prime count is
+    checked against."""
+    if table.limit < census_table_limit(p, bound):
+        raise OutOfRangeError(f"the census of {p} below {bound} needs primes up to "
+                              f"{census_table_limit(p, bound)}")
+    primes = table.primes.tolist()
+    count = 0
+    stack = []
+    ip = primes.index(p)
+    v = p
+    while v < bound:
+        stack.append((v, ip, 1))
+        v *= p
+    while stack:
+        value, last, npr = stack.pop()
+        if npr == 3:
+            count += 1
+            continue
+        k = last + 1
+        while k < len(primes) and value * primes[k] < bound:
+            q = primes[k]
+            v = value * q
+            while v < bound:
+                stack.append((v, k, npr + 1))
+                v *= q
+            k += 1
     return count
 
 

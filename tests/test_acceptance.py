@@ -68,7 +68,7 @@ def test_criterion_01_small_greedy_partitions_exact():
 
 def test_criterion_02_desk_scale_sweep(table, sweep_report):
     assert sweep_report.anomalies == []
-    assert sweep_report.unverified == []
+    assert sweep_report.all_pass
     assert sweep_report.checked + sweep_report.auto_passed == 999_999
     n = 10_000
     ref = run_reference(n)

@@ -15,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdcluster import (
-    BudgetExceededError,
-    UnsupportedCaseError,
     class_scores,
     class_size,
     coprime_count,
@@ -24,8 +22,9 @@ from gcdcluster import (
     floor_identity_lhs_rhs,
 )
 from gcdcluster.counts import mobius_divisors, tally_even_class
-from oracles import (_friends_termsum, _size_S_termsum, naive_spf, naive_tally,
-                     size_S_exact, tally_exact, tally_wheel_oracle)
+from oracles import (BudgetExceededError, UnsupportedCaseError, _friends_termsum,
+                     _size_S_termsum, naive_spf, naive_tally, size_S_exact,
+                     tally_exact, tally_wheel_oracle)
 
 FIRST_IRREGULAR = 111546435
 

@@ -136,7 +136,7 @@ def test_modes_agree_to_2000(table):
     acc = run_accelerated(2000, table)
     assert np.array_equal(ref.partition.labels, acc.partition.labels)
     assert ref.conflicts == acc.conflicts
-    assert acc.anomalies == [] and acc.unverified == []
+    assert acc.anomalies == [] and not acc.unverified
 
 
 def test_modes_agree_random_mid_sizes(table):
@@ -161,7 +161,7 @@ def test_accelerated_equals_canonical_and_corollaries(table):
     evens = ms % 2 == 0
     assert (labels[evens] == 1).all()  # every even lands in class 1
     for m in range(3, n + 1):
-        i = table.prime_index(table.smallest_prime_factor(m))
+        i = table.prime_index(factorize(m, table).distinct_primes[0])
         if table.is_prime(m):
             assert labels[m - 2] == i  # primes open their own class
         else:
@@ -208,14 +208,14 @@ def test_accelerated_stops_verifying_after_an_anomaly(table, monkeypatch):
         monkeypatch.setattr(greedy, "SPAN", span)
         st = run_accelerated(n, table)
         assert st.anomalies == [(105, 2, 1)]
-        assert st.unverified == list(range(106, n + 1))
+        assert st.unverified == range(106, n + 1)
         canon = canonical_partition(n, table)
         assert st.partition.label(105) == 1 and canon.label(105) == 2
         assert np.array_equal(st.partition.labels[:103], canon.labels[:103])
         assert np.array_equal(st.partition.labels[104:], canon.labels[104:])
         # conflicts count every step up to the anomaly and none after it
         at_105 = run_accelerated(105, table)
-        assert at_105.anomalies == [(105, 2, 1)] and at_105.unverified == []
+        assert at_105.anomalies == [(105, 2, 1)] and not at_105.unverified
         assert at_105.conflicts == count_conflicts(at_105.partition)
         assert st.conflicts == at_105.conflicts
 
@@ -230,7 +230,7 @@ def test_accelerated_spans_match_reference(table, monkeypatch, span):
     ref = run_reference(n)
     assert np.array_equal(acc.partition.labels, ref.partition.labels)
     assert acc.conflicts == ref.conflicts
-    assert acc.anomalies == [] and acc.unverified == []
+    assert acc.anomalies == [] and not acc.unverified
 
 
 # ------------------------------------------------------------- verify_single
@@ -272,8 +272,8 @@ def test_verify_single_agrees_with_reference_choices(table):
 def test_verify_range_counts(table):
     report = verify_range(2, 1000, table)
     assert report.checked + report.auto_passed == 999
-    assert report.all_pass
-    assert report.anomalies == [] and report.unverified == []
+    assert report.all_pass and report.anomalies == []
+    assert json.loads(report.summary_json())["summary"]["unverified"] == []
 
 
 def test_verify_range_at_first_irregular(table):
@@ -437,7 +437,7 @@ def test_accelerated_settles_classes_by_bound(table, monkeypatch):
         monkeypatch.setattr(greedy, name, counting(name))
     acc = run_accelerated(n, table)
     # one check per odd composite m and class 2 <= j < i(m)
-    checks = sum(max(table.prime_index(table.smallest_prime_factor(m)) - 2, 0)
+    checks = sum(max(table.prime_index(factorize(m, table).distinct_primes[0]) - 2, 0)
                  for m in range(9, n + 1, 2) if not table.is_prime(m))
     assert calls["class_size"] == calls["factorize"] == 0
     assert calls["tally_diff_fast"] < checks / 100

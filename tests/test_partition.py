@@ -6,6 +6,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from gcdcluster import (
     ResourceGuardError,
@@ -20,6 +21,7 @@ from gcdcluster import (
     similar,
 )
 from gcdcluster.partition import Partition
+from gcdcluster.primes import DEFAULT_SPF_LIMIT
 from oracles import naive_conflicts, naive_spf, tally_exact
 
 FIRST_IRREGULAR = 111546435
@@ -73,11 +75,23 @@ def test_canonical_is_smallest_prime_factor_rule(small_table):
     assert sum(part.class_sizes.values()) == 999
 
 
-def test_canonical_without_spf_array():
-    t = build_prime_table(2000, spf_limit=10)
-    part = canonical_partition(300, t)
-    for m in range(2, 301):
-        assert t.prime(part.label(m)) == naive_spf(m)
+@settings(max_examples=100, deadline=None)
+@given(n=strategies.integers(2, 3000))
+def test_canonical_matches_naive_spf_property(small_table, n):
+    labels = canonical_partition(n, small_table).labels.tolist()
+    assert labels == [small_table.prime_index(naive_spf(m)) for m in range(2, n + 1)]
+
+
+def test_canonical_past_the_spf_cap():
+    # a table past DEFAULT_SPF_LIMIT, whose cached SPF array stops at the cap:
+    # the labels come from their own sieve of [2, n]
+    n = DEFAULT_SPF_LIMIT + 100
+    t = build_prime_table(n)
+    assert t.spf_limit == DEFAULT_SPF_LIMIT < n
+    labels = canonical_partition(n, t).labels
+    assert labels.dtype == np.int64
+    want = [t.prime_index(factorize(m, t).distinct_primes[0]) for m in range(n - 199, n + 1)]
+    assert labels[-200:].tolist() == want
 
 
 def test_canonical_beyond_limit_rejected(small_table):

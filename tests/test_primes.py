@@ -1,5 +1,7 @@
 """Prime table, factorization, totient, pi, and the classical pi bracket."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
@@ -90,8 +92,7 @@ def test_pi_out_of_range(small_table):
 
 
 def test_lookups_at_boundaries():
-    # spf_limit < limit, so is_prime above 100 takes the prime-list branch
-    t = build_prime_table(1000, spf_limit=100)
+    t = build_prime_table(1000)
     primes = t.primes.tolist()
     xs = {-1, 0, 1, 2, t.limit} | {p + d for p in primes for d in (-1, 0, 1)}
     for x in sorted(xs):
@@ -105,15 +106,17 @@ def test_lookups_at_boundaries():
     assert all(t.is_prime(x) == (x in stored) for x in range(-1, 1001))
     with pytest.raises(OutOfRangeError):
         t.is_prime(1001)
-    # each SPF reader, run first on a fresh table, sieves the array itself
+    # each reader, run first on a fresh table, sieves what it needs itself;
+    # factorize takes the SPF array up to the limit and trial division above
     def fresh():
-        return build_prime_table(1000, spf_limit=100)
+        return build_prime_table(1000)
     for x in range(t.spf_limit - 5, t.spf_limit + 6):
-        assert fresh().smallest_prime_factor(x) == naive_spf(x), x
-        assert fresh().is_prime(x) == (x in stored), x
         f = factorize(x, fresh())
         assert f.factors == _naive_factors(x), x
         assert f.distinct_primes == tuple(q for q, _ in f.factors), x
+        if x > t.limit:
+            continue
+        assert fresh().is_prime(x) == (x in stored), x
         labels = canonical_partition(x, fresh()).labels.tolist()
         assert [t.prime(c) for c in labels] == [naive_spf(m) for m in range(2, x + 1)], x
 
@@ -165,13 +168,14 @@ def test_factorize_roundtrip_to_million(table):
 
 
 def test_factorize_above_spf_limit():
-    t = build_prime_table(10_000, spf_limit=100)
+    t = build_prime_table(10_000)
     f = factorize(9973 * 9967, t)
     assert f.factors == ((9967, 1), (9973, 1))
 
 
-# the trial-division table: its primes reach sqrt(10^7), its SPF array stops at 10
-TRIAL = build_prime_table(3162, spf_limit=10)
+# the trial-division table: its primes reach sqrt(10^7), so it factors every
+# n in (3162, 10^7] by trial division
+TRIAL = build_prime_table(3162)
 P_MAX = int(TRIAL.primes[-1])
 
 
@@ -185,27 +189,64 @@ def _powers_below(p, bound):
 
 @settings(max_examples=300, deadline=None)
 @given(strategies.one_of(
-    strategies.integers(11, 10 ** 7),
+    strategies.integers(TRIAL.limit + 1, 10 ** 7),
     strategies.sampled_from(TRIAL.primes.tolist()).flatmap(
-        lambda p: strategies.sampled_from(_powers_below(p, 10 ** 7))),
+        lambda p: strategies.sampled_from(_powers_below(p, 10 ** 7))).filter(
+            lambda n: n > TRIAL.limit),
 ))
 @example(P_MAX * P_MAX)
 @example(2 * P_MAX)
 @example(3 ** 14)
 @example(9973 * 997)
 def test_factorize_trial_division_matches_spf(table, n):
+    assert n > TRIAL.spf_limit
     f = factorize(n, TRIAL)
     assert f == factorize(n, table)  # the session table's SPF array reaches 10^7
-    assert TRIAL.smallest_prime_factor(n) == table.smallest_prime_factor(n)
+
+
+class _LoggedSlices(np.ndarray):
+    """A view of the primes that records each slice taken of it."""
+
+    taken: list = []
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            _LoggedSlices.taken.append((key.start, key.stop))
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n,factors,blocks", [
+    # the first block of 4096 primes leaves cofactor 1: the rest is never read
+    (2180460221945005, tuple((q, 1) for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                              41, 43)), 1),
+    (3 * 2 ** 63, ((2, 63), (3, 1)), 1),
+    # it leaves a prime cofactor below 38891**2, the next prime's square
+    (2 ** 70 * 10000019, ((2, 70), (10000019, 1)), 1),
+    # primes 4097 and 4098 are in the second block, of 8192 primes
+    (2 ** 70 * 38891 * 38903, ((2, 70), (38891, 1), (38903, 1)), 2),
+    # the cofactor is the square of the next block's first prime: not a prime
+    (2 ** 70 * 38891 ** 2, ((2, 70), (38891, 2)), 2),
+    (131519 * 131519, ((131519, 2),), 2),  # the second block's last prime
+    # 10^7's largest prime below, squared: every block up to the table's end
+    (9999991 ** 2, ((9999991, 2),), 8),
+])
+def test_factorize_stops_at_the_cofactor(table, n, factors, blocks):
+    t = copy.copy(table)
+    t.primes = table.primes.view(_LoggedSlices)
+    _LoggedSlices.taken = []
+    assert factorize(n, t).factors == factors
+    starts = [lo for lo, _ in _LoggedSlices.taken if lo is not None]
+    assert starts == [0, 4096, 12288, 28672, 61440, 126976, 258048, 520192][:blocks]
 
 
 def test_factorize_uncertifiable_cofactor():
-    t = build_prime_table(1000, spf_limit=100)
+    t = build_prime_table(1000)
     for n in (1009 * 1013, 2 * 3 * 1009 * 1013, 2 ** 63 * 1009 * 1013):
         with pytest.raises(OutOfRangeError, match="cofactor 1022117 "):
             factorize(n, t)
-    with pytest.raises(OutOfRangeError):
-        t.smallest_prime_factor(1009 * 1013)
+    # 997 divides out first; the Mersenne prime cofactor is beyond 1000**2
+    with pytest.raises(OutOfRangeError, match=f"cofactor {2 ** 61 - 1} "):
+        factorize(997 * (2 ** 61 - 1), t)
     assert factorize(2 * 3 * 1009, t).factors == ((2, 1), (3, 1), (1009, 1))
     assert factorize(1009 ** 2, build_prime_table(1009)).factors == ((1009, 2),)
 
@@ -215,8 +256,6 @@ def test_factorize_beyond_int64():
     assert factorize(2 ** 64, t).factors == ((2, 64),)
     assert factorize(3 * 2 ** 63, t).factors == ((2, 63), (3, 1))
     assert factorize(3 ** 41 * 997, t).factors == ((3, 41), (997, 1))
-    assert t.smallest_prime_factor(3 * 2 ** 63) == 2
-    assert t.smallest_prime_factor(997 * (2 ** 61 - 1)) == 997
 
 
 def test_table_reads_are_python_ints(table):
@@ -224,7 +263,6 @@ def test_table_reads_are_python_ints(table):
     for t in (table, TRIAL):
         p = t.prime(len(t.primes))
         assert type(p) is int and type(t.pi(p)) is int and type(t.prime_index(p)) is int
-        assert type(t.smallest_prime_factor(p * p)) is int
         for n in (p * p, p * (p - 2), 2 ** 64, 3 * 2 ** 63):
             f = factorize(n, t)
             assert all(type(q) is int and type(a) is int for q, a in f.factors), n

@@ -23,7 +23,7 @@ from gcdcluster import (
     three_factor_candidates,
 )
 from gcdcluster.thresholds import census_table_limit, table1_csv, threshold_T
-from oracles import tally_wheel_oracle, threshold_T_stepwise
+from oracles import count_with_multiplicity, tally_wheel_oracle, threshold_T_stepwise
 
 # The published threshold table n1(i, i-1, t): {i: [(t, n1, certified), ...]},
 # certified = the displayed italics = every candidate of the (i, t) family
@@ -209,8 +209,7 @@ def test_census_multiplicity_reading_identical_here(table):
     # higher-multiplicity variants never fit below these bounds
     for p in PUBLISHED_CENSUS:
         strict = census_three_factor(p, None, table)
-        loose = census_three_factor(p, None, table, distinct_only=False)
-        assert strict.count == loose.count, p
+        assert strict.count == count_with_multiplicity(p, strict.bound, table), p
 
 
 def test_census_explicit_bound(table):
@@ -239,7 +238,9 @@ def test_census_small_table_refused(small_table):
     with pytest.raises(OutOfRangeError, match="needs primes up to 2288"):
         three_factor_candidates(19, 10 ** 6, table)
     with pytest.raises(OutOfRangeError, match="needs primes up to 2288"):
-        census_three_factor(19, 10 ** 6, table, distinct_only=False)
+        census_three_factor(19, 10 ** 6, table)
+    with pytest.raises(OutOfRangeError, match="needs primes up to 2288"):
+        count_with_multiplicity(19, 10 ** 6, table)
     assert census_table_limit(19, 10 ** 6) == 2288
     assert 19 * 23 * 2287 in three_factor_candidates(19, 10 ** 6, small_table)
 
