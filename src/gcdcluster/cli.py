@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -155,6 +154,11 @@ def _worker_init(limit: int):
     _WORKER_TABLE = build_prime_table(limit)
 
 
+def _worker_pool(workers: int, limit: int):
+    from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
+    return ProcessPoolExecutor(workers, initializer=_worker_init, initargs=(limit,))
+
+
 def _verify_chunk(span: tuple[int, int]) -> tuple[list, greedy_mod.VerifyReport]:
     """One span verified in a worker: its record lines, and its report."""
     lines: list[str] = []
@@ -195,8 +199,7 @@ def cmd_verify(args) -> int:
             chunks = (([], greedy_mod.verify_range(a, b, table, fh.write))
                       for a, b in spans)
         else:
-            pool = ProcessPoolExecutor(max_workers=args.workers,
-                                       initializer=_worker_init, initargs=(limit,))
+            pool = _worker_pool(args.workers, limit)
             chunks = _map_ahead(pool, _verify_chunk, spans, args.workers + 1)
         total = greedy_mod.VerifyReport(args.start, args.stop)
         started = time.monotonic()

@@ -9,10 +9,10 @@ floating point is used anywhere on a counting path.
 
 Class sizes come from the coprime-counting function ``coprime_count``; the
 friend/enemy tally of class j >= 2 is one Moebius sum over the squarefree
-divisors of n (``tally_diff_fast``), and the even class closes through the
-totient.  ``_WHEELS`` also gives ``greedy`` its friend bound, read for a
-whole span in numpy.  The test suite pins these against slow brute-force
-referees kept in ``tests/oracles.py``.
+divisors of n (``tally_diff_fast``; ``tally_diffs`` for many pairs in
+numpy), and the even class closes through the totient.  ``wheel_phi`` reads
+the wheel tables in numpy, for ``tally_diffs`` and ``greedy``'s friend bound.
+The test suite pins these against brute-force referees in ``tests/oracles.py``.
 
 All functions here are pure; the per-table memo behind ``coprime_count`` is
 written under the GIL, so concurrent callers at worst duplicate work.  Nothing
@@ -24,6 +24,9 @@ from __future__ import annotations
 
 from itertools import islice
 
+import numpy as np
+
+from .errors import OutOfRangeError
 from .primes import Factorization, PrimeTable, totient
 
 _WHEEL_PRIMES = (2, 3, 5, 7)
@@ -39,6 +42,17 @@ for _r in range(5):
     for _x in range(_mod):
         _pref.append(_pref[-1] + (1 if all(_x % _q for _q in _WHEEL_PRIMES[:_r]) else 0))
     _WHEELS.append((_mod, _pref[-1], _pref))
+
+# the same tables as arrays, one row per r, the prefix rows padded to one width
+_WHEEL_MOD = np.array([mod for mod, _, _ in _WHEELS])
+_WHEEL_TOT = np.array([tot for _, tot, _ in _WHEELS])
+_WHEEL_PREF = np.array([pref + [0] * (_WHEELS[-1][0] + 1 - len(pref)) for _, _, pref in _WHEELS])
+
+
+def wheel_phi(y: np.ndarray, r) -> np.ndarray:
+    """``_phi``'s wheel branch in numpy: y >= 0, 1 <= r <= 4, r scalar or per y."""
+    q, rem = np.divmod(y, _WHEEL_MOD[r])
+    return q * _WHEEL_TOT[r] + _WHEEL_PREF[r, rem + 1]
 
 
 def coprime_count(y: int, r: int, table: PrimeTable) -> int:
@@ -153,3 +167,36 @@ def tally_diff_fast(j: int, n: int, divisors, s_j: int, table: PrimeTable) -> in
     for d, mu in islice(divisors, 1, None):
         enemies += mu * _phi(x // d, r, primes, table, memo)
     return s_j - 2 * enemies
+
+
+def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
+                table: PrimeTable) -> np.ndarray:
+    """``tally_diff_fast`` of each pair (n[k], j[k]) in int64; ``qs[k]`` holds
+    n[k]'s distinct primes, padded with values above n[k].  Each x // d comes
+    from an earlier quotient by one more prime (no product of primes is
+    formed), and a zero quotient adds 0 and is dropped.  phi(y, r) takes the
+    branches of ``_phi``; only its recursion stays scalar (and memoized)."""
+    r = j - 1
+    x = (n - 1) // table.primes[r]
+    y, k, mu = x, np.arange(len(x)), np.ones(len(x), dtype=np.int64)
+    for col in range(qs.shape[1]):
+        y_q = y // qs[k, col]
+        keep = np.flatnonzero(y_q)
+        y = np.concatenate([y, y_q[keep]])
+        k = np.concatenate([k, k[keep]])
+        mu = np.concatenate([mu, -mu[keep]])
+    y, k, mu, r = y[len(x):], k[len(x):], mu[len(x):], r[k[len(x):]]
+    phi = np.ones_like(y)
+    wheel = r <= 4
+    phi[wheel] = wheel_phi(y[wheel], r[wheel])
+    p_next = table.primes[r]
+    mid = ~wheel & (y >= p_next) & (y < p_next * p_next)
+    sq = np.flatnonzero(~wheel & (y >= p_next * p_next))
+    if y[mid].max(initial=0) > table.limit:
+        raise OutOfRangeError(f"pi({int(y[mid].max())}) exceeds sieve limit {table.limit}")
+    phi[mid] = 1 + np.searchsorted(table.primes, y[mid], side="right") - r[mid]
+    primes, memo = table._primes_view, table._phi_cache
+    phi[sq] = [_phi(v, s, primes, table, memo) for v, s in zip(y[sq].tolist(), r[sq].tolist())]
+    tail = np.zeros(len(x), dtype=np.int64)  # enemies less the d = 1 term, s_j
+    np.add.at(tail, k, mu * phi)
+    return -s_j - 2 * tail

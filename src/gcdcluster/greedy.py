@@ -14,8 +14,9 @@ exact class sizes, class 1 from the totient and a sound wheel bound on every
 other class.  It reads no smallest-prime-factor array.
 
 ``verify_range`` asks the same question per n against the canonical
-clustering of [2, n-1], scoring every class exactly with ``class_scores``, so
-its only running state is its window's class sizes, and a sweep can fan out
+clustering of [2, n-1], scoring every class exactly a block of odd integers
+at a time in numpy (``verify_single`` is its scalar twin), so its only
+running state is its window's class sizes, and a sweep can fan out
 over windows and still merge deterministically.
 """
 
@@ -27,7 +28,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .counts import _WHEELS, class_size, mobius_divisors, tally_diff_fast
+from .counts import class_size, mobius_divisors, tally_diff_fast, tally_diffs, wheel_phi
 from .counts import tally_even_class  # noqa: F401  (perfbench/probe.py wraps it)
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import Partition
@@ -35,9 +36,9 @@ from .primes import Factorization, PrimeTable, factorize, totient
 
 DEFAULT_REFERENCE_GUARD = 100_000
 SPAN = 200_000  # integers per span of ``run_accelerated`` and per CLI ``verify`` call
-
-# the wheel prefix tables of ``counts`` as arrays: phi(y, r), r <= 4, in numpy
-_WHEEL_PREFIX = [(mod, tot, np.array(pref, dtype=np.int64)) for mod, tot, pref in _WHEELS]
+VERIFY_BLOCK = 256  # odd integers per block of ``verify_range``
+VERIFY_PAIRS = 1024  # (n, j) pairs per ``counts.tally_diffs`` call
+VERIFY_STOP_LIMIT = 2 ** 60  # odd n below it: Moebius sums < 1.1 * n, int64s < 2**62
 
 
 @dataclass
@@ -66,12 +67,16 @@ class VerifyRecord:
         return "pass" if self.chosen_j == self.expected_j else "fail"
 
     def to_json(self) -> str:
-        """The record as one JSON object, byte for byte what ``json.dumps``
-        gives for these keys (deltas in increasing j)."""
-        deltas = ", ".join([f'"{j}": {d}' for j, d in sorted(self.deltas.items())])
-        return (f'{{"n": {self.n}, "spf_index": {self.spf_index}, '
-                f'"deltas": {{{deltas}}}, "chosen_j": {self.chosen_j}, '
-                f'"expected_j": {self.expected_j}, "status": "{self.status}"}}')
+        return _record_json(self.n, self.spf_index, sorted(self.deltas.items()),
+                            self.chosen_j, self.expected_j)
+
+
+def _record_json(n: int, spf_index: int, deltas, chosen_j: int, expected_j: int) -> str:
+    """A record as ``json.dumps`` writes it; ``deltas`` yields (j, delta), j rising."""
+    text = ", ".join([f'"{j}": {d}' for j, d in deltas])
+    return (f'{{"n": {n}, "spf_index": {spf_index}, "deltas": {{{text}}}, '
+            f'"chosen_j": {chosen_j}, "expected_j": {expected_j}, '
+            f'"status": "{"pass" if chosen_j == expected_j else "fail"}"}}')
 
 
 @dataclass
@@ -192,6 +197,28 @@ def _sieve_span(a: int, b: int, primes: np.ndarray):
     return phi, qs, used
 
 
+class _Ranks:
+    """Class sizes along a run of odd integers: ``lab[k]`` is the k-th's class
+    (primes included), ``sizes[c]`` class c's size before the run (classes from
+    len(sizes) on are not counted), ``counts[c]`` its members in the run."""
+
+    def __init__(self, lab: np.ndarray, sizes: np.ndarray):
+        self.length, top = len(lab), len(sizes)
+        lab = np.minimum(lab, top)
+        order = np.argsort(lab, kind="stable")
+        self.keys = lab[order] * self.length + order  # (class, position), increasing
+        self.start = np.searchsorted(self.keys, np.arange(top + 1) * self.length)
+        self.counts = np.diff(self.start)
+        self.base = sizes - self.start[:-1]
+
+    def size(self, c, k):
+        """Class c's size below the k-th odd integer; c is one class or one per k."""
+        if np.ndim(c):
+            return self.base[c] + np.searchsorted(self.keys, c * self.length + k)
+        lo, hi = self.start[c], self.start[c + 1]
+        return np.searchsorted(self.keys[lo:hi], c * self.length + k) + (self.base[c] + lo)
+
+
 class _Span:
     """The canonical clustering over [a, b]: writes each integer's class into
     ``labels``, and adds the span's members to ``sizes`` (class c >= 2 within
@@ -214,24 +241,18 @@ class _Span:
         olab = np.searchsorted(table.primes, np.where(comp, qs[:, 0], odd)) + 1
         labels[a % 2 :: 2] = 1
         labels[o0 - a :: 2] = olab
-        # class c's odd integers, in order: rows order[start[c]:start[c + 1]]
-        np.minimum(olab, len(sizes), out=olab)
-        self.order = np.argsort(olab, kind="stable")
-        self.start = np.searchsorted(olab[self.order], np.arange(len(sizes) + 1))
+        self.ranks = _Ranks(olab, sizes)
         rows = np.flatnonzero(comp)
         self.rows = rows[np.argsort(-olab[rows], kind="stable")]
         self.i = olab[self.rows]
-        rank = np.empty_like(self.order)
-        rank[self.order] = np.arange(len(olab))
-        self.s_i = sizes[self.i] + rank[self.rows] - self.start[self.i]
+        self.s_i = self.ranks.size(self.i, self.rows)
         self.m = odd[self.rows]
         gain_odd = self.gain[o0 - a :: 2]
         self.d1 = gain_odd[self.rows] - (self.m - 1) // 2  # (m - 1) // 2 - phi(m)
         gain_odd[self.rows] -= self.s_i
         self.qs = qs[self.rows]
         self.width = np.maximum.accumulate(used[self.rows])  # columns rows[:k + 1] use
-        self.base = sizes.copy()
-        sizes += np.diff(self.start)
+        sizes += self.ranks.counts
 
     def bounds(self, table: PrimeTable):
         """Yield (j, bound) for 2 <= j < largest i: bound[k] >= the score of
@@ -245,13 +266,10 @@ class _Span:
         for j in range(2, int(self.i[0]) if len(self.i) else 2):
             k = int(np.searchsorted(neg_i, -j))
             x = (self.m[:k] - 1) // table._primes_view[j - 1]
-            mod, tot, pref = _WHEEL_PREFIX[min(j - 1, 4)]
             w = np.zeros(k, dtype=np.int64)
             for q in self.qs[:k, : self.width[k - 1]].T:
-                y, r = np.divmod(x // q, mod)
-                w += y * tot + pref[r + 1]
-            members = self.order[self.start[j] : self.start[j + 1]]
-            s_j = self.base[j] + np.searchsorted(members, self.rows[:k])
+                w += wheel_phi(x // q, min(j - 1, 4))
+            s_j = self.ranks.size(j, self.rows[:k])
             yield j, 2 * np.minimum(w, s_j) - s_j
 
 
@@ -304,28 +322,19 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
                        conflicts)
 
 
-def class_scores(n: int, f: Factorization, table: PrimeTable,
-                 sizes: list[int] | None = None) -> list[int]:
+def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     """Exact scores of odd n >= 3 against the canonical clustering of [2, n-1].
 
     With i the index of n's smallest prime, entry 0 is the fresh class (0),
     entry j < i is friends-minus-enemies of n in class j, and entry i is the
     size of class i, all of whose members are friends of n.  No class beyond
     i can beat entry i, so the greedy step picks the argmax of this list,
-    ties to the smallest index.
-
-    ``sizes[c]``, c >= 2, is the size of class c in that clustering.  A
-    caller walking a contiguous run keeps one list, passes it for every n
-    and adds each integer to its class afterwards; a class the list does not
-    reach yet is opened here with one ``class_size(c, n - 1)``.  Without
-    ``sizes``, classes 2..i are opened for n alone.
+    ties to the smallest index.  Classes 2..i are opened for n alone, with
+    one ``class_size(c, n - 1)`` each.
     """
     qs = f.distinct_primes
     i = table.prime_index(qs[0])
-    if sizes is None:
-        sizes = [0, 0]
-    for c in range(len(sizes), i + 1):
-        sizes.append(class_size(c, n - 1, table))
+    sizes = [0, 0] + [class_size(c, n - 1, table) for c in range(2, i + 1)]
     vals = [0, (n - 1) // 2 - totient(f)]  # class 1: (n-1)/2 evens, phi(n)/2 enemies
     if i > 2:
         divisors = mobius_divisors(qs)  # shared by the classes
@@ -334,21 +343,20 @@ def class_scores(n: int, f: Factorization, table: PrimeTable,
     return vals
 
 
-def verify_single(n: int, table: PrimeTable,
-                  sizes: list[int] | None = None) -> VerifyRecord | None:
+def verify_single(n: int, table: PrimeTable) -> VerifyRecord | None:
     """Class-selection check for one integer against the canonical state.
 
     Returns None for even or prime n (those choices follow from parity and
     primality alone).  For an odd composite with smallest-prime-factor index
-    i, scores every class up to i exactly with ``class_scores`` (``sizes``
-    as there) and reports which class a greedy step would pick.
+    i, scores every class up to i exactly with ``class_scores`` and reports
+    which class a greedy step would pick.
     """
     if n % 2 == 0:
         return None
     f = factorize(n, table)
     if f.distinct_primes[0] == n:
         return None
-    vals = class_scores(n, f, table, sizes)
+    vals = class_scores(n, f, table)
     i = len(vals) - 1
     deltas = {j: vals[j] for j in range(1, i + 1)}
     return VerifyRecord(n=n, spf_index=i, deltas=deltas,
@@ -367,35 +375,74 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     """Check every n in [start, stop] for canonical class selection.
 
     Even and prime n auto-pass; each odd composite gets an exact check, and
-    ``out``, when given, is called with its record as one JSONL line, in
-    increasing n.  The window keeps the canonical class sizes as it goes: a
-    class is opened when an integer first needs it, and each odd composite
-    then joins the class of its smallest prime, pass or fail, since every
-    check is against the canonical state.  Disjoint ranges can run anywhere,
-    each with its own sizes, and their reports merge deterministically.
+    ``out``, when given, is called per block of ``VERIFY_BLOCK`` odd integers
+    with the block's records (``verify_single``'s) as JSONL lines, if it has
+    any.  A class is opened with ``class_size`` where a block first needs it,
+    and each block's odd integers then join their classes, pass or fail,
+    since every check is against the canonical state.  Disjoint ranges can
+    run anywhere, each with its own sizes, and their reports merge
+    deterministically; each block scores its (n, j) pairs by ``tally_diffs``.
 
     Each call starts by clearing the table's phi memo, so a sweep that runs
     its range as a sequence of calls holds at most one call's memo.
     """
     if start < 2 or stop < start:
         raise ValueError(f"bad range [{start}, {stop}]")
+    if stop >= VERIFY_STOP_LIMIT:
+        raise OutOfRangeError(f"verify stops below {VERIFY_STOP_LIMIT}, got {stop}")
     if table.limit < verify_table_limit(stop):
         raise ValueError(f"table limit {table.limit} too small to verify up to "
                          f"{stop}; need at least {verify_table_limit(stop)}")
     table._phi_cache.clear()
     report = VerifyReport(start=start, stop=stop)
     report.auto_passed += stop // 2 - (start - 1) // 2  # the evens
-    first_odd = start if start % 2 == 1 else start + 1
-    sizes = [0, 0]  # sizes[c], c >= 2: canonical class c within [2, n-1]
-    for n in range(first_odd, stop + 1, 2):
-        rec = verify_single(n, table, sizes)
-        if rec is None:
-            report.auto_passed += 1
-            continue
-        sizes[rec.spf_index] += 1
-        report.checked += 1
-        if rec.status == "fail":
-            report.anomalies.append((rec.n, rec.expected_j, rec.chosen_j))
-        if out is not None:
-            out(rec.to_json() + "\n")
+    sizes = np.zeros(2, dtype=np.int64)  # sizes[c], c >= 2: class c below the block
+    for a in range(start | 1, stop + 1, 2 * VERIFY_BLOCK):
+        sizes = _verify_block(a, min(a + 2 * VERIFY_BLOCK - 2, stop), table, sizes,
+                              report, out)
     return report
+
+
+def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
+                  report: VerifyReport, out) -> np.ndarray:
+    """``verify_range`` on the odd integers of [a, b], a odd; returns
+    ``sizes`` grown to the classes the block opened, plus its members."""
+    fs = [factorize(n, table) for n in range(a, b + 1, 2)]
+    odd = np.arange(a, b + 1, 2, dtype=np.int64)
+    spf = np.array([f.distinct_primes[0] for f in fs], dtype=np.int64)
+    rows = np.flatnonzero(spf != odd)  # the odd composites
+    report.auto_passed += len(odd) - len(rows)
+    report.checked += len(rows)
+    lab = np.searchsorted(table.primes, spf) + 1
+    i = lab[rows]
+    top = int(i.max(initial=1)) + 1  # the classes the block scores
+    if top > len(sizes):
+        sizes = np.append(sizes, [class_size(c, a - 1, table) for c in range(len(sizes), top)])
+    ranks = _Ranks(lab, sizes)
+    sizes += ranks.counts
+    if not len(rows):
+        return sizes
+    s_i = ranks.size(i, rows)
+    owner = np.repeat(np.arange(len(rows)), i - 2)  # pairs (owner, j), 2 <= j < i[owner]
+    j = np.arange(len(owner)) - np.searchsorted(owner, owner) + 2
+    comp = [fs[k] for k in rows.tolist()]
+    width = max(len(f.distinct_primes) for f in comp)
+    qs = np.array([f.distinct_primes + (2 ** 63 - 1,) * (width - len(f.distinct_primes))
+                   for f in comp])
+    deltas = np.empty(len(owner), dtype=np.int64)
+    for lo in range(0, len(owner), VERIFY_PAIRS):
+        o, jj = owner[lo : lo + VERIFY_PAIRS], j[lo : lo + VERIFY_PAIRS]
+        deltas[lo : lo + VERIFY_PAIRS] = tally_diffs(odd[rows[o]], jj, qs[o],
+                                                     ranks.size(jj, rows[o]), table)
+    deltas = deltas.tolist()
+    lines = []
+    for f, i_k, s_k, hi in zip(comp, i.tolist(), s_i.tolist(), np.cumsum(i - 2).tolist()):
+        vals = [0, (f.n - 1) // 2 - totient(f), *deltas[hi - i_k + 2 : hi], s_k]
+        chosen = vals.index(max(vals))  # ties to the smallest class
+        if chosen != i_k:
+            report.anomalies.append((f.n, i_k, chosen))
+        if out is not None:
+            lines.append(_record_json(f.n, i_k, enumerate(vals[1:], 1), chosen, i_k) + "\n")
+    if out is not None:
+        out("".join(lines))
+    return sizes

@@ -10,16 +10,16 @@ once the next prime's square exceeds the cofactor.  Prime indices are
 indexing used by the clustering modules.
 
 A ``PrimeTable`` is safe to share between threads: its only later writes
-are that first sieve, which two racing readers both build the same, and the
-entries of its phi memo (see ``counts``); clearing the memo loses work,
-never a value.
+are that first sieve and a memoryview of it, which two racing readers both
+build the same, and the entries of its phi memo (see ``counts``); clearing
+the memo loses work, never a value.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import isqrt, log
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .errors import OutOfRangeError
 DEFAULT_SPF_LIMIT = 10_000_000
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """n = product of q**a over ``factors``, q strictly increasing;
     ``distinct_primes`` is the q of each factor, in the same order."""
 
@@ -48,8 +47,9 @@ class PrimeTable:
     that yields Python ints, so exact counting never wraps.  ``prime(i)``
     returns the i-th prime, 1-based.  ``spf_limit`` = min(limit,
     ``DEFAULT_SPF_LIMIT``) bounds the SPF array, which ``spf()`` sieves on
-    first read; ``factorize`` takes larger integers by trial division against
-    the stored primes.  ``_phi_cache`` is the memo of ``counts.coprime_count``
+    first read, and ``factorize`` reads through ``_spf_view``, a memoryview of
+    it cached on first use; larger integers go by trial division against the
+    stored primes.  ``_phi_cache`` is the memo of ``counts.coprime_count``
     over this table; ``counts`` only adds to it, and ``greedy.verify_range``
     clears it at the start of each call, so a sweep run as a sequence of
     spans holds one span's entries.
@@ -63,6 +63,7 @@ class PrimeTable:
         self._primes_view = memoryview(self.primes)
         self.spf_limit = min(self.limit, DEFAULT_SPF_LIMIT)
         self._spf = None
+        self._spf_view = None
         self._phi_cache: dict = {}
 
     def spf(self) -> np.ndarray:
@@ -150,9 +151,11 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     qs: list[int] = []
     rem = n
     if n <= table.spf_limit:
-        spf = table.spf()
+        spf = table._spf_view
+        if spf is None:
+            spf = table._spf_view = memoryview(table.spf())
         while rem > 1:
-            q = int(spf[rem])
+            q = spf[rem]
             a = 0
             while rem % q == 0:
                 rem //= q

@@ -223,7 +223,7 @@ def test_verify_workers_out_of_range_exit_64(capsys, monkeypatch, workers):
         raise AssertionError("a process pool was created")
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_worker_pool", no_pool)
     limits = record_table_limits(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "--from", "2", "--to", "3000",
                              "--workers", workers)
@@ -231,6 +231,15 @@ def test_verify_workers_out_of_range_exit_64(capsys, monkeypatch, workers):
     assert out == ""
     assert err == f"verify: --workers must be in [1, 2], got {workers}\n"
     assert limits == []  # refused before any sieve
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only verify --workers K > 1 loads concurrent.futures.process (and
+    # multiprocessing with it)
+    code = ("import sys, gcdcluster.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_golden_window_straddling_1e7(capsys, data_dir):

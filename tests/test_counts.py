@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdcluster import (
+    OutOfRangeError,
+    build_prime_table,
     class_scores,
     class_size,
     coprime_count,
     factorize,
     floor_identity_lhs_rhs,
 )
-from gcdcluster.counts import mobius_divisors, tally_even_class
+from gcdcluster.counts import mobius_divisors, tally_diffs, tally_even_class
 from oracles import (BudgetExceededError, UnsupportedCaseError, _friends_termsum,
                      _size_S_termsum, naive_spf, naive_tally, size_S_exact,
                      tally_exact, tally_wheel_oracle)
@@ -225,6 +227,16 @@ def test_mobius_divisors_are_signed_squarefree_divisors():
             for d in range(1, n + 1) if n % d == 0}
     got = mobius_divisors((3, 5, 7, 11))
     assert len(got) == 16 and dict(got) == want
+
+
+def test_tally_diffs_refuses_pi_beyond_its_table():
+    # n = 103 * 30011, j = 26 (p_j = 101): y = (n - 1) // 101 // 103 = 297 lies
+    # in [p_26, p_26 ** 2), the branch that reads pi(y), and beyond the table
+    table = build_prime_table(200)
+    n = 103 * 30011
+    with pytest.raises(OutOfRangeError):
+        tally_diffs(np.array([n]), np.array([26]), np.array([[103, 30011]]),
+                    np.array([class_size(26, n - 1, build_prime_table(10_000))]), table)
 
 
 def test_tally_invariant_friends_plus_enemies(table):

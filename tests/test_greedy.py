@@ -4,6 +4,7 @@ import io
 import json
 import random
 from math import gcd, isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -185,8 +186,8 @@ def class_1_wins_at(m0: int, monkeypatch) -> None:
     scores = greedy.class_scores
     span_init = greedy._Span.__init__
 
-    def doctored(n, f, table, sizes=None):
-        vals = scores(n, f, table, sizes)
+    def doctored(n, f, table):
+        vals = scores(n, f, table)
         if n == m0:
             assert len(vals) == 3 and vals[1] > 0
             vals[2] = vals[1] - 1
@@ -305,18 +306,27 @@ def test_verify_range_golden_jsonl(table, data_dir):
 def test_verify_range_clears_memo_per_call(table, monkeypatch):
     # the memo a call leaves behind is gone before the next call's first integer
     first_seen = {}
-    single = greedy.verify_single
+    calls = []
+    inner = greedy.factorize
 
-    def recording_single(n, tb, sizes=None):
+    def recording_factorize(n, tb):
         first_seen.setdefault(n, len(tb._phi_cache))
-        return single(n, tb, sizes)
+        calls.append(n)
+        return inner(n, tb)
 
-    monkeypatch.setattr(greedy, "verify_single", recording_single)
+    monkeypatch.setattr(greedy, "factorize", recording_factorize)
     start = 1_000_001
     for a in (start, start + 2_000):
         verify_range(a, a + 1_999, table)
         assert len(table._phi_cache) > 0
         assert first_seen[a] == 0
+    # one factorize call per odd integer, in increasing order
+    assert calls == list(range(start, start + 4_000, 2))
+
+
+def test_verify_range_refuses_beyond_int64_headroom(small_table):
+    with pytest.raises(OutOfRangeError):
+        verify_range(greedy.VERIFY_STOP_LIMIT - 1, greedy.VERIFY_STOP_LIMIT, small_table)
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,10 +348,15 @@ def test_sieve_span_matches_factorize(table, anchor, width, offset):
 
 def _check_window_sizes(start: int, stop: int, table) -> None:
     """verify_range's kept class sizes give every record standalone scoring gives."""
-    lines = []
-    verify_range(start, stop, table, lines.append)
+    blocks = []
+    report = verify_range(start, stop, table, blocks.append)
     standalone = [verify_single(n, table) for n in range(start, stop + 1)]
-    assert lines == [rec.to_json() + "\n" for rec in standalone if rec is not None]
+    records = [rec for rec in standalone if rec is not None]
+    assert "".join(blocks) == "".join(rec.to_json() + "\n" for rec in records)
+    assert all(block.endswith("\n") for block in blocks)  # whole records per call
+    assert report.checked == len(records)
+    assert report.anomalies == [(r.n, r.expected_j, r.chosen_j)
+                                for r in records if r.status == "fail"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,6 +364,9 @@ def _check_window_sizes(start: int, stop: int, table) -> None:
 @example(start=2, width=2_000)     # holds every prime up to isqrt(stop)
 @example(start=9, width=1)
 @example(start=1_000, width=200)   # classes first needed inside the window
+# 37417 = 17 * 31 * 71: for j = 6, (37416 // 13) // 17 = 169 = 13 ** 2, where
+# phi(y, 5) leaves its one-lookup branch
+@example(start=37_000, width=1_000)
 def test_window_sizes_match_standalone_low(table, start, width):
     _check_window_sizes(start, start + width - 1, table)
 
@@ -360,6 +378,28 @@ def test_window_sizes_match_standalone_low(table, start, width):
 @example(start=FIRST_IRREGULAR, width=40)
 def test_window_sizes_match_standalone_near_1e8(table, start, width):
     _check_window_sizes(start, start + width - 1, table)
+
+
+@settings(max_examples=30, deadline=None)
+@given(anchor=strategies.sampled_from([2, 529, 37_417, 10 ** 7, FIRST_IRREGULAR])
+       | strategies.integers(2, 125 * 10 ** 6),  # the 10^7 table scores up to 1.3 * 10^8
+       width=strategies.integers(1, 600), offset=strategies.integers(0, 599),
+       block=strategies.sampled_from([1, 2, 7]), pairs=strategies.sampled_from([1, 2, 7]))
+@example(anchor=2, width=600, offset=0, block=7, pairs=2)  # primes join their classes
+# [14, 613]: 17, 19 and 23 = p_9 lie before 23 ** 2 = 529, the first composite
+# of class 9, and before the composites of classes i > 7 that score class 7
+@example(anchor=529, width=600, offset=515, block=2, pairs=7)
+@example(anchor=529, width=600, offset=515, block=1, pairs=1)
+@example(anchor=37_417, width=200, offset=100, block=7, pairs=1)  # y = 13 ** 2 (above)
+@example(anchor=10 ** 7, width=400, offset=200, block=7, pairs=7)  # the SPF limit
+@example(anchor=FIRST_IRREGULAR, width=400, offset=200, block=2, pairs=2)
+def test_verify_blocks_match_verify_single(table, anchor, width, offset, block, pairs):
+    # the window [a, b] holds anchor; the block kernel at any block size and
+    # pair cap writes verify_single's records, byte for byte
+    a = max(2, anchor - offset % width)
+    with mock.patch.object(greedy, "VERIFY_BLOCK", block), \
+            mock.patch.object(greedy, "VERIFY_PAIRS", pairs):
+        _check_window_sizes(a, a + width - 1, table)
 
 
 # ------------------------------------------------ the span engine's bound
@@ -387,8 +427,6 @@ def _check_bounded_scores(n: int, table, engine=None) -> None:
         return
     exact = class_scores(n, f, table)
     i = len(exact) - 1
-    sizes = [0] + [class_size(c, n - 1, table) for c in range(1, i + 1)]
-    assert class_scores(n, f, table, sizes) == exact, n
     bounded = (engine or _engine_scores(n, n, table, i + 1))[n]
     assert len(bounded) == len(exact), n
     assert all(b >= e for b, e in zip(bounded, exact)), n
