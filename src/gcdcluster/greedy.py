@@ -10,8 +10,8 @@ Two run modes compute the same partitions.  ``run_reference`` scores every
 class member by member, with no shortcut; quadratic and guarded, it is the
 ground truth.  ``run_accelerated`` certifies each canonical choice (the
 class of the smallest prime) a span at a time in numpy: a segmented sieve,
-exact class sizes, class 1 from the totient and a sound wheel bound on every
-other class.  It reads no smallest-prime-factor array.
+exact class sizes, class 1 from the totient, and a wheel friend bound that
+falls with the class, so one bound below s_i rules out every class left.
 
 ``verify_range`` asks the same question per n against the canonical
 clustering of [2, n-1], scoring every class exactly a block of odd integers
@@ -50,6 +50,8 @@ class GreedyState:
     anomalies: list[tuple[int, int, int]] = field(default_factory=list)  # (n, expected, chosen)
     unverified: range = range(0)  # the integers after the first anomaly
     conflicts: int = 0
+    bound_checks: int = 0  # accelerated: (integer, class) pairs bounded
+    exact_checks: int = 0  # accelerated: integers scored by ``class_scores``
 
 
 @dataclass
@@ -221,11 +223,10 @@ class _Ranks:
 
 class _Span:
     """The canonical clustering over [a, b]: writes each integer's class into
-    ``labels``, and adds the span's members to ``sizes`` (class c >= 2 within
-    [2, a - 1] on entry).  The odd composites are rows sorted by class i,
-    descending, so the rows with i > j are a prefix for every j: ``m``,
-    ``i``, exact ``s_i`` and ``d1`` (scores of classes i and 1), primes
-    ``qs``.  ``gain[m - a]`` is the conflicts m adds in its canonical class.
+    ``labels`` and adds the span's members to ``sizes`` (class c >= 2 within
+    [2, a - 1] on entry).  Rows are the odd composites m, rising: class ``i``,
+    exact ``s_i`` and ``d1`` (scores of classes i and 1), primes ``qs`` and
+    their count ``used``.  ``gain[m - a]``: the conflicts m adds in its class.
     """
 
     def __init__(self, a: int, b: int, table: PrimeTable, sizes: np.ndarray,
@@ -242,35 +243,38 @@ class _Span:
         labels[a % 2 :: 2] = 1
         labels[o0 - a :: 2] = olab
         self.ranks = _Ranks(olab, sizes)
-        rows = np.flatnonzero(comp)
-        self.rows = rows[np.argsort(-olab[rows], kind="stable")]
+        rank = np.empty_like(olab)  # each odd integer's place in the ranks' keys
+        rank[self.ranks.keys % len(olab)] = np.arange(len(olab))
+        self.rows = np.flatnonzero(comp)
         self.i = olab[self.rows]
-        self.s_i = self.ranks.size(self.i, self.rows)
+        self.s_i = self.ranks.base[self.i] + rank[self.rows]
         self.m = odd[self.rows]
         gain_odd = self.gain[o0 - a :: 2]
         self.d1 = gain_odd[self.rows] - (self.m - 1) // 2  # (m - 1) // 2 - phi(m)
         gain_odd[self.rows] -= self.s_i
-        self.qs = qs[self.rows]
-        self.width = np.maximum.accumulate(used[self.rows])  # columns rows[:k + 1] use
+        self.qs, self.used = qs[self.rows], used[self.rows]
         sizes += self.ranks.counts
 
     def bounds(self, table: PrimeTable):
-        """Yield (j, bound) for 2 <= j < largest i: bound[k] >= the score of
-        class j for each row k with i > j.  A friend of m in class j is p_j * k,
-        k <= x = (m - 1) // p_j with no prime below p_j, and a prime q | m,
-        q > p_j, divides k.  So friends <= W = sum of phi(x // q, j - 1) <=
-        sum of phi(x // q, min(j - 1, 4)), a wheel lookup each, and the score
-        2 * friends - s_j is at most 2 * min(W, s_j) - s_j.
+        """Yield (j, k, W_j) for j = 2, 3, ...: the rows k still open and their
+        friend bound; then ``exact`` marks the rows to score exactly.  Friends
+        of m in class j are p_j * k, k <= x = (m - 1) // p_j free of the first
+        j - 1 primes and divisible by a prime q | m, so at most W_j = sum of
+        phi(x // q, min(j - 1, 4)), and score_j <= 2 * min(W_j, s_j) - s_j <=
+        W_j.  A row goes exact where the middle term reaches s_i, and closes
+        where W_j < s_i: as j rises, x falls and r = min(j - 1, 4) never falls,
+        and phi(y, r) rises with y and falls with r, so W_j never rises.
         """
-        neg_i = -self.i  # ascending
-        for j in range(2, int(self.i[0]) if len(self.i) else 2):
-            k = int(np.searchsorted(neg_i, -j))
-            x = (self.m[:k] - 1) // table._primes_view[j - 1]
-            w = np.zeros(k, dtype=np.int64)
-            for q in self.qs[:k, : self.width[k - 1]].T:
-                w += wheel_phi(x // q, min(j - 1, 4))
-            s_j = self.ranks.size(j, self.rows[:k])
-            yield j, 2 * np.minimum(w, s_j) - s_j
+        self.exact = self.d1 >= self.s_i
+        k, j = np.flatnonzero((self.i > 2) & ~self.exact), 2
+        while len(k):
+            x = (self.m[k] - 1) // table._primes_view[j - 1]
+            w = sum(wheel_phi(x // q, min(j - 1, 4)) for q in self.qs[k, : self.used[k].max()].T)
+            yield j, k, w
+            s_i, s_j = self.s_i[k], self.ranks.size(j, self.rows[k])
+            fail = 2 * np.minimum(w, s_j) - s_j >= s_i
+            self.exact[k[fail]] = True
+            k, j = k[~fail & (w >= s_i) & (self.i[k] > j + 1)], j + 1
 
 
 def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
@@ -279,9 +283,9 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     Evens join class 1 and primes open their class; an odd composite joins
     the class i of its smallest prime if s_i beats class 1, a fresh class
     (0) and each class 2 <= j < i (no class beyond i can beat it).  Per
-    ``SPAN`` (``_Span``), class 1 is scored exactly, each class j is ruled
-    out by a sound bound, an integer left open is scored exactly by
-    ``class_scores``, and the conflicts are summed in closed form.
+    ``SPAN``, ``_Span`` scores class 1 exactly and bounds each class j >= 2
+    until the friend bound W_j, falling with j, is below s_i; what stays
+    open is scored by ``class_scores``.  Conflicts are summed in closed form.
 
     A step whose winner differs from class i is recorded as an anomaly and
     labeled with the actual winner.  The scores of every later step assume
@@ -295,31 +299,27 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     labels = np.empty(n - 1, dtype=np.int64)
     sizes = np.zeros(table.pi(isqrt(n)) + 1, dtype=np.int64)
-    conflicts = 0
-    anomalies: list[tuple[int, int, int]] = []
+    state = GreedyState(Partition(n, labels), "accelerated")
     for a in range(2, n + 1, SPAN):
-        b = min(a + SPAN - 1, n)
-        span = _Span(a, b, table, sizes, labels[a - 2 : b - 1])
-        if anomalies:
+        span = _Span(a, min(a + SPAN - 1, n), table, sizes, labels[a - 2 : a + SPAN - 2])
+        if state.anomalies:
             continue
-        settled = span.d1 < span.s_i
-        for _, bound in span.bounds(table):
-            settled[: len(bound)] &= bound < span.s_i[: len(bound)]
-        for m in np.sort(span.m[~settled]).tolist():
+        state.bound_checks += sum(len(k) for _, k, _ in span.bounds(table))
+        for m in span.m[span.exact].tolist():
+            state.exact_checks += 1
             vals = class_scores(m, factorize(m, table), table)
             chosen = vals.index(max(vals))  # ties to the smallest class
             if chosen != len(vals) - 1:  # s_i >= 1, so never a fresh class
-                anomalies.append((m, len(vals) - 1, chosen))
+                state.anomalies.append((m, len(vals) - 1, chosen))
                 labels[m - 2] = chosen
                 # friends of m below it, less those in class chosen
-                conflicts += (int(span.gain[: m - a].sum())
-                              + (m - 1) // 2 + vals[1] - vals[chosen])
+                state.conflicts += (int(span.gain[: m - a].sum())
+                                    + (m - 1) // 2 + vals[1] - vals[chosen])
+                state.unverified = range(m + 1, n + 1)
                 break
         else:
-            conflicts += int(span.gain.sum())
-    unverified = range(anomalies[0][0] + 1, n + 1) if anomalies else range(0)
-    return GreedyState(Partition(n, labels), "accelerated", anomalies, unverified,
-                       conflicts)
+            state.conflicts += int(span.gain.sum())
+    return state
 
 
 def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:

@@ -19,7 +19,8 @@ inputs outside their case split with ``UnsupportedCaseError``.
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -121,6 +122,50 @@ def naive_conflicts(n: int, label_of: dict[int, int]) -> int:
             if friends != same:
                 total += 1
     return total
+
+
+def naive_distinct_primes(n: int) -> list[int]:
+    """The distinct primes of n >= 2, smallest first, by trial division."""
+    qs, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            qs.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return qs + [n] * (n > 1)
+
+
+@lru_cache(maxsize=None)
+def _primes_upto(limit: int) -> list[int]:
+    return [p for p in range(2, limit + 1) if naive_spf(p) == p]
+
+
+@lru_cache(maxsize=None)
+def _coprime_prefix(modulus: int) -> list[int]:
+    """out[t] = #{1 <= k <= t : gcd(k, modulus) = 1}, for 0 <= t <= modulus."""
+    out = [0]
+    for k in range(1, modulus + 1):
+        out.append(out[-1] + (gcd(k, modulus) == 1))
+    return out
+
+
+def friend_bounds(n: int) -> dict[int, int]:
+    """W_j for odd composite n and each class 2 <= j < i (i the index of n's
+    smallest prime): over n's distinct primes q, the integers in
+    [1, ((n - 1) // p_j) // q] coprime to P, the product of the first
+    min(j - 1, 4) primes.  Each count is a gcd scan of [1, y] for y <= P,
+    and beyond it y // P whole periods of [1, P] plus the scan of
+    [1, y % P], since coprimality to P repeats with period P."""
+    qs = naive_distinct_primes(n)
+    primes = [p for p in _primes_upto(max(qs[0], 1 << 14)) if p <= qs[0]]  # p_1 .. p_i
+    out = {}
+    for j in range(2, len(primes)):
+        period = prod(primes[: min(j - 1, 4)])
+        pref = _coprime_prefix(period)
+        x = (n - 1) // primes[j - 1]
+        out[j] = sum(x // q // period * pref[period] + pref[x // q % period] for q in qs)
+    return out
 
 
 def naive_greedy(n: int) -> list[set[int]]:

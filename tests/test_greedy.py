@@ -26,7 +26,7 @@ from gcdcluster import (
 from gcdcluster import greedy
 from gcdcluster.greedy import VerifyRecord, _scan_step, _sieve_span
 from gcdcluster.primes import totient
-from oracles import ClassTally, naive_greedy
+from oracles import ClassTally, friend_bounds, naive_greedy
 
 FIRST_IRREGULAR = 111546435
 
@@ -208,7 +208,7 @@ def test_accelerated_stops_verifying_after_an_anomaly(table, monkeypatch):
     for span in (greedy.SPAN, 40):  # one span; then the anomaly in the third of 8
         monkeypatch.setattr(greedy, "SPAN", span)
         st = run_accelerated(n, table)
-        assert st.anomalies == [(105, 2, 1)]
+        assert st.anomalies == [(105, 2, 1)] and st.exact_checks == 1
         assert st.unverified == range(106, n + 1)
         canon = canonical_partition(n, table)
         assert st.partition.label(105) == 1 and canon.label(105) == 2
@@ -404,33 +404,66 @@ def test_verify_blocks_match_verify_single(table, anchor, width, offset, block, 
 
 # ------------------------------------------------ the span engine's bound
 
-def _engine_scores(a: int, b: int, table, top: int) -> dict[int, list[int]]:
-    """What the span engine checks for each odd composite m of [a, b] against
-    the canonical clustering: [0, delta_1, its bound on delta_j for
-    2 <= j < i, s_i].  ``top`` exceeds every class i of the span."""
-    sizes = np.array([0, 0] + [class_size(c, a - 1, table) for c in range(2, top)])
-    span = greedy._Span(a, b, table, sizes, np.empty(b - a + 1, dtype=np.int64))
-    scores = {m: [0, d1] + [None] * (i - 2) + [s_i] for m, i, d1, s_i in
-              zip(span.m.tolist(), span.i.tolist(), span.d1.tolist(), span.s_i.tolist())}
-    for j, bound in span.bounds(table):
-        for m, b_j in zip(span.m.tolist(), bound.tolist()):
-            scores[m][j] = b_j
-    return scores
+def _engine_report(a: int, b: int, table, sizes) -> dict[int, tuple]:
+    """Run the span engine over [a, b] from the entry class ``sizes`` and
+    collect, per odd composite m: (d1, s_i, {class j: W_j} for each class
+    m was carried at, whether m was marked for exact scoring)."""
+    span = greedy._Span(a, b, table, np.array(sizes), np.empty(b - a + 1, dtype=np.int64))
+    carried = {m: {} for m in span.m.tolist()}
+    for j, k, w in span.bounds(table):
+        for m, w_m in zip(span.m[k].tolist(), w.tolist()):
+            carried[m][j] = w_m
+    return {m: (d1, s_i, carried[m], marked) for m, d1, s_i, marked in
+            zip(span.m.tolist(), span.d1.tolist(), span.s_i.tolist(), span.exact.tolist())}
 
 
-def _check_bounded_scores(n: int, table, engine=None) -> None:
-    """The engine's scores for odd n (from ``engine``, or from the one-integer
-    span [n, n]) against the exact list: an upper bound for every class
-    2 <= j < i, and exact for the fresh class, class 1 and class i."""
+def _rebuilt_bounds(n: int, row: tuple, s_j) -> list:
+    """Check that the engine carried odd composite n (its ``row``) by the
+    rule, and rebuild [0, delta_1, a bound on delta_j for 2 <= j < i] from
+    what it reported.  ``s_j(j)`` is class j's size below n in the
+    engine's state.  Classes after n was marked for exact scoring get None.
+
+    The rule: n is carried at 2, 3, ... in turn from class 2 (if i > 2 and
+    d1 < s_i), with W_j the friend bound; at a class j where
+    2 * min(W_j, s_j) - s_j >= s_i it is marked, and it goes on past j only
+    while W_j >= s_i.  It stops before class i - 1 only when marked or with
+    W_j < s_i, whose W_j then bounds every later class.
+    """
+    d1, s_i, w, marked = row
+    oracle = friend_bounds(n)
+    i = len(oracle) + 2
+    assert list(w) == list(range(2, 2 + len(w))), n
+    assert w == {j: oracle[j] for j in w}, n
+    assert bool(w) == (i > 2 and d1 < s_i), n
+    bound = [0, d1] + [2 * min(w[j], s_j(j)) - s_j(j) for j in w]
+    for j in list(w)[:-1]:  # carried on past j
+        assert bound[j] < s_i <= w[j], (n, j)
+    last = 1 + len(w)
+    assert marked == (d1 >= s_i or bound[last] >= s_i), n
+    if last < i - 1:  # left early
+        assert marked or w[last] < s_i, (n, last)
+        bound += [None if marked else w[last]] * (i - 1 - last)
+    return bound
+
+
+def _check_bounded_scores(n: int, table, report=None) -> None:
+    """The engine's report for odd n (from ``report``, or from the
+    one-integer span [n, n]) against the exact scores: the rule held, every
+    rebuilt bound is at least its class's score, and delta_1 and s_i are
+    exact.  Unmarked, every bound is below s_i: n joins class i."""
     f = factorize(n, table)
     if f.distinct_primes[0] == n:
         return
     exact = class_scores(n, f, table)
     i = len(exact) - 1
-    bounded = (engine or _engine_scores(n, n, table, i + 1))[n]
-    assert len(bounded) == len(exact), n
-    assert all(b >= e for b, e in zip(bounded, exact)), n
-    assert [bounded[k] for k in (0, 1, i)] == [exact[k] for k in (0, 1, i)], n
+    if report is None:
+        report = _engine_report(n, n, table, [0, 0] + [class_size(c, n - 1, table)
+                                                      for c in range(2, i + 1)])
+    row = report[n]
+    assert (row[0], row[1]) == (exact[1], exact[i]), n
+    bound = _rebuilt_bounds(n, row, lambda j: class_size(j, n - 1, table))
+    assert all(b is None or b >= e for b, e in zip(bound, exact)), n
+    assert row[3] or max(bound[1:]) < exact[i], n
 
 
 def _hard_region_sample(count: int, seed: int) -> list[int]:
@@ -445,9 +478,10 @@ def _hard_region_sample(count: int, seed: int) -> list[int]:
 
 
 def test_class_score_bound_sound(table):
-    engine = _engine_scores(2, 20_000, table, table.pi(isqrt(20_000)) + 1)
+    top = table.pi(isqrt(20_000)) + 1
+    report = _engine_report(2, 20_000, table, np.zeros(top, dtype=np.int64))
     for n in range(9, 20_001, 2):
-        _check_bounded_scores(n, table, engine)
+        _check_bounded_scores(n, table, report)
     for n in _hard_region_sample(200, seed=4):
         _check_bounded_scores(n, table)
     _check_bounded_scores(FIRST_IRREGULAR, table)
@@ -459,8 +493,57 @@ def test_class_score_bound_sound_property(table, k):
     _check_bounded_scores(2 * k + 1, table)
 
 
+def test_engine_marks_by_the_class_bound(table):
+    """Entry sizes of 1 (as if each class held only its prime) make the
+    class bound 2 * min(W_j, s_j) - s_j = s_j reach s_i, ties included, so
+    the marking rule is exercised; real states do not reach it up to 10^7
+    at least (``exact_checks`` is 0 there)."""
+    seen = {"marked": 0, "tied": 0, "carried past class 2": 0}
+    for a in (3, 100_001, 10 ** 7 - 3_001):
+        b = a + 2_000
+        report = _engine_report(a, b, table, np.ones(table.pi(isqrt(b)) + 1, dtype=np.int64))
+        for m, row in report.items():
+            if row[2]:
+                bound = _rebuilt_bounds(m, row, lambda j: 1 + class_size(j, m - 1, table)
+                                        - class_size(j, a - 1, table))
+                seen["marked"] += row[3]
+                seen["tied"] += row[1] in bound[2:]
+                seen["carried past class 2"] += len(row[2]) > 1
+    assert min(seen.values()) > 0, seen
+
+
+def _check_tail_bound(n: int, table) -> None:
+    """For odd composite n and 2 <= J <= j < i: the exact score of class j is
+    at most W_J (oracle), and W_J does not rise with J."""
+    f = factorize(n, table)
+    if f.distinct_primes[0] == n:
+        return
+    exact = class_scores(n, f, table)
+    i = len(exact) - 1
+    w = friend_bounds(n)
+    assert list(w) == list(range(2, i)), n
+    for J in range(2, i):
+        assert max(exact[J:i]) <= w[J], (n, J)
+        assert J + 1 == i or w[J + 1] <= w[J], (n, J)
+
+
+def test_tail_bound_sound(table):
+    for n in range(9, 4_001, 2):
+        _check_tail_bound(n, table)
+    for n in _hard_region_sample(100, seed=5):
+        _check_tail_bound(n, table)
+    _check_tail_bound(FIRST_IRREGULAR, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=strategies.integers(4, (FIRST_IRREGULAR - 1) // 2))
+@example(k=(FIRST_IRREGULAR - 1) // 2)
+def test_tail_bound_sound_property(table, k):
+    _check_tail_bound(2 * k + 1, table)
+
+
 def test_accelerated_settles_classes_by_bound(table, monkeypatch):
-    n = 20_000
+    n = 100_000
     calls = {"tally_diff_fast": 0, "class_size": 0, "factorize": 0}
 
     def counting(name):
@@ -477,9 +560,11 @@ def test_accelerated_settles_classes_by_bound(table, monkeypatch):
     # one check per odd composite m and class 2 <= j < i(m)
     checks = sum(max(table.prime_index(factorize(m, table).distinct_primes[0]) - 2, 0)
                  for m in range(9, n + 1, 2) if not table.is_prime(m))
-    assert calls["class_size"] == calls["factorize"] == 0
-    assert calls["tally_diff_fast"] < checks / 100
-    ref = run_reference(n)
+    assert calls == {"tally_diff_fast": 0, "class_size": 0, "factorize": 0}
+    assert acc.exact_checks == 0
+    assert 0 < acc.bound_checks < checks / 4
+    assert np.array_equal(acc.partition.labels, canonical_partition(n, table).labels)
+    ref, acc = run_reference(20_000), run_accelerated(20_000, table)
     assert np.array_equal(ref.partition.labels, acc.partition.labels)
     assert ref.conflicts == acc.conflicts
 
