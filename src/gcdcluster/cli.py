@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from collections import deque
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -146,23 +147,22 @@ def cmd_greedy(args) -> int:
     return EXIT_OK
 
 
-_WORKER_TABLE: PrimeTable | None = None
-
-
-def _worker_init(limit: int):
-    global _WORKER_TABLE
-    _WORKER_TABLE = build_prime_table(limit)
-
-
-def _worker_pool(workers: int, limit: int):
+def _worker_pool(workers: int):
     from concurrent.futures import ProcessPoolExecutor  # not loaded by serial runs
-    return ProcessPoolExecutor(workers, initializer=_worker_init, initargs=(limit,))
+    return ProcessPoolExecutor(workers)
 
 
-def _verify_chunk(span: tuple[int, int]) -> tuple[list, greedy_mod.VerifyReport]:
-    """One span verified in a worker: its record lines, and its report."""
+@lru_cache(maxsize=1)
+def _worker_table(limit: int) -> PrimeTable:
+    return build_prime_table(limit)
+
+
+def _verify_chunk(span: tuple[int, int], limit: int) -> tuple[list, greedy_mod.VerifyReport]:
+    """One span verified in a worker: its record lines, and its report.  The
+    worker builds its table at its first span, not in a pool initializer, so
+    that a ``MemoryError`` reaches the parent as that span's result."""
     lines: list[str] = []
-    report = greedy_mod.verify_range(*span, _WORKER_TABLE, lines.append)
+    report = greedy_mod.verify_range(*span, _worker_table(limit), lines.append)
     return lines, report
 
 
@@ -199,8 +199,9 @@ def cmd_verify(args) -> int:
             chunks = (([], greedy_mod.verify_range(a, b, table, fh.write))
                       for a, b in spans)
         else:
-            pool = _worker_pool(args.workers, limit)
-            chunks = _map_ahead(pool, _verify_chunk, spans, args.workers + 1)
+            pool = _worker_pool(args.workers)
+            chunks = _map_ahead(pool, partial(_verify_chunk, limit=limit), spans,
+                                args.workers + 1)
         total = greedy_mod.VerifyReport(args.start, args.stop)
         started = time.monotonic()
         for lines, report in chunks:

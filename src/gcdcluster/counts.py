@@ -9,10 +9,10 @@ floating point is used anywhere on a counting path.
 
 Class sizes come from the coprime-counting function ``coprime_count``; the
 friend/enemy tally of class j >= 2 is one Moebius sum over the squarefree
-divisors of n (``tally_diff_fast``; ``tally_diffs`` for many pairs in
-numpy), and the even class closes through the totient.  ``wheel_phi`` reads
-the wheel tables in numpy, for ``tally_diffs`` and ``greedy``'s friend bound.
-The test suite pins these against brute-force referees in ``tests/oracles.py``.
+divisors of n, many (n, j) pairs at a time in numpy (``tally_diffs``), and
+the even class closes through the totient.  ``wheel_phi`` reads the wheel
+tables in numpy, for ``tally_diffs`` and ``greedy``'s friend bound.  The test
+suite pins these against the referees in ``tests/oracles.py``.
 
 All functions here are pure; the per-table memo behind ``coprime_count`` is
 written under the GIL, so concurrent callers at worst duplicate work.  Nothing
@@ -21,8 +21,6 @@ each call, and other callers keep it as long as their table.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
@@ -131,48 +129,13 @@ def floor_identity_lhs_rhs(n: int, u: int, qs) -> tuple[int, int]:
     return lhs, rhs
 
 
-def tally_even_class(n: int, f: Factorization) -> tuple[int, int]:
-    """(friends, enemies) of odd n among the evens below it.  Unused: the
-    traced benchmark wraps ``greedy.tally_even_class`` by name."""
-    if n % 2 == 0 or n < 3 or f.n != n:
-        raise ValueError(f"need odd n >= 3 and its factorization, got n={n}, f.n={f.n}")
-    enemies = totient(f) // 2
-    return (n - 1) // 2 - enemies, enemies
-
-
-def mobius_divisors(qs) -> list[tuple[int, int]]:
-    """(d, mu(d)) for every squarefree d whose prime factors are among
-    ``qs``, starting with (1, 1)."""
-    divisors = [(1, 1)]
-    for q in qs:
-        divisors += [(d * q, -mu) for d, mu in divisors]
-    return divisors
-
-
-def tally_diff_fast(j: int, n: int, divisors, s_j: int, table: PrimeTable) -> int:
-    """friends - enemies of n in class j, one Moebius sum over n's divisors.
-
-    Needs odd n and j >= 2 with p_j below every prime divisor of n;
-    ``divisors`` is ``mobius_divisors`` of n's distinct primes, built once
-    per n and shared by its classes, and ``s_j`` is ``class_size(j, n - 1)``.
-    Enemies are the class members p_j * k, k <= x = (n-1) // p_j, with k
-    coprime to n: the sum of mu(d) * phi(x // d, j-1), whose d = 1 term is
-    s_j itself.
-    """
-    primes = table._primes_view
-    x = (n - 1) // primes[j - 1]
-    r = j - 1
-    memo = table._phi_cache
-    enemies = s_j
-    for d, mu in islice(divisors, 1, None):
-        enemies += mu * _phi(x // d, r, primes, table, memo)
-    return s_j - 2 * enemies
-
-
 def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
                 table: PrimeTable) -> np.ndarray:
-    """``tally_diff_fast`` of each pair (n[k], j[k]) in int64; ``qs[k]`` holds
-    n[k]'s distinct primes, padded with values above n[k].  Each x // d comes
+    """friends - enemies of odd n[k] in class j[k] >= 2, p_j below n[k]'s
+    primes ``qs[k]`` (padded with values above n[k]), in int64: s_j - 2 *
+    enemies, where the enemies p_j * m, m <= x = (n-1) // p_j coprime to n,
+    number the sum of mu(d) * phi(x // d, j-1) over squarefree d | n, whose
+    d = 1 term is s_j[k], class j[k]'s size below n[k].  Each x // d comes
     from an earlier quotient by one more prime (no product of primes is
     formed), and a zero quotient adds 0 and is dropped.  phi(y, r) takes the
     branches of ``_phi``; only its recursion stays scalar (and memoized)."""
@@ -200,3 +163,22 @@ def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
     tail = np.zeros(len(x), dtype=np.int64)  # enemies less the d = 1 term, s_j
     np.add.at(tail, k, mu * phi)
     return -s_j - 2 * tail
+
+
+# Kept only because perfbench/probe.py wraps them by name, as
+# ``greedy.tally_even_class`` and ``greedy.tally_diff_fast``; nothing in the
+# package calls them.  ROADMAP item 1 (the benchmark's spans) retires both.
+
+
+def tally_even_class(n: int, f: Factorization) -> tuple[int, int]:
+    """(friends, enemies) of odd n among the evens below it; kept for the probe."""
+    if n % 2 == 0 or n < 3 or f.n != n:
+        raise ValueError(f"need odd n >= 3 and its factorization, got n={n}, f.n={f.n}")
+    enemies = totient(f) // 2
+    return (n - 1) // 2 - enemies, enemies
+
+
+def tally_diff_fast(j: int, n: int, qs, s_j: int, table: PrimeTable) -> int:
+    """``tally_diffs`` of the one pair (n, j), ``qs`` n's distinct primes; kept for the probe."""
+    return int(tally_diffs(np.array([n]), np.array([j]), np.array([qs]),
+                           np.array([s_j]), table)[0])

@@ -15,9 +15,10 @@ falls with the class, so one bound below s_i rules out every class left.
 
 ``verify_range`` asks the same question per n against the canonical
 clustering of [2, n-1], scoring every class exactly a block of odd integers
-at a time in numpy (``verify_single`` is its scalar twin), so its only
-running state is its window's class sizes, and a sweep can fan out
-over windows and still merge deterministically.
+at a time, so its only running state is its window's class sizes, and a
+sweep can fan out over windows and still merge deterministically.  Every
+exact score (``verify_range``'s, ``run_accelerated``'s, ``class_scores``')
+comes from ``_score_rows``, one numpy Moebius pass over many odd composites.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .counts import class_size, mobius_divisors, tally_diff_fast, tally_diffs, wheel_phi
-from .counts import tally_even_class  # noqa: F401  (perfbench/probe.py wraps it)
+from .counts import class_size, tally_diffs, wheel_phi
+from .counts import tally_diff_fast, tally_even_class  # noqa: F401  (wrapped by perfbench)
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import Partition
 from .primes import Factorization, PrimeTable, factorize, totient
@@ -51,7 +52,7 @@ class GreedyState:
     unverified: range = range(0)  # the integers after the first anomaly
     conflicts: int = 0
     bound_checks: int = 0  # accelerated: (integer, class) pairs bounded
-    exact_checks: int = 0  # accelerated: integers scored by ``class_scores``
+    exact_checks: int = 0  # accelerated: integers scored exactly, by ``_score_rows``
 
 
 @dataclass
@@ -284,8 +285,8 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     the class i of its smallest prime if s_i beats class 1, a fresh class
     (0) and each class 2 <= j < i (no class beyond i can beat it).  Per
     ``SPAN``, ``_Span`` scores class 1 exactly and bounds each class j >= 2
-    until the friend bound W_j, falling with j, is below s_i; what stays
-    open is scored by ``class_scores``.  Conflicts are summed in closed form.
+    until the friend bound W_j, falling with j, is below s_i; ``_score_rows``
+    scores what stays open exactly.  Conflicts are summed in closed form.
 
     A step whose winner differs from class i is recorded as an anomaly and
     labeled with the actual winner.  The scores of every later step assume
@@ -305,9 +306,11 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
         if state.anomalies:
             continue
         state.bound_checks += sum(len(k) for _, k, _ in span.bounds(table))
-        for m in span.m[span.exact].tolist():
-            state.exact_checks += 1
-            vals = class_scores(m, factorize(m, table), table)
+        rows = np.flatnonzero(span.exact)
+        state.exact_checks += len(rows)
+        scores = _score_rows(span.m[rows], span.qs[rows], span.i[rows], span.d1[rows],
+                             lambda o, j: span.ranks.size(j, span.rows[rows[o]]), table)
+        for m, vals in zip(span.m[rows].tolist(), scores):
             chosen = vals.index(max(vals))  # ties to the smallest class
             if chosen != len(vals) - 1:  # s_i >= 1, so never a fresh class
                 state.anomalies.append((m, len(vals) - 1, chosen))
@@ -329,18 +332,39 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     entry j < i is friends-minus-enemies of n in class j, and entry i is the
     size of class i, all of whose members are friends of n.  No class beyond
     i can beat entry i, so the greedy step picks the argmax of this list,
-    ties to the smallest index.  Classes 2..i are opened for n alone, with
-    one ``class_size(c, n - 1)`` each.
+    ties to the smallest index.  ``_score_rows`` scores n alone (below
+    ``VERIFY_STOP_LIMIT``), each class c opened by ``class_size(c, n - 1)``.
     """
+    if n >= VERIFY_STOP_LIMIT:
+        raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
     qs = f.distinct_primes
     i = table.prime_index(qs[0])
-    sizes = [0, 0] + [class_size(c, n - 1, table) for c in range(2, i + 1)]
-    vals = [0, (n - 1) // 2 - totient(f)]  # class 1: (n-1)/2 evens, phi(n)/2 enemies
-    if i > 2:
-        divisors = mobius_divisors(qs)  # shared by the classes
-        vals += [tally_diff_fast(j, n, divisors, sizes[j], table) for j in range(2, i)]
-    vals.append(sizes[i])
+    (vals,) = _score_rows(np.array([n]), np.array([qs]), np.array([i]),
+                          np.array([(n - 1) // 2 - totient(f)]),  # (n-1)/2 evens, phi(n)/2 enemies
+                          lambda o, j: np.array([class_size(c, n - 1, table) for c in j.tolist()]),
+                          table)
     return vals
+
+
+def _score_rows(n: np.ndarray, qs: np.ndarray, i: np.ndarray, d1: np.ndarray, s_j,
+                table: PrimeTable) -> list[list[int]]:
+    """``class_scores`` of each odd composite n[k], given its primes ``qs[k]``
+    (padded with values above n[k]), class i[k] and score d1[k] in class 1;
+    ``s_j(o, j)`` reads class j[t]'s size below n[o[t]].  Every delta_j comes
+    from ``tally_diffs``, ``VERIFY_PAIRS`` pairs (k, j) at a time."""
+    scores = [[0, d] for d in d1.tolist()]
+    ends = np.cumsum(np.r_[0, i - 2])  # row k's pairs are ends[k] .. ends[k + 1] - 1
+    for lo in range(0, ends[-1], VERIFY_PAIRS):
+        pair = np.arange(lo, min(lo + VERIFY_PAIRS, ends[-1]))
+        o = np.searchsorted(ends, pair, side="right") - 1
+        j = pair - ends[o] + 2
+        deltas = tally_diffs(n[o], j, qs[o], s_j(o, j), table).tolist()
+        cuts = np.maximum(ends[o[0] : o[-1] + 2] - lo, 0).tolist()  # row o[0] + t: cuts[t:t + 2]
+        for k, a, b in zip(range(o[0], o[-1] + 1), cuts, cuts[1:]):
+            scores[k] += deltas[a:b]
+    for row, s_i in zip(scores, s_j(np.arange(len(n)), i).tolist()):
+        row.append(s_i)
+    return scores
 
 
 def verify_single(n: int, table: PrimeTable) -> VerifyRecord | None:
@@ -358,15 +382,17 @@ def verify_single(n: int, table: PrimeTable) -> VerifyRecord | None:
         return None
     vals = class_scores(n, f, table)
     i = len(vals) - 1
-    deltas = {j: vals[j] for j in range(1, i + 1)}
-    return VerifyRecord(n=n, spf_index=i, deltas=deltas,
+    return VerifyRecord(n=n, spf_index=i, deltas=dict(enumerate(vals[1:], 1)),
                         chosen_j=vals.index(max(vals)), expected_j=i)
 
 
 def verify_table_limit(stop: int) -> int:
     """Smallest table limit that scores every odd composite n <= stop: it
     covers sqrt(stop) (factorization) and stop // 13 (the largest pi lookup
-    of the counting; classes at wheel indices need none)."""
+    of the counting; classes at wheel indices need none).  The int64 kernel
+    refuses stop >= ``VERIFY_STOP_LIMIT``."""
+    if stop >= VERIFY_STOP_LIMIT:
+        raise OutOfRangeError(f"{stop} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
     return max(2, isqrt(stop), stop // 13)
 
 
@@ -381,15 +407,13 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     and each block's odd integers then join their classes, pass or fail,
     since every check is against the canonical state.  Disjoint ranges can
     run anywhere, each with its own sizes, and their reports merge
-    deterministically; each block scores its (n, j) pairs by ``tally_diffs``.
+    deterministically; each block's odd composites go to ``_score_rows``.
 
     Each call starts by clearing the table's phi memo, so a sweep that runs
     its range as a sequence of calls holds at most one call's memo.
     """
     if start < 2 or stop < start:
         raise ValueError(f"bad range [{start}, {stop}]")
-    if stop >= VERIFY_STOP_LIMIT:
-        raise OutOfRangeError(f"verify stops below {VERIFY_STOP_LIMIT}, got {stop}")
     if table.limit < verify_table_limit(stop):
         raise ValueError(f"table limit {table.limit} too small to verify up to "
                          f"{stop}; need at least {verify_table_limit(stop)}")
@@ -422,27 +446,19 @@ def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
     sizes += ranks.counts
     if not len(rows):
         return sizes
-    s_i = ranks.size(i, rows)
-    owner = np.repeat(np.arange(len(rows)), i - 2)  # pairs (owner, j), 2 <= j < i[owner]
-    j = np.arange(len(owner)) - np.searchsorted(owner, owner) + 2
     comp = [fs[k] for k in rows.tolist()]
     width = max(len(f.distinct_primes) for f in comp)
     qs = np.array([f.distinct_primes + (2 ** 63 - 1,) * (width - len(f.distinct_primes))
                    for f in comp])
-    deltas = np.empty(len(owner), dtype=np.int64)
-    for lo in range(0, len(owner), VERIFY_PAIRS):
-        o, jj = owner[lo : lo + VERIFY_PAIRS], j[lo : lo + VERIFY_PAIRS]
-        deltas[lo : lo + VERIFY_PAIRS] = tally_diffs(odd[rows[o]], jj, qs[o],
-                                                     ranks.size(jj, rows[o]), table)
-    deltas = deltas.tolist()
+    scores = _score_rows(odd[rows], qs, i, np.array([(f.n - 1) // 2 - totient(f) for f in comp]),
+                         lambda o, j: ranks.size(j, rows[o]), table)
     lines = []
-    for f, i_k, s_k, hi in zip(comp, i.tolist(), s_i.tolist(), np.cumsum(i - 2).tolist()):
-        vals = [0, (f.n - 1) // 2 - totient(f), *deltas[hi - i_k + 2 : hi], s_k]
+    for n, i_k, vals in zip(odd[rows].tolist(), i.tolist(), scores):
         chosen = vals.index(max(vals))  # ties to the smallest class
         if chosen != i_k:
-            report.anomalies.append((f.n, i_k, chosen))
+            report.anomalies.append((n, i_k, chosen))
         if out is not None:
-            lines.append(_record_json(f.n, i_k, enumerate(vals[1:], 1), chosen, i_k) + "\n")
+            lines.append(_record_json(n, i_k, enumerate(vals[1:], 1), chosen, i_k) + "\n")
     if out is not None:
         out("".join(lines))
     return sizes

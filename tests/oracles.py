@@ -7,7 +7,10 @@ set-based greedy steps.  Slow but unarguable.
 The subset-sum and wheel referees below them (``tally_exact``,
 ``size_S_exact``, ``tally_wheel_oracle``) are independently structured
 counting routes that still take a ``PrimeTable`` for the primes and, for the
-wheel, ``factorize`` for the probe's divisors.  The tally referees return a
+wheel, ``factorize`` for the probe's divisors.  ``scalar_class_scores`` is
+the scalar Moebius loop the package's numpy kernel is checked against: one
+``coprime_count`` per (class, squarefree divisor), and ``scalar_records``
+writes ``verify``'s JSONL records from it.  The tally referees return a
 ``ClassTally``, and the package's own tallies are pinned against them and
 against the naive scans.  ``threshold_T_stepwise`` builds the threshold
 density one reduced ``Fraction`` factor at a time, and
@@ -22,10 +25,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
+import json
+
 import numpy as np
 
 from gcdcluster import (GcdClusterError, OutOfRangeError, PrimeTable,
-                        ResourceGuardError, factorize, totient)
+                        ResourceGuardError, class_size, coprime_count, factorize,
+                        totient)
 from gcdcluster.thresholds import census_table_limit
 
 # Refusal thresholds for the literal subset-sum routes.  2**22 terms is a few
@@ -166,6 +172,55 @@ def friend_bounds(n: int) -> dict[int, int]:
         x = (n - 1) // primes[j - 1]
         out[j] = sum(x // q // period * pref[period] + pref[x // q % period] for q in qs)
     return out
+
+
+def mobius_divisors(qs) -> list[tuple[int, int]]:
+    """(d, mu(d)) for every squarefree d whose prime factors are among
+    ``qs``, starting with (1, 1)."""
+    divisors = [(1, 1)]
+    for q in qs:
+        divisors += [(d * q, -mu) for d, mu in divisors]
+    return divisors
+
+
+def scalar_tally_diff(j: int, n: int, divisors, s_j: int, table: PrimeTable) -> int:
+    """friends - enemies of odd n in class j >= 2, p_j below every prime of
+    n, as one scalar Moebius sum: ``divisors`` is ``mobius_divisors`` of n's
+    distinct primes and ``s_j`` is ``class_size(j, n - 1)``.  The enemies are
+    the class members p_j * k, k <= x = (n - 1) // p_j, with k coprime to n:
+    the sum of mu(d) * phi(x // d, j - 1), whose d = 1 term is s_j."""
+    x = (n - 1) // table.prime(j)
+    enemies = s_j + sum(mu * coprime_count(x // d, j - 1, table) for d, mu in divisors[1:])
+    return s_j - 2 * enemies
+
+
+def scalar_class_scores(n: int, table: PrimeTable) -> list[int]:
+    """``class_scores`` of odd n >= 3, one class and one divisor at a time:
+    [0, delta_1, delta_2, ..., delta_{i-1}, s_i], with class 1 from the
+    totient and every class size from ``class_size(c, n - 1)``."""
+    f = factorize(n, table)
+    qs = f.distinct_primes
+    i = table.prime_index(qs[0])
+    sizes = [0, 0] + [class_size(c, n - 1, table) for c in range(2, i + 1)]
+    divisors = mobius_divisors(qs)
+    return ([0, (n - 1) // 2 - totient(f)]
+            + [scalar_tally_diff(j, n, divisors, sizes[j], table) for j in range(2, i)]
+            + [sizes[i]])
+
+
+def scalar_records(start: int, stop: int, table: PrimeTable):
+    """The JSONL record lines ``verify`` writes for [start, stop] (without
+    its summary), one ``json.dumps`` per odd composite, from
+    ``scalar_class_scores``."""
+    for n in range(start | 1, stop + 1, 2):
+        if factorize(n, table).distinct_primes[0] == n:
+            continue
+        vals = scalar_class_scores(n, table)
+        i, chosen = len(vals) - 1, vals.index(max(vals))
+        yield json.dumps({"n": n, "spf_index": i,
+                          "deltas": {str(j): vals[j] for j in range(1, i + 1)},
+                          "chosen_j": chosen, "expected_j": i,
+                          "status": "pass" if chosen == i else "fail"}) + "\n"
 
 
 def naive_greedy(n: int) -> list[set[int]]:

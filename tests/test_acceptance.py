@@ -32,9 +32,10 @@ from gcdcluster import (
     verify_single,
     prime_count_inequality,
 )
-from gcdcluster.counts import mobius_divisors, tally_diff_fast, tally_even_class
+from gcdcluster.counts import tally_even_class
 from gcdcluster.partition import Partition
-from oracles import naive_all_tallies, tally_exact, tally_wheel_oracle
+from oracles import (mobius_divisors, naive_all_tallies, scalar_tally_diff, tally_exact,
+                     tally_wheel_oracle)
 from test_thresholds import PUBLISHED_CENSUS, PUBLISHED_TABLE
 
 FIRST_IRREGULAR = 111546435
@@ -197,7 +198,7 @@ def test_criterion_07c_tally_estimate_bound_random(table):
         i = table.prime_index(qs[0])
         j = rng.randrange(2, i)
         s_j = class_size(j, n - 1, table)
-        diff = tally_diff_fast(j, n, mobius_divisors(qs), s_j, table)
+        diff = scalar_tally_diff(j, n, mobius_divisors(qs), s_j, table)
         t = len(qs)
         main = Fraction(n - 1, table.prime(j))
         for l in range(1, j):

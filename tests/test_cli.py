@@ -375,6 +375,46 @@ def test_memory_error_exit_2(capsys, monkeypatch, argv):
     assert err == f"refused: {argv[0]} ran out of memory: Unable to allocate the table\n"
 
 
+def test_memory_error_in_a_worker_exit_2(capsys, monkeypatch):
+    # each worker builds its table on its first span, so a failed allocation
+    # comes back as that span's MemoryError, not as a broken pool; fork
+    # carries the doctored build into the workers
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    def no_memory(limit):
+        raise MemoryError("Unable to allocate the table")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "build_prime_table", no_memory)
+    monkeypatch.setattr(cli, "_worker_pool",
+                        lambda workers: ProcessPoolExecutor(workers, get_context("fork")))
+    code, out, err = run_cli(capsys, "verify", "--from", "2", "--to", "100", "--workers", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "refused: verify ran out of memory: Unable to allocate the table\n"
+
+
+@pytest.mark.parametrize("stop, argv", [
+    (greedy.VERIFY_STOP_LIMIT, ("verify", "--from", "2", "--to")),
+    (greedy.VERIFY_STOP_LIMIT + 1, ("verify", "--workers", "2", "--from", "2", "--to")),
+    (greedy.VERIFY_STOP_LIMIT + 1, ("conflicts", "--to-class", "1", "--n")),
+])
+def test_beyond_int64_headroom_exit_64_before_any_table(capsys, monkeypatch, stop, argv):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_worker_pool", no_pool)
+    limits = record_table_limits(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, str(stop))
+    assert code == 64
+    assert out == ""
+    assert err == (f"{argv[0]}: {stop} is not below {greedy.VERIFY_STOP_LIMIT}, "
+                   "the int64 kernel's limit\n")
+    assert limits == []
+
+
 def test_conflicts_move_delta_at_scale(capsys):
     code, out, _ = run_cli(capsys, "conflicts", "--n", str(FIRST_IRREGULAR),
                            "--to-class", "1")

@@ -23,10 +23,10 @@ from gcdcluster import (
     factorize,
     floor_identity_lhs_rhs,
 )
-from gcdcluster.counts import mobius_divisors, tally_diffs, tally_even_class
+from gcdcluster.counts import tally_diff_fast, tally_diffs, tally_even_class
 from oracles import (BudgetExceededError, UnsupportedCaseError, _friends_termsum,
-                     _size_S_termsum, naive_spf, naive_tally, size_S_exact,
-                     tally_exact, tally_wheel_oracle)
+                     _size_S_termsum, mobius_divisors, naive_spf, naive_tally,
+                     scalar_tally_diff, size_S_exact, tally_exact, tally_wheel_oracle)
 
 FIRST_IRREGULAR = 111546435
 
@@ -227,6 +227,15 @@ def test_mobius_divisors_are_signed_squarefree_divisors():
             for d in range(1, n + 1) if n % d == 0}
     got = mobius_divisors((3, 5, 7, 11))
     assert len(got) == 16 and dict(got) == want
+
+
+def test_tally_diff_fast_is_one_pair_of_the_kernel(table):
+    # 37417 = 17 * 31 * 71, class 6 (p = 13): y = 169 = 13 ** 2 in the sum
+    for j, n in ((2, 25), (3, 539), (6, 37_417), (7, 19 * 23 * 29 * 31)):
+        qs = factorize(n, table).distinct_primes
+        s_j = class_size(j, n - 1, table)
+        assert tally_diff_fast(j, n, qs, s_j, table) \
+            == scalar_tally_diff(j, n, mobius_divisors(qs), s_j, table), (j, n)
 
 
 def test_tally_diffs_refuses_pi_beyond_its_table():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies
 
 from gcdcluster import (
+    Factorization,
     OutOfRangeError,
     ResourceGuardError,
     canonical_partition,
@@ -26,7 +27,8 @@ from gcdcluster import (
 from gcdcluster import greedy
 from gcdcluster.greedy import VerifyRecord, _scan_step, _sieve_span
 from gcdcluster.primes import totient
-from oracles import ClassTally, friend_bounds, naive_greedy
+from oracles import (ClassTally, friend_bounds, naive_greedy, naive_phi,
+                     scalar_class_scores, scalar_records)
 
 FIRST_IRREGULAR = 111546435
 
@@ -179,35 +181,41 @@ def test_accelerated_refuses_n_beyond_table(small_table):
         run_accelerated(small_table.limit + 1, small_table)
 
 
-def class_1_wins_at(m0: int, monkeypatch) -> None:
-    """Make class 1 win at odd m0 = 3 * 5 * 7 * k: the span engine leaves m0
-    to the exact kernel, and greedy.class_scores lowers class 2 there below
-    class 1's exact score, which is positive (no class scores between them)."""
-    scores = greedy.class_scores
-    span_init = greedy._Span.__init__
+def class_1_wins_at(m0: int, monkeypatch) -> list[int]:
+    """Make class 1 win strictly at odd m0 = 3 * 5 * 7 * k: the span engine
+    leaves m0 to the exact kernel, and the doctored ``greedy._score_rows``
+    lowers class 2 there below class 1's exact score, which is positive (no
+    class scores between them).  Returns the list of integers the kernel
+    is given, in order."""
+    score_rows, bounds = greedy._score_rows, greedy._Span.bounds
+    seen = []
 
-    def doctored(n, f, table):
-        vals = scores(n, f, table)
-        if n == m0:
-            assert len(vals) == 3 and vals[1] > 0
-            vals[2] = vals[1] - 1
-        return vals
+    def doctored(n, *args):
+        scores = score_rows(n, *args)
+        seen.extend(n.tolist())
+        for m, vals in zip(n.tolist(), scores):
+            if m == m0:
+                assert len(vals) == 3 and vals[1] == (m0 - 1) // 2 - naive_phi(m0) > 0
+                vals[2] = vals[1] - 1
+        return scores
 
-    def leave_open(span, *args):
-        span_init(span, *args)
-        at = span.m == m0
-        span.d1[at] = span.s_i[at]  # class 1 is no longer ruled out
+    def leave_open(span, table):
+        yield from bounds(span, table)
+        span.exact[span.m == m0] = True  # class 2 is no longer settled by the bounds
 
-    monkeypatch.setattr(greedy, "class_scores", doctored)
-    monkeypatch.setattr(greedy._Span, "__init__", leave_open)
+    monkeypatch.setattr(greedy, "_score_rows", doctored)
+    monkeypatch.setattr(greedy._Span, "bounds", leave_open)
+    return seen
 
 
 def test_accelerated_stops_verifying_after_an_anomaly(table, monkeypatch):
-    class_1_wins_at(105, monkeypatch)
+    seen = class_1_wins_at(105, monkeypatch)
     n = 300
     for span in (greedy.SPAN, 40):  # one span; then the anomaly in the third of 8
         monkeypatch.setattr(greedy, "SPAN", span)
+        seen.clear()
         st = run_accelerated(n, table)
+        assert seen == [105]  # the one integer the bounds leave open
         assert st.anomalies == [(105, 2, 1)] and st.exact_checks == 1
         assert st.unverified == range(106, n + 1)
         canon = canonical_partition(n, table)
@@ -215,7 +223,9 @@ def test_accelerated_stops_verifying_after_an_anomaly(table, monkeypatch):
         assert np.array_equal(st.partition.labels[:103], canon.labels[:103])
         assert np.array_equal(st.partition.labels[104:], canon.labels[104:])
         # conflicts count every step up to the anomaly and none after it
+        seen.clear()
         at_105 = run_accelerated(105, table)
+        assert seen == [105]
         assert at_105.anomalies == [(105, 2, 1)] and not at_105.unverified
         assert at_105.conflicts == count_conflicts(at_105.partition)
         assert st.conflicts == at_105.conflicts
@@ -232,6 +242,24 @@ def test_accelerated_spans_match_reference(table, monkeypatch, span):
     assert np.array_equal(acc.partition.labels, ref.partition.labels)
     assert acc.conflicts == ref.conflicts
     assert acc.anomalies == [] and not acc.unverified
+
+
+# ------------------------------------------------------------- class_scores
+
+def test_class_scores_match_scalar_referee(table):
+    # every odd composite to 20000, the odd primes to 2000 and 19997 (a prime
+    # n has pi(n) classes to score on each side), the hard region and 111546435
+    ns = [n for n in range(9, 20_001, 2) if not table.is_prime(n) or n < 2_000]
+    hard = [n for n in _hard_region_sample(100, seed=6)
+            if factorize(n, table).distinct_primes[0] < n]
+    for n in ns + [19_997] + hard + [FIRST_IRREGULAR]:
+        assert class_scores(n, factorize(n, table), table) == scalar_class_scores(n, table), n
+
+
+def test_class_scores_refuse_beyond_int64_headroom(small_table):
+    n = greedy.VERIFY_STOP_LIMIT + 1  # refused before its factorization is read
+    with pytest.raises(OutOfRangeError):
+        class_scores(n, Factorization(n, ((n, 1),), (n,)), small_table)
 
 
 # ------------------------------------------------------------- verify_single
@@ -347,16 +375,17 @@ def test_sieve_span_matches_factorize(table, anchor, width, offset):
 
 
 def _check_window_sizes(start: int, stop: int, table) -> None:
-    """verify_range's kept class sizes give every record standalone scoring gives."""
+    """verify_range's kept class sizes and block kernel give every record the
+    scalar referee gives, integer by integer."""
     blocks = []
     report = verify_range(start, stop, table, blocks.append)
-    standalone = [verify_single(n, table) for n in range(start, stop + 1)]
-    records = [rec for rec in standalone if rec is not None]
-    assert "".join(blocks) == "".join(rec.to_json() + "\n" for rec in records)
+    lines = list(scalar_records(start, stop, table))
+    assert "".join(blocks) == "".join(lines)
+    records = [json.loads(line) for line in lines]
     assert all(block.endswith("\n") for block in blocks)  # whole records per call
     assert report.checked == len(records)
-    assert report.anomalies == [(r.n, r.expected_j, r.chosen_j)
-                                for r in records if r.status == "fail"]
+    assert report.anomalies == [(r["n"], r["expected_j"], r["chosen_j"])
+                                for r in records if r["status"] == "fail"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,7 +424,7 @@ def test_window_sizes_match_standalone_near_1e8(table, start, width):
 @example(anchor=FIRST_IRREGULAR, width=400, offset=200, block=2, pairs=2)
 def test_verify_blocks_match_verify_single(table, anchor, width, offset, block, pairs):
     # the window [a, b] holds anchor; the block kernel at any block size and
-    # pair cap writes verify_single's records, byte for byte
+    # pair cap writes the scalar referee's records, byte for byte
     a = max(2, anchor - offset % width)
     with mock.patch.object(greedy, "VERIFY_BLOCK", block), \
             mock.patch.object(greedy, "VERIFY_PAIRS", pairs):
@@ -544,7 +573,7 @@ def test_tail_bound_sound_property(table, k):
 
 def test_accelerated_settles_classes_by_bound(table, monkeypatch):
     n = 100_000
-    calls = {"tally_diff_fast": 0, "class_size": 0, "factorize": 0}
+    calls = {"tally_diffs": 0, "class_size": 0, "factorize": 0}
 
     def counting(name):
         inner = getattr(greedy, name)
@@ -560,7 +589,7 @@ def test_accelerated_settles_classes_by_bound(table, monkeypatch):
     # one check per odd composite m and class 2 <= j < i(m)
     checks = sum(max(table.prime_index(factorize(m, table).distinct_primes[0]) - 2, 0)
                  for m in range(9, n + 1, 2) if not table.is_prime(m))
-    assert calls == {"tally_diff_fast": 0, "class_size": 0, "factorize": 0}
+    assert calls == {"tally_diffs": 0, "class_size": 0, "factorize": 0}
     assert acc.exact_checks == 0
     assert 0 < acc.bound_checks < checks / 4
     assert np.array_equal(acc.partition.labels, canonical_partition(n, table).labels)
