@@ -7,87 +7,91 @@ Everything the greedy engine and the verification sweeps need reduces to exact
 counts of these sets, and every count here is exact integer arithmetic; no
 floating point is used anywhere on a counting path.
 
-Class sizes come from the coprime-counting function ``coprime_count``; the
-friend/enemy tally of class j >= 2 is one Moebius sum over the squarefree
-divisors of n, many (n, j) pairs at a time in numpy (``tally_diffs``), and
-the even class closes through the totient.  ``wheel_phi`` reads the wheel
-tables in numpy, for ``tally_diffs`` and ``greedy``'s friend bound.  The test
-suite pins these against the referees in ``tests/oracles.py``.
+Every count is a Legendre phi(y, r), the integers in [1, y] coprime to the
+first r primes, and ``legendre_phi`` computes many of them at once in numpy:
+class sizes (``class_size`` and ``coprime_count`` are its one-element case,
+the sweeps open many classes in one call), and the deep terms of the
+friend/enemy tally of class j >= 2, one Moebius sum over the squarefree
+divisors of n for many (n, j) pairs at a time (``tally_diffs``).  The even
+class closes through the totient.  ``wheel_phi`` reads the wheel tables, for
+the tallies and ``greedy``'s friend bound.  The test suite pins these
+against the referees in ``tests/oracles.py``.
 
-All functions here are pure; the per-table memo behind ``coprime_count`` is
-written under the GIL, so concurrent callers at worst duplicate work.  Nothing
-here evicts from the memo: ``greedy.verify_range`` clears it at the start of
-each call, and other callers keep it as long as their table.
+All functions here are pure and keep no state between calls.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from math import gcd
 
 import numpy as np
 
 from .errors import OutOfRangeError
 from .primes import Factorization, PrimeTable, totient
 
-_WHEEL_PRIMES = (2, 3, 5, 7)
-
-# Prefix tables for counting integers in [1, y] coprime to the first r primes,
-# r <= 4; wheels 1, 2, 6, 30, 210.
-_WHEELS: list[tuple[int, int, list[int]]] = []
-for _r in range(5):
-    _mod = 1
-    for _q in _WHEEL_PRIMES[:_r]:
-        _mod *= _q
-    _pref = [0]
-    for _x in range(_mod):
-        _pref.append(_pref[-1] + (1 if all(_x % _q for _q in _WHEEL_PRIMES[:_r]) else 0))
-    _WHEELS.append((_mod, _pref[-1], _pref))
-
-# the same tables as arrays, one row per r, the prefix rows padded to one width
-_WHEEL_MOD = np.array([mod for mod, _, _ in _WHEELS])
-_WHEEL_TOT = np.array([tot for _, tot, _ in _WHEELS])
-_WHEEL_PREF = np.array([pref + [0] * (_WHEELS[-1][0] + 1 - len(pref)) for _, _, pref in _WHEELS])
+# Wheels for phi(y, r), r <= 4: the products 1, 2, 6, 30, 210 of the first r
+# primes, their totients, and _WHEEL_PREF[r, t], the integers in [1, t]
+# coprime to them, t below 210 (counted in Python: numpy's gcd and cumsum
+# loops would add about 0.4 MB to every process's resident memory).
+_WHEEL_MOD = np.array([1, 2, 6, 30, 210])
+_WHEEL_TOT = np.array([1, 1, 2, 8, 48])
+_WHEEL_PREF = np.array([[0, *accumulate(int(gcd(x, m) == 1) for x in range(1, 210))]
+                        for m in _WHEEL_MOD.tolist()])
 
 
 def wheel_phi(y: np.ndarray, r) -> np.ndarray:
-    """``_phi``'s wheel branch in numpy: y >= 0, 1 <= r <= 4, r scalar or per y."""
+    """phi(y, r) by the wheel: y >= 0, 0 <= r <= 4, r scalar or per y."""
     q, rem = np.divmod(y, _WHEEL_MOD[r])
-    return q * _WHEEL_TOT[r] + _WHEEL_PREF[r, rem + 1]
+    return q * _WHEEL_TOT[r] + _WHEEL_PREF[r, rem]
+
+
+def _closed(y: np.ndarray, r: np.ndarray, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """phi(y, r) where it closes, and the indices of the deep terms, r >= 5
+    and y >= p_{r+1} ** 2, whose value here is phi(y, 4).  Closed are the wheel
+    for r <= 4, min(y, 1) below p_{r+1} and 1 + pi(y) - r below p_{r+1} ** 2
+    (the survivors are 1 and the primes in (p_r, y])."""
+    val = wheel_phi(y, np.minimum(r, 4))
+    big = np.flatnonzero(r > 4)
+    yb, rb = y[big], r[big]
+    p = table.primes[rb]
+    small, deep = yb < p, yb >= p * p
+    mid = np.flatnonzero(~small & ~deep)
+    if yb[mid].max(initial=0) > table.limit:
+        raise OutOfRangeError(f"pi({int(yb[mid].max())}) exceeds sieve limit {table.limit}")
+    val[big[small]] = np.minimum(yb[small], 1)
+    val[big[mid]] = 1 + np.searchsorted(table.primes, yb[mid], side="right") - rb[mid]
+    return val, big[deep]
+
+
+def legendre_phi(y: np.ndarray, r: np.ndarray, table: PrimeTable) -> np.ndarray:
+    """phi(y[t], r[t]) in int64: the integers in [1, y[t]] coprime to the
+    first r[t] primes, y >= 0, 0 <= r, and r below the table's prime count
+    where r >= 5.  The closed terms (``_closed``) are summed into their
+    owners and every deep term expands as phi(y, 4) - the sum over k = 5 .. r
+    of phi(y // p_k, k - 1), one level of terms at a time, each child with
+    its parent's owner and the opposite sign; no child is 0, since y // p_k
+    >= p_{r+1}.  Raises OutOfRangeError where pi(y) lies beyond the table."""
+    y, r = np.asarray(y, dtype=np.int64), np.asarray(r, dtype=np.int64)
+    if len(r) and (r.min() < 0 or r.max() >= max(len(table.primes), 5)):
+        raise ValueError(f"need 0 <= r < {max(len(table.primes), 5)}, got r in "
+                         f"[{r.min()}, {r.max()}]")
+    out = np.zeros(len(y), dtype=np.int64)
+    owner, sign = np.arange(len(y)), np.ones(len(y), dtype=np.int64)
+    while len(y):
+        val, d = _closed(y, r, table)
+        np.add.at(out, owner, sign * val)
+        width = r[d] - 4  # children k = 5 .. r
+        t = np.repeat(d, width)
+        k = np.arange(len(t)) - np.repeat(np.cumsum(width) - width, width) + 5
+        y, r, owner, sign = y[t] // table.primes[k - 1], k - 1, owner[t], -sign[t]
+    return out
 
 
 def coprime_count(y: int, r: int, table: PrimeTable) -> int:
-    """Count integers in [1, y] coprime to the first r primes (Legendre phi).
-
-    Wheel lookup for r <= 4; for larger r the standard recursion
-    phi(y, r) = phi(y, r-1) - phi(y // p_r, r-1), truncated to a prime-count
-    lookup once p_{r+1}**2 exceeds y.  Memoized per table.
-    """
-    primes = table._primes_view
-    if r < 0:
-        raise ValueError(f"need r >= 0, got {r}")
-    if r > 4 and r >= len(primes):
-        raise ValueError(f"need the first {r + 1} primes, table has {len(primes)}")
-    return _phi(y, r, primes, table, table._phi_cache)
-
-
-def _phi(y: int, r: int, primes: memoryview, table: PrimeTable, memo: dict) -> int:
-    if y <= 0:
-        return 0
-    if r == 0:
-        return y
-    if r <= 4:
-        mod, tot, pref = _WHEELS[r]
-        return (y // mod) * tot + pref[(y % mod) + 1]
-    p_next = primes[r]
-    if y < p_next:
-        return 1
-    if y < p_next * p_next:
-        # survivors are 1 and the primes in (p_r, y]
-        return 1 + table.pi(y) - r
-    key = (y, r)
-    v = memo.get(key)
-    if v is None:
-        v = _phi(y, r - 1, primes, table, memo) - _phi(y // primes[r - 1], r - 1, primes, table, memo)
-        memo[key] = v
-    return v
+    """Count integers in [1, y] coprime to the first r primes (Legendre phi):
+    ``legendre_phi`` of the one term (0 for y <= 0)."""
+    return int(legendre_phi(np.array([max(y, 0)]), np.array([r]), table)[0])
 
 
 def class_size(i: int, u: int, table: PrimeTable) -> int:
@@ -137,8 +141,8 @@ def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
     number the sum of mu(d) * phi(x // d, j-1) over squarefree d | n, whose
     d = 1 term is s_j[k], class j[k]'s size below n[k].  Each x // d comes
     from an earlier quotient by one more prime (no product of primes is
-    formed), and a zero quotient adds 0 and is dropped.  phi(y, r) takes the
-    branches of ``_phi``; only its recursion stays scalar (and memoized)."""
+    formed), and a zero quotient adds 0 and is dropped.  phi(y, r) closes
+    by ``_closed``, and the chunk's deep terms go to one ``legendre_phi``."""
     r = j - 1
     x = (n - 1) // table.primes[r]
     y, k, mu = x, np.arange(len(x)), np.ones(len(x), dtype=np.int64)
@@ -149,17 +153,9 @@ def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
         k = np.concatenate([k, k[keep]])
         mu = np.concatenate([mu, -mu[keep]])
     y, k, mu, r = y[len(x):], k[len(x):], mu[len(x):], r[k[len(x):]]
-    phi = np.ones_like(y)
-    wheel = r <= 4
-    phi[wheel] = wheel_phi(y[wheel], r[wheel])
-    p_next = table.primes[r]
-    mid = ~wheel & (y >= p_next) & (y < p_next * p_next)
-    sq = np.flatnonzero(~wheel & (y >= p_next * p_next))
-    if y[mid].max(initial=0) > table.limit:
-        raise OutOfRangeError(f"pi({int(y[mid].max())}) exceeds sieve limit {table.limit}")
-    phi[mid] = 1 + np.searchsorted(table.primes, y[mid], side="right") - r[mid]
-    primes, memo = table._primes_view, table._phi_cache
-    phi[sq] = [_phi(v, s, primes, table, memo) for v, s in zip(y[sq].tolist(), r[sq].tolist())]
+    phi, deep = _closed(y, r, table)
+    if len(deep):
+        phi[deep] = legendre_phi(y[deep], r[deep], table)
     tail = np.zeros(len(x), dtype=np.int64)  # enemies less the d = 1 term, s_j
     np.add.at(tail, k, mu * phi)
     return -s_j - 2 * tail

@@ -29,8 +29,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .counts import class_size, tally_diffs, wheel_phi
-from .counts import tally_diff_fast, tally_even_class  # noqa: F401  (wrapped by perfbench)
+from .counts import legendre_phi, tally_diffs, wheel_phi
+from .counts import class_size, tally_diff_fast, tally_even_class  # noqa: F401  (wrapped by perfbench)
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import Partition
 from .primes import Factorization, PrimeTable, factorize, totient
@@ -333,7 +333,7 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     size of class i, all of whose members are friends of n.  No class beyond
     i can beat entry i, so the greedy step picks the argmax of this list,
     ties to the smallest index.  ``_score_rows`` scores n alone (below
-    ``VERIFY_STOP_LIMIT``), each class c opened by ``class_size(c, n - 1)``.
+    ``VERIFY_STOP_LIMIT``), each chunk's classes opened by one ``legendre_phi``.
     """
     if n >= VERIFY_STOP_LIMIT:
         raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
@@ -341,8 +341,7 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     i = table.prime_index(qs[0])
     (vals,) = _score_rows(np.array([n]), np.array([qs]), np.array([i]),
                           np.array([(n - 1) // 2 - totient(f)]),  # (n-1)/2 evens, phi(n)/2 enemies
-                          lambda o, j: np.array([class_size(c, n - 1, table) for c in j.tolist()]),
-                          table)
+                          lambda o, j: _open_classes(j, n - 1, table), table)
     return vals
 
 
@@ -403,34 +402,36 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     Even and prime n auto-pass; each odd composite gets an exact check, and
     ``out``, when given, is called per block of ``VERIFY_BLOCK`` odd integers
     with the block's records (``verify_single``'s) as JSONL lines, if it has
-    any.  A class is opened with ``class_size`` where a block first needs it,
-    and each block's odd integers then join their classes, pass or fail,
-    since every check is against the canonical state.  Disjoint ranges can
-    run anywhere, each with its own sizes, and their reports merge
+    any.  Every class an odd composite up to ``stop`` can have, c <=
+    pi(isqrt(stop)), is opened below ``start`` by one ``legendre_phi``, and
+    each block's odd integers then join their classes, pass or fail, since
+    every check is against the canonical state.  Disjoint ranges can run
+    anywhere, each with its own sizes, and their reports merge
     deterministically; each block's odd composites go to ``_score_rows``.
-
-    Each call starts by clearing the table's phi memo, so a sweep that runs
-    its range as a sequence of calls holds at most one call's memo.
     """
     if start < 2 or stop < start:
         raise ValueError(f"bad range [{start}, {stop}]")
     if table.limit < verify_table_limit(stop):
         raise ValueError(f"table limit {table.limit} too small to verify up to "
                          f"{stop}; need at least {verify_table_limit(stop)}")
-    table._phi_cache.clear()
     report = VerifyReport(start=start, stop=stop)
     report.auto_passed += stop // 2 - (start - 1) // 2  # the evens
-    sizes = np.zeros(2, dtype=np.int64)  # sizes[c], c >= 2: class c below the block
+    sizes = np.zeros(max(table.pi(isqrt(stop)), 1) + 1, dtype=np.int64)  # sizes[c], c >= 2
+    sizes[2:] = _open_classes(np.arange(2, len(sizes)), start - 1, table)  # below start
     for a in range(start | 1, stop + 1, 2 * VERIFY_BLOCK):
-        sizes = _verify_block(a, min(a + 2 * VERIFY_BLOCK - 2, stop), table, sizes,
-                              report, out)
+        _verify_block(a, min(a + 2 * VERIFY_BLOCK - 2, stop), table, sizes, report, out)
     return report
 
 
+def _open_classes(c: np.ndarray, u: int, table: PrimeTable) -> np.ndarray:
+    """``class_size(c[t], u)`` for classes c >= 2, in one ``legendre_phi``."""
+    return legendre_phi(u // table.primes[c - 1], c - 1, table)
+
+
 def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
-                  report: VerifyReport, out) -> np.ndarray:
-    """``verify_range`` on the odd integers of [a, b], a odd; returns
-    ``sizes`` grown to the classes the block opened, plus its members."""
+                  report: VerifyReport, out) -> None:
+    """``verify_range`` on the odd integers of [a, b], a odd; adds the
+    block's members to ``sizes``."""
     fs = [factorize(n, table) for n in range(a, b + 1, 2)]
     odd = np.arange(a, b + 1, 2, dtype=np.int64)
     spf = np.array([f.distinct_primes[0] for f in fs], dtype=np.int64)
@@ -439,13 +440,10 @@ def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
     report.checked += len(rows)
     lab = np.searchsorted(table.primes, spf) + 1
     i = lab[rows]
-    top = int(i.max(initial=1)) + 1  # the classes the block scores
-    if top > len(sizes):
-        sizes = np.append(sizes, [class_size(c, a - 1, table) for c in range(len(sizes), top)])
     ranks = _Ranks(lab, sizes)
     sizes += ranks.counts
     if not len(rows):
-        return sizes
+        return
     comp = [fs[k] for k in rows.tolist()]
     width = max(len(f.distinct_primes) for f in comp)
     qs = np.array([f.distinct_primes + (2 ** 63 - 1,) * (width - len(f.distinct_primes))
@@ -461,4 +459,3 @@ def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
             lines.append(_record_json(n, i_k, enumerate(vals[1:], 1), chosen, i_k) + "\n")
     if out is not None:
         out("".join(lines))
-    return sizes

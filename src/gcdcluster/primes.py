@@ -11,8 +11,7 @@ indexing used by the clustering modules.
 
 A ``PrimeTable`` is safe to share between threads: its only later writes
 are that first sieve and a memoryview of it, which two racing readers both
-build the same, and the entries of its phi memo (see ``counts``); clearing
-the memo loses work, never a value.
+build the same.
 """
 
 from __future__ import annotations
@@ -49,10 +48,7 @@ class PrimeTable:
     ``DEFAULT_SPF_LIMIT``) bounds the SPF array, which ``spf()`` sieves on
     first read, and ``factorize`` reads through ``_spf_view``, a memoryview of
     it cached on first use; larger integers go by trial division against the
-    stored primes.  ``_phi_cache`` is the memo of ``counts.coprime_count``
-    over this table; ``counts`` only adds to it, and ``greedy.verify_range``
-    clears it at the start of each call, so a sweep run as a sequence of
-    spans holds one span's entries.
+    stored primes.
     """
 
     def __init__(self, limit: int):
@@ -64,7 +60,6 @@ class PrimeTable:
         self.spf_limit = min(self.limit, DEFAULT_SPF_LIMIT)
         self._spf = None
         self._spf_view = None
-        self._phi_cache: dict = {}
 
     def spf(self) -> np.ndarray:
         """spf()[n] = smallest prime factor of n, 2 <= n <= spf_limit."""

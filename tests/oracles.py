@@ -7,13 +7,14 @@ set-based greedy steps.  Slow but unarguable.
 The subset-sum and wheel referees below them (``tally_exact``,
 ``size_S_exact``, ``tally_wheel_oracle``) are independently structured
 counting routes that still take a ``PrimeTable`` for the primes and, for the
-wheel, ``factorize`` for the probe's divisors.  ``scalar_class_scores`` is
-the scalar Moebius loop the package's numpy kernel is checked against: one
-``coprime_count`` per (class, squarefree divisor), and ``scalar_records``
-writes ``verify``'s JSONL records from it.  The tally referees return a
-``ClassTally``, and the package's own tallies are pinned against them and
-against the naive scans.  ``threshold_T_stepwise`` builds the threshold
-density one reduced ``Fraction`` factor at a time, and
+wheel, ``factorize`` for the probe's divisors.  ``scalar_coprime_count`` is
+the scalar memoized recursion for Legendre's phi the package's numpy kernel
+is checked against, and ``scalar_class_scores`` the scalar Moebius loop: one
+``scalar_coprime_count`` per (class, squarefree divisor), and
+``scalar_records`` writes ``verify``'s JSONL records from it.  The tally
+referees return a ``ClassTally``, and the package's own tallies are pinned
+against them and against the naive scans.  ``threshold_T_stepwise`` builds
+the threshold density one reduced ``Fraction`` factor at a time, and
 ``count_with_multiplicity`` counts the census's candidates with prime powers
 allowed.  The referees refuse oversized work with ``BudgetExceededError`` and
 inputs outside their case split with ``UnsupportedCaseError``.
@@ -30,8 +31,7 @@ import json
 import numpy as np
 
 from gcdcluster import (GcdClusterError, OutOfRangeError, PrimeTable,
-                        ResourceGuardError, class_size, coprime_count, factorize,
-                        totient)
+                        ResourceGuardError, factorize, totient)
 from gcdcluster.thresholds import census_table_limit
 
 # Refusal thresholds for the literal subset-sum routes.  2**22 terms is a few
@@ -174,6 +174,35 @@ def friend_bounds(n: int) -> dict[int, int]:
     return out
 
 
+# scalar_coprime_count's memo per table limit (equal limits, equal primes)
+_PHI_MEMOS: dict[int, dict[tuple[int, int], int]] = {}
+
+
+def scalar_coprime_count(y: int, r: int, table: PrimeTable) -> int:
+    """Integers in [1, y] coprime to the first r primes, by the recursion
+    phi(y, r) = phi(y, r - 1) - phi(y // p_r, r - 1), memoized: whole periods
+    of the first r primes' product and a gcd-scanned prefix for r <= 4, 1
+    below p_{r+1}, and 1 + pi(y) - r below p_{r+1} ** 2 (1 and the primes in
+    (p_r, y])."""
+    if y <= 0:
+        return 0
+    if r <= 4:
+        period = prod(table.prime(k) for k in range(1, r + 1))
+        pref = _coprime_prefix(period)
+        return y // period * pref[period] + pref[y % period]
+    p_next = table.prime(r + 1)
+    if y < p_next:
+        return 1
+    if y < p_next * p_next:
+        return 1 + table.pi(y) - r
+    memo = _PHI_MEMOS.setdefault(table.limit, {})
+    v = memo.get((y, r))
+    if v is None:
+        v = memo[y, r] = (scalar_coprime_count(y, r - 1, table)
+                          - scalar_coprime_count(y // table.prime(r), r - 1, table))
+    return v
+
+
 def mobius_divisors(qs) -> list[tuple[int, int]]:
     """(d, mu(d)) for every squarefree d whose prime factors are among
     ``qs``, starting with (1, 1)."""
@@ -186,22 +215,23 @@ def mobius_divisors(qs) -> list[tuple[int, int]]:
 def scalar_tally_diff(j: int, n: int, divisors, s_j: int, table: PrimeTable) -> int:
     """friends - enemies of odd n in class j >= 2, p_j below every prime of
     n, as one scalar Moebius sum: ``divisors`` is ``mobius_divisors`` of n's
-    distinct primes and ``s_j`` is ``class_size(j, n - 1)``.  The enemies are
+    distinct primes and ``s_j`` is class j's size below n.  The enemies are
     the class members p_j * k, k <= x = (n - 1) // p_j, with k coprime to n:
     the sum of mu(d) * phi(x // d, j - 1), whose d = 1 term is s_j."""
     x = (n - 1) // table.prime(j)
-    enemies = s_j + sum(mu * coprime_count(x // d, j - 1, table) for d, mu in divisors[1:])
+    enemies = s_j + sum(mu * scalar_coprime_count(x // d, j - 1, table) for d, mu in divisors[1:])
     return s_j - 2 * enemies
 
 
 def scalar_class_scores(n: int, table: PrimeTable) -> list[int]:
     """``class_scores`` of odd n >= 3, one class and one divisor at a time:
     [0, delta_1, delta_2, ..., delta_{i-1}, s_i], with class 1 from the
-    totient and every class size from ``class_size(c, n - 1)``."""
+    totient and every class c's size below n from ``scalar_coprime_count``."""
     f = factorize(n, table)
     qs = f.distinct_primes
     i = table.prime_index(qs[0])
-    sizes = [0, 0] + [class_size(c, n - 1, table) for c in range(2, i + 1)]
+    sizes = [0, 0] + [scalar_coprime_count((n - 1) // table.prime(c), c - 1, table)
+                      for c in range(2, i + 1)]
     divisors = mobius_divisors(qs)
     return ([0, (n - 1) // 2 - totient(f)]
             + [scalar_tally_diff(j, n, divisors, sizes[j], table) for j in range(2, i)]

@@ -7,11 +7,11 @@ exhaustively.
 """
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdcluster import (
@@ -23,10 +23,11 @@ from gcdcluster import (
     factorize,
     floor_identity_lhs_rhs,
 )
-from gcdcluster.counts import tally_diff_fast, tally_diffs, tally_even_class
+from gcdcluster.counts import legendre_phi, tally_diff_fast, tally_diffs, tally_even_class
 from oracles import (BudgetExceededError, UnsupportedCaseError, _friends_termsum,
                      _size_S_termsum, mobius_divisors, naive_spf, naive_tally,
-                     scalar_tally_diff, size_S_exact, tally_exact, tally_wheel_oracle)
+                     scalar_coprime_count, scalar_tally_diff, size_S_exact, tally_exact,
+                     tally_wheel_oracle)
 
 FIRST_IRREGULAR = 111546435
 
@@ -71,6 +72,64 @@ def test_class_size_examples(small_table):
 
 def test_class2_size_at_first_irregular(table):
     assert class_size(2, FIRST_IRREGULAR - 1, table) == (FIRST_IRREGULAR - 3) // 6
+
+
+# terms (r, y) at the branch edges of phi(y, r): p_5 = 11 closes r = 4 by the
+# wheel, p_6 = 13 bounds r = 5's one-term and one-lookup branches, and the
+# deep terms of the window at 111546435 reach y = 111546434 // 13 = 8580494
+_EDGE_TERMS = [(r, y) for r, p in ((4, 11), (5, 13))
+               for y in (0, p - 1, p, p * p - 1, p * p)]
+_DEEP_TERMS = [(90, 8_580_494), (89, 8_580_494 // 3), (91, 8_579_999), (88, 8_580_495)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(0, 120), st.integers(0, 10 ** 7)),
+                      min_size=1, max_size=6))
+@example(terms=_EDGE_TERMS)
+@example(terms=_DEEP_TERMS)
+@example(terms=_EDGE_TERMS + _DEEP_TERMS)
+def test_legendre_phi_matches_scalar_referee(table, terms):
+    # several terms per call, so a child summed into the wrong owner shows
+    r, y = np.array(terms).T
+    want = [scalar_coprime_count(v, s, table) for s, v in terms]
+    assert legendre_phi(y, r, table).tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 600)),
+                      min_size=1, max_size=6))
+@example(terms=_EDGE_TERMS)
+def test_legendre_phi_matches_gcd_scan(small_table, terms):
+    r, y = np.array(terms).T
+    primes = small_table.primes.tolist()
+    want = [sum(1 for m in range(1, v + 1) if gcd(m, prod(primes[:s])) == 1)
+            for s, v in terms]
+    assert legendre_phi(y, r, small_table).tolist() == want
+
+
+def test_legendre_phi_refuses_pi_beyond_its_table():
+    table = build_prime_table(1_000)
+    # p_26 = 101: y = 1009 lies in [p_26, p_26 ** 2), which reads pi(y)
+    with pytest.raises(OutOfRangeError):
+        legendre_phi(np.array([1_009]), np.array([25]), table)
+    # a deep term (p_27 ** 2 = 10609) whose child 200000 // p_26 = 1980 does
+    with pytest.raises(OutOfRangeError):
+        legendre_phi(np.array([200_000]), np.array([26]), table)
+    with pytest.raises(OutOfRangeError):
+        coprime_count(1_009, 25, table)
+    assert legendre_phi(np.array([1_000, 10 ** 9]), np.array([25, 4]), table).tolist() \
+        == [1 + 168 - 25, 10 ** 9 // 210 * 48 + sum(gcd(m, 210) == 1 for m in range(1, 161))]
+
+
+def test_legendre_phi_refuses_r_outside_the_table(small_table):
+    n_primes = len(small_table.primes)
+    with pytest.raises(ValueError):
+        legendre_phi(np.array([5]), np.array([-1]), small_table)
+    with pytest.raises(ValueError):
+        legendre_phi(np.array([5, 5]), np.array([1, n_primes]), small_table)
+    assert legendre_phi(np.array([5]), np.array([n_primes - 1]), small_table).tolist() == [1]
+    assert legendre_phi(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                        small_table).tolist() == []
 
 
 def test_size_S_budget_refusal(table):
