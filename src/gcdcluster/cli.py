@@ -294,17 +294,20 @@ def cmd_conflicts(args) -> int:
         sys.stdout.write(json.dumps({"n": n, "clustering": "canonical",
                                      "conflicts": total}) + "\n")
         return EXIT_OK
+    if args.to_class < 0:  # refused before any sieve
+        print(f"conflicts: --to-class must be at least 0, got {args.to_class}", file=sys.stderr)
+        return EXIT_USAGE
     table = build_prime_table(_verify_limit(n))
     f = factorize(n, table)
     if f.distinct_primes[0] > table.limit:  # a prime's class index is pi(n)
         del table  # let the small table go before the large one is built
         table = build_prime_table(n)
-    # moving n from class i to class j changes the conflicts by score i - score j
-    vals = greedy_mod.class_scores(n, f, table)
-    i = len(vals) - 1
-    if not 0 <= args.to_class <= i:
+    i = table.prime_index(f.distinct_primes[0])
+    if args.to_class > i:  # refused before any class is scored
         print(f"conflicts: --to-class must be in [0, {i}] for n={n}", file=sys.stderr)
         return EXIT_USAGE
+    # moving n from class i to class j changes the conflicts by score i - score j
+    vals = greedy_mod.class_scores(n, f, table)
     sys.stdout.write(json.dumps({"n": n, "from_class": i, "to_class": args.to_class,
                                  "delta": vals[i] - vals[args.to_class]}) + "\n")
     return EXIT_OK

@@ -8,14 +8,15 @@ counts of these sets, and every count here is exact integer arithmetic; no
 floating point is used anywhere on a counting path.
 
 Every count is a Legendre phi(y, r), the integers in [1, y] coprime to the
-first r primes, and ``legendre_phi`` computes many of them at once in numpy:
-class sizes (``class_size`` and ``coprime_count`` are its one-element case,
-the sweeps open many classes in one call), and the deep terms of the
-friend/enemy tally of class j >= 2, one Moebius sum over the squarefree
-divisors of n for many (n, j) pairs at a time (``tally_diffs``).  The even
-class closes through the totient.  ``wheel_phi`` reads the wheel tables, for
-the tallies and ``greedy``'s friend bound.  The test suite pins these
-against the referees in ``tests/oracles.py``.
+first r primes, and ``legendre_phi`` is the one function that closes and
+expands such terms, many at once in numpy.  Its callers only build terms:
+``class_size`` opens one class or an array of classes (``coprime_count`` is
+the one-term case), and ``tally_diffs`` takes the friend/enemy tally of
+class j >= 2, one Moebius sum over the squarefree divisors of n, for many
+(n, j) pairs at a time.  The even class closes through the totient.
+``wheel_phi`` reads the wheel tables, for ``legendre_phi`` and ``greedy``'s
+friend bound.  The test suite pins these against the referees in
+``tests/oracles.py``.
 
 All functions here are pure and keep no state between calls.
 """
@@ -46,46 +47,41 @@ def wheel_phi(y: np.ndarray, r) -> np.ndarray:
     return q * _WHEEL_TOT[r] + _WHEEL_PREF[r, rem]
 
 
-def _closed(y: np.ndarray, r: np.ndarray, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """phi(y, r) where it closes, and the indices of the deep terms, r >= 5
-    and y >= p_{r+1} ** 2, whose value here is phi(y, 4).  Closed are the wheel
-    for r <= 4, min(y, 1) below p_{r+1} and 1 + pi(y) - r below p_{r+1} ** 2
-    (the survivors are 1 and the primes in (p_r, y])."""
-    val = wheel_phi(y, np.minimum(r, 4))
-    big = np.flatnonzero(r > 4)
-    yb, rb = y[big], r[big]
-    p = table.primes[rb]
-    small, deep = yb < p, yb >= p * p
-    mid = np.flatnonzero(~small & ~deep)
-    if yb[mid].max(initial=0) > table.limit:
-        raise OutOfRangeError(f"pi({int(yb[mid].max())}) exceeds sieve limit {table.limit}")
-    val[big[small]] = np.minimum(yb[small], 1)
-    val[big[mid]] = 1 + np.searchsorted(table.primes, yb[mid], side="right") - rb[mid]
-    return val, big[deep]
-
-
 def legendre_phi(y: np.ndarray, r: np.ndarray, table: PrimeTable) -> np.ndarray:
     """phi(y[t], r[t]) in int64: the integers in [1, y[t]] coprime to the
     first r[t] primes, y >= 0, 0 <= r, and r below the table's prime count
-    where r >= 5.  The closed terms (``_closed``) are summed into their
-    owners and every deep term expands as phi(y, 4) - the sum over k = 5 .. r
-    of phi(y // p_k, k - 1), one level of terms at a time, each child with
-    its parent's owner and the opposite sign; no child is 0, since y // p_k
-    >= p_{r+1}.  Raises OutOfRangeError where pi(y) lies beyond the table."""
+    where r >= 5.  A term closes by the wheel for r <= 4, as min(y, 1) below
+    p_{r+1} and as 1 + pi(y) - r below p_{r+1} ** 2 (the survivors are 1 and
+    the primes in (p_r, y]); a deep term, r >= 5 and y >= p_{r+1} ** 2,
+    expands as phi(y, 4) - the sum over k = 5 .. r of phi(y // p_k, k - 1),
+    one level of terms at a time, each child with its parent's owner and the
+    opposite sign; no child is 0, since y // p_k >= p_{r+1}.  Raises
+    OutOfRangeError where pi(y) lies beyond the table."""
     y, r = np.asarray(y, dtype=np.int64), np.asarray(r, dtype=np.int64)
     if len(r) and (r.min() < 0 or r.max() >= max(len(table.primes), 5)):
         raise ValueError(f"need 0 <= r < {max(len(table.primes), 5)}, got r in "
                          f"[{r.min()}, {r.max()}]")
     out = np.zeros(len(y), dtype=np.int64)
     owner, sign = np.arange(len(y)), np.ones(len(y), dtype=np.int64)
-    while len(y):
-        val, d = _closed(y, r, table)
+    while True:
+        val = wheel_phi(y, np.minimum(r, 4))  # phi(y, 4) for the deep terms
+        big = np.flatnonzero(r > 4)
+        yb, rb = y[big], r[big]
+        p = table.primes[rb]
+        small, deep = yb < p, yb >= p * p
+        mid = np.flatnonzero(~small & ~deep)
+        if yb[mid].max(initial=0) > table.limit:
+            raise OutOfRangeError(f"pi({int(yb[mid].max())}) exceeds sieve limit {table.limit}")
+        val[big[small]] = np.minimum(yb[small], 1)
+        val[big[mid]] = 1 + np.searchsorted(table.primes, yb[mid], side="right") - rb[mid]
         np.add.at(out, owner, sign * val)
+        d = big[deep]
+        if not len(d):
+            return out
         width = r[d] - 4  # children k = 5 .. r
         t = np.repeat(d, width)
         k = np.arange(len(t)) - np.repeat(np.cumsum(width) - width, width) + 5
         y, r, owner, sign = y[t] // table.primes[k - 1], k - 1, owner[t], -sign[t]
-    return out
 
 
 def coprime_count(y: int, r: int, table: PrimeTable) -> int:
@@ -94,13 +90,17 @@ def coprime_count(y: int, r: int, table: PrimeTable) -> int:
     return int(legendre_phi(np.array([max(y, 0)]), np.array([r]), table)[0])
 
 
-def class_size(i: int, u: int, table: PrimeTable) -> int:
-    """|S_{i,u}|: integers <= u whose smallest prime factor is the i-th prime."""
-    if i < 1:
-        raise ValueError(f"need class index >= 1, got {i}")
-    if u < 2:
-        return 0
-    return coprime_count(u // table.prime(i), i - 1, table)
+def class_size(i: int | np.ndarray, u: int, table: PrimeTable) -> int | np.ndarray:
+    """|S_{i,u}|: integers <= u whose smallest prime factor is the i-th prime,
+    phi(u // p_i, i - 1).  ``i`` is one class index (an int back) or an
+    array of them (an int64 array back, from one ``legendre_phi``)."""
+    c = np.asarray(i, dtype=np.int64).reshape(-1)
+    if c.min(initial=1) < 1:
+        raise ValueError(f"need class index >= 1, got {c.min()}")
+    if c.max(initial=1) > len(table.primes):
+        raise OutOfRangeError(f"prime index {c.max()} outside table (1..{len(table.primes)})")
+    size = legendre_phi(max(u, 0) // table.primes[c - 1], c - 1, table)  # 0 for u < 2
+    return int(size[0]) if np.ndim(i) == 0 else size
 
 
 def floor_identity_lhs_rhs(n: int, u: int, qs) -> tuple[int, int]:
@@ -141,8 +141,8 @@ def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
     number the sum of mu(d) * phi(x // d, j-1) over squarefree d | n, whose
     d = 1 term is s_j[k], class j[k]'s size below n[k].  Each x // d comes
     from an earlier quotient by one more prime (no product of primes is
-    formed), and a zero quotient adds 0 and is dropped.  phi(y, r) closes
-    by ``_closed``, and the chunk's deep terms go to one ``legendre_phi``."""
+    formed), and a zero quotient adds 0 and is dropped.  Every term with
+    d > 1 goes to one ``legendre_phi``."""
     r = j - 1
     x = (n - 1) // table.primes[r]
     y, k, mu = x, np.arange(len(x)), np.ones(len(x), dtype=np.int64)
@@ -153,11 +153,8 @@ def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
         k = np.concatenate([k, k[keep]])
         mu = np.concatenate([mu, -mu[keep]])
     y, k, mu, r = y[len(x):], k[len(x):], mu[len(x):], r[k[len(x):]]
-    phi, deep = _closed(y, r, table)
-    if len(deep):
-        phi[deep] = legendre_phi(y[deep], r[deep], table)
     tail = np.zeros(len(x), dtype=np.int64)  # enemies less the d = 1 term, s_j
-    np.add.at(tail, k, mu * phi)
+    np.add.at(tail, k, mu * legendre_phi(y, r, table))
     return -s_j - 2 * tail
 
 

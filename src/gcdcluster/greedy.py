@@ -18,7 +18,9 @@ clustering of [2, n-1], scoring every class exactly a block of odd integers
 at a time, so its only running state is its window's class sizes, and a
 sweep can fan out over windows and still merge deterministically.  Every
 exact score (``verify_range``'s, ``run_accelerated``'s, ``class_scores``')
-comes from ``_score_rows``, one numpy Moebius pass over many odd composites.
+comes from ``_score_rows``, one numpy Moebius pass over many odd composites;
+``verify_range`` and ``class_scores`` open their class sizes by
+``counts.class_size``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .counts import legendre_phi, tally_diffs, wheel_phi
-from .counts import class_size, tally_diff_fast, tally_even_class  # noqa: F401  (wrapped by perfbench)
+from .counts import class_size, tally_diffs, wheel_phi
+from .counts import tally_diff_fast, tally_even_class  # noqa: F401  (wrapped by perfbench)
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import Partition
 from .primes import Factorization, PrimeTable, factorize, totient
@@ -333,7 +335,7 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     size of class i, all of whose members are friends of n.  No class beyond
     i can beat entry i, so the greedy step picks the argmax of this list,
     ties to the smallest index.  ``_score_rows`` scores n alone (below
-    ``VERIFY_STOP_LIMIT``), each chunk's classes opened by one ``legendre_phi``.
+    ``VERIFY_STOP_LIMIT``), each chunk's classes opened by one ``class_size``.
     """
     if n >= VERIFY_STOP_LIMIT:
         raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
@@ -341,7 +343,7 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     i = table.prime_index(qs[0])
     (vals,) = _score_rows(np.array([n]), np.array([qs]), np.array([i]),
                           np.array([(n - 1) // 2 - totient(f)]),  # (n-1)/2 evens, phi(n)/2 enemies
-                          lambda o, j: _open_classes(j, n - 1, table), table)
+                          lambda o, j: class_size(j, n - 1, table), table)
     return vals
 
 
@@ -403,7 +405,7 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     ``out``, when given, is called per block of ``VERIFY_BLOCK`` odd integers
     with the block's records (``verify_single``'s) as JSONL lines, if it has
     any.  Every class an odd composite up to ``stop`` can have, c <=
-    pi(isqrt(stop)), is opened below ``start`` by one ``legendre_phi``, and
+    pi(isqrt(stop)), is opened below ``start`` by one ``class_size``, and
     each block's odd integers then join their classes, pass or fail, since
     every check is against the canonical state.  Disjoint ranges can run
     anywhere, each with its own sizes, and their reports merge
@@ -417,15 +419,10 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     report = VerifyReport(start=start, stop=stop)
     report.auto_passed += stop // 2 - (start - 1) // 2  # the evens
     sizes = np.zeros(max(table.pi(isqrt(stop)), 1) + 1, dtype=np.int64)  # sizes[c], c >= 2
-    sizes[2:] = _open_classes(np.arange(2, len(sizes)), start - 1, table)  # below start
+    sizes[2:] = class_size(np.arange(2, len(sizes)), start - 1, table)  # below start
     for a in range(start | 1, stop + 1, 2 * VERIFY_BLOCK):
         _verify_block(a, min(a + 2 * VERIFY_BLOCK - 2, stop), table, sizes, report, out)
     return report
-
-
-def _open_classes(c: np.ndarray, u: int, table: PrimeTable) -> np.ndarray:
-    """``class_size(c[t], u)`` for classes c >= 2, in one ``legendre_phi``."""
-    return legendre_phi(u // table.primes[c - 1], c - 1, table)
 
 
 def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,

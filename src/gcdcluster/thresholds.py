@@ -189,23 +189,23 @@ def n1_table(i: int, j: int, t: int, table: PrimeTable) -> ThresholdRecord:
     return ThresholdRecord(i=i, j=j, t=t, n1=n1, infeasible=n1 <= smallest_candidate)
 
 
-def table1_records(table: PrimeTable,
-                   horizon: int = FIRST_IRREGULAR) -> list[ThresholdRecord]:
+def table1_records(table: PrimeTable) -> list[ThresholdRecord]:
     """All displayed threshold cells n1(i, i-1, t).
 
     A cell (i, t) is displayed while both the smallest candidate (product of
-    t consecutive primes from p_i) and the threshold itself stay within the
-    horizon; everything beyond cannot matter below the first irregularity.
+    t consecutive primes from p_i) and the threshold itself stay within
+    ``FIRST_IRREGULAR``; everything beyond cannot matter below the first
+    irregularity.
     """
     records = []
     for i in range(3, 21):
         t = 1
         while True:
             smallest = prod(table.prime(i + k) for k in range(t))
-            if smallest > horizon:
+            if smallest > FIRST_IRREGULAR:
                 break
             rec = n1_table(i, i - 1, t, table)
-            if rec.n1 > horizon:
+            if rec.n1 > FIRST_IRREGULAR:
                 break
             records.append(rec)
             t += 1

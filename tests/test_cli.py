@@ -424,17 +424,29 @@ def test_conflicts_move_delta_at_scale(capsys):
     assert doc["from_class"] == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("--n", "105", "--to-class", "7"),  # 105 is in class 2
-    ("--n", "105", "--to-class", "-1"),
-    ("--n", "1", "--to-class", "1"),
-    ("--n", "1"),
-])
-def test_conflicts_out_of_range_exit_64(capsys, argv):
+# argv: the table limits built before the refusal
+_CONFLICTS_REFUSED = {
+    ("--n", "105", "--to-class", "7"): [105],  # 105 is in class 2
+    ("--n", "105", "--to-class", "-1"): [],
+    ("--n", "1", "--to-class", "1"): [],
+    ("--n", "1"): [],
+    ("--n", "10007", "--to-class", "1231"): [10007],  # a prime, class pi(10007) = 1230
+}
+
+
+@pytest.mark.parametrize("argv", list(_CONFLICTS_REFUSED))
+def test_conflicts_out_of_range_exit_64(capsys, monkeypatch, argv):
+    # refused before any class is scored, and a negative class before any sieve
+    def no_scoring(*args):
+        raise AssertionError("class_scores ran")
+
+    monkeypatch.setattr(greedy, "class_scores", no_scoring)
+    limits = record_table_limits(monkeypatch)
     code, out, err = run_cli(capsys, "conflicts", *argv)
     assert code == 64
     assert out == ""
     assert err.startswith("conflicts: ") and err.count("\n") == 1
+    assert limits == _CONFLICTS_REFUSED[argv]
 
 
 def test_conflicts_prime_beyond_default_table(capsys, monkeypatch):

@@ -74,6 +74,34 @@ def test_class2_size_at_first_irregular(table):
     assert class_size(2, FIRST_IRREGULAR - 1, table) == (FIRST_IRREGULAR - 3) // 6
 
 
+@settings(max_examples=100, deadline=None)
+@given(i=st.lists(st.integers(1, 400), min_size=1, max_size=8),
+       u=st.integers(-3, 10 ** 7) | st.integers(10 ** 7 - 10 ** 4, 10 ** 7))
+@example(i=[1, 2, 5, 6, 7, 40], u=1)  # u < 2: empty classes
+@example(i=[1, 2, 5, 6, 7, 40], u=0)
+@example(i=[12, 30, 100, 400], u=5_000)  # p_i ** 2 > u // p_i: pi lookups
+@example(i=[6, 7, 12, 25, 46, 90], u=9_999_991)  # deep terms, p_i ** 3 <= u
+def test_class_size_array_matches_scalar_and_referee(table, i, u):
+    sizes = class_size(np.array(i), u, table)
+    assert sizes.tolist() == [class_size(c, u, table) for c in i]
+    assert all(type(class_size(c, u, table)) is int for c in i)
+    assert sizes.tolist() == [scalar_coprime_count(max(u, 0) // table.prime(c), c - 1, table)
+                              for c in i]
+
+
+def test_class_size_refuses_classes_outside_the_table(small_table):
+    past = len(small_table.primes) + 1
+    for u in (1, 5_000):
+        for i in (0, np.array([2, 0, 3])):
+            with pytest.raises(ValueError):
+                class_size(i, u, small_table)
+        for i in (past, np.array([1, past])):
+            with pytest.raises(OutOfRangeError):
+                class_size(i, u, small_table)
+    assert class_size(np.array([past - 1]), 1, small_table).tolist() == [0]
+    assert class_size(np.array([], dtype=np.int64), 5_000, small_table).tolist() == []
+
+
 # terms (r, y) at the branch edges of phi(y, r): p_5 = 11 closes r = 4 by the
 # wheel, p_6 = 13 bounds r = 5's one-term and one-lookup branches, and the
 # deep terms of the window at 111546435 reach y = 111546434 // 13 = 8580494

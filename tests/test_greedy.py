@@ -347,6 +347,28 @@ def test_verify_range_factorizes_each_odd_once_in_order(table, monkeypatch):
     assert calls == list(range(start, start + 4_000, 2))
 
 
+def test_verify_range_and_class_scores_open_classes_through_class_size(table, monkeypatch):
+    # every class opening goes through greedy.class_size, the name the
+    # benchmark probe's counts.class_size span wraps: verify_range opens its
+    # classes in one call, class_scores once per chunk of pairs and once for s_i
+    calls = []
+    inner = greedy.class_size
+
+    def recording_class_size(i, u, tb):
+        calls.append((np.asarray(i).tolist(), u))
+        return inner(i, u, tb)
+
+    monkeypatch.setattr(greedy, "class_size", recording_class_size)
+    verify_range(1_000_001, 1_003_000, table)
+    assert calls == [(list(range(2, table.pi(isqrt(1_003_000)) + 1)), 1_000_000)]
+    calls.clear()
+    monkeypatch.setattr(greedy, "VERIFY_PAIRS", 8)
+    n = 71 * 73  # class 20: pairs j = 2 .. 19
+    assert class_scores(n, factorize(n, table), table) == scalar_class_scores(n, table)
+    assert calls == [(list(range(2, 10)), n - 1), (list(range(10, 18)), n - 1),
+                     ([18, 19], n - 1), ([20], n - 1)]
+
+
 def test_verify_range_refuses_beyond_int64_headroom(small_table):
     with pytest.raises(OutOfRangeError):
         verify_range(greedy.VERIFY_STOP_LIMIT - 1, greedy.VERIFY_STOP_LIMIT, small_table)
