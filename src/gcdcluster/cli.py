@@ -38,6 +38,10 @@ EXIT_USAGE = 64
 TABLES_LIMIT = 1_000_000  # the table ``tables`` builds unless a census needs more
 
 
+class _UsageError(Exception):
+    """A command line refused before any work: ``main`` prints it, exit 64."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -114,8 +118,9 @@ def _write_classes_json(fh, labels: np.ndarray) -> None:
 
 def cmd_greedy(args) -> int:
     if args.n < 2:
-        print("greedy: --n must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--n must be at least 2")
+    if args.guard is not None and args.mode != "reference":
+        raise _UsageError("--guard applies only to --mode reference")
     if args.mode == "reference":
         guard = args.guard if args.guard is not None else greedy_mod.DEFAULT_REFERENCE_GUARD
         state = greedy_mod.run_reference(args.n, guard=guard)
@@ -180,13 +185,10 @@ def _map_ahead(pool, fn, items, ahead: int):
 
 def cmd_verify(args) -> int:
     if args.start < 2 or args.stop < args.start:
-        print(f"verify: bad range [{args.start}, {args.stop}]", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"bad range [{args.start}, {args.stop}]")
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
-        print(f"verify: --workers must be in [1, {cpus}], got {args.workers}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--workers must be in [1, {cpus}], got {args.workers}")
     limit = _verify_limit(args.stop)
     spans = [(a, min(a + greedy_mod.SPAN - 1, args.stop))
              for a in range(args.start, args.stop + 1, greedy_mod.SPAN)]
@@ -226,14 +228,24 @@ def cmd_verify(args) -> int:
 def cmd_tables(args) -> int:
     try:
         text = _tables_text(args)
-    except ValueError as exc:  # an index, a cell or a prime the thresholds refuse
-        print(f"tables: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:  # an option, index, cell or prime the thresholds refuse
+        raise _UsageError(exc)
     sys.stdout.write(text)
     return EXIT_OK
 
 
 def _tables_text(args) -> str:
+    n1, i, t, p = args.which == "n1", args.i is not None, args.t is not None, args.p is not None
+    for flag, value, read, rule in (  # an option given is refused where it goes unread
+            ("--i", args.i, n1, "--which n1"),
+            ("--j", args.j, n1 and i and t, "--which n1, --i and --t"),
+            ("--t", args.t, n1 and i, "--which n1 and --i"),
+            ("--force", args.force or None, n1 and i and t, "--which n1, --i and --t"),
+            ("--p", args.p, not n1, "--which census"),
+            ("--bound", args.bound, not n1 and p, "--which census and --p"),
+            ("--long-run", args.long_run or None, not (n1 or p), "--which census and no --p")):
+        if value is not None and not read:
+            raise ValueError(f"{flag} is read only with {rule}")
     limit = TABLES_LIMIT
     if args.which == "census" and args.p is not None:
         limit = max(limit, thresholds.census_table_limit(args.p, args.bound))
@@ -281,11 +293,9 @@ def cmd_n0(args) -> int:
 def cmd_conflicts(args) -> int:
     n = args.n
     if args.to_class is not None and (n < 3 or n % 2 == 0):
-        print("conflicts: move scoring is defined for odd n >= 3", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("move scoring is defined for odd n >= 3")
     if n < 2:
-        print("conflicts: --n must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--n must be at least 2")
     if args.to_class is None:
         guard = args.guard if args.guard is not None else DEFAULT_CONFLICT_GUARD
         check_conflict_guard(n, guard)  # before the table and the partition
@@ -294,9 +304,10 @@ def cmd_conflicts(args) -> int:
         sys.stdout.write(json.dumps({"n": n, "clustering": "canonical",
                                      "conflicts": total}) + "\n")
         return EXIT_OK
+    if args.guard is not None:
+        raise _UsageError("--guard applies only without --to-class")
     if args.to_class < 0:  # refused before any sieve
-        print(f"conflicts: --to-class must be at least 0, got {args.to_class}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--to-class must be at least 0, got {args.to_class}")
     table = build_prime_table(_verify_limit(n))
     f = factorize(n, table)
     if f.distinct_primes[0] > table.limit:  # a prime's class index is pi(n)
@@ -304,8 +315,7 @@ def cmd_conflicts(args) -> int:
         table = build_prime_table(n)
     i = table.prime_index(f.distinct_primes[0])
     if args.to_class > i:  # refused before any class is scored
-        print(f"conflicts: --to-class must be in [0, {i}] for n={n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--to-class must be in [0, {i}] for n={n}")
     # moving n from class i to class j changes the conflicts by score i - score j
     vals = greedy_mod.class_scores(n, f, table)
     sys.stdout.write(json.dumps({"n": n, "from_class": i, "to_class": args.to_class,
@@ -326,7 +336,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"refused: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except OutOfRangeError as exc:  # a query beyond what its table covers
+    except (_UsageError, OutOfRangeError) as exc:  # a bad command line or a query past its table
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -16,11 +16,9 @@ falls with the class, so one bound below s_i rules out every class left.
 ``verify_range`` asks the same question per n against the canonical
 clustering of [2, n-1], scoring every class exactly a block of odd integers
 at a time, so its only running state is its window's class sizes, and a
-sweep can fan out over windows and still merge deterministically.  Every
-exact score (``verify_range``'s, ``run_accelerated``'s, ``class_scores``')
-comes from ``_score_rows``, one numpy Moebius pass over many odd composites;
-``verify_range`` and ``class_scores`` open their class sizes by
-``counts.class_size``.
+sweep can fan out over windows and still merge deterministically.  Both
+sweeps build the same rows (``_Rows``: odd integers, their classes and class
+sizes); every exact score comes from ``_score_rows``, one numpy Moebius pass.
 """
 
 from __future__ import annotations
@@ -202,35 +200,42 @@ def _sieve_span(a: int, b: int, primes: np.ndarray):
     return phi, qs, used
 
 
-class _Ranks:
-    """Class sizes along a run of odd integers: ``lab[k]`` is the k-th's class
-    (primes included), ``sizes[c]`` class c's size before the run (classes from
-    len(sizes) on are not counted), ``counts[c]`` its members in the run."""
+class _Rows:
+    """Odd integers ``odd`` in their canonical classes ``lab`` (those of their
+    smallest primes ``spf``), advancing ``sizes[c]`` (class c's size, c <
+    len(sizes)) past them.  Rows are the odd composites, rising: place ``k``,
+    ``m``, class ``i``, class size ``s_i`` below m, class 1 score ``d1``,
+    primes ``qs`` (padded above m) and their count ``used``."""
 
-    def __init__(self, lab: np.ndarray, sizes: np.ndarray):
-        self.length, top = len(lab), len(sizes)
-        lab = np.minimum(lab, top)
-        order = np.argsort(lab, kind="stable")
-        self.keys = lab[order] * self.length + order  # (class, position), increasing
-        self.start = np.searchsorted(self.keys, np.arange(top + 1) * self.length)
-        self.counts = np.diff(self.start)
-        self.base = sizes - self.start[:-1]
+    def __init__(self, odd, spf, qs, used, d1, sizes, table: PrimeTable):
+        self.lab = np.searchsorted(table.primes, spf) + 1
+        length, top = len(odd), len(sizes)
+        # (class, place) of every odd integer, increasing; primes included
+        self.keys = np.sort(np.minimum(self.lab, top) * length + np.arange(length))
+        start = np.searchsorted(self.keys, np.arange(top + 1) * length)
+        self.base = sizes - start[:-1]  # plus the place in ``keys``: the size below
+        place = np.empty_like(self.keys)
+        place[self.keys % length] = np.arange(length)
+        self.k = np.flatnonzero(spf != odd)
+        self.m, self.i = odd[self.k], self.lab[self.k]
+        self.s_i = self.base[self.i] + place[self.k]
+        self.d1, self.qs, self.used = d1, qs, used
+        sizes += np.diff(start)
 
     def size(self, c, k):
         """Class c's size below the k-th odd integer; c is one class or one per k."""
-        if np.ndim(c):
-            return self.base[c] + np.searchsorted(self.keys, c * self.length + k)
-        lo, hi = self.start[c], self.start[c + 1]
-        return np.searchsorted(self.keys[lo:hi], c * self.length + k) + (self.base[c] + lo)
+        return self.base[c] + np.searchsorted(self.keys, c * len(self.lab) + k)
+
+    def scores(self, sel, table: PrimeTable) -> list[list[int]]:
+        """``class_scores`` of the rows ``sel``, by ``_score_rows``."""
+        return _score_rows(self.m[sel], self.qs[sel], self.i[sel], self.d1[sel],
+                           lambda o, j: self.size(j, self.k[sel][o]), table)
 
 
 class _Span:
-    """The canonical clustering over [a, b]: writes each integer's class into
-    ``labels`` and adds the span's members to ``sizes`` (class c >= 2 within
-    [2, a - 1] on entry).  Rows are the odd composites m, rising: class ``i``,
-    exact ``s_i`` and ``d1`` (scores of classes i and 1), primes ``qs`` and
-    their count ``used``.  ``gain[m - a]``: the conflicts m adds in its class.
-    """
+    """The canonical clustering over [a, b]: each integer's class goes into
+    ``labels``, the odd integers into ``rows`` (``sizes`` on entry: within
+    [2, a - 1]).  ``gain[m - a]``: the conflicts m adds in its class."""
 
     def __init__(self, a: int, b: int, table: PrimeTable, sizes: np.ndarray,
                  labels: np.ndarray):
@@ -239,27 +244,18 @@ class _Span:
         # (m - 2) / 2 evens for even m, s_i for an odd composite (below)
         self.gain = np.subtract(np.arange(a - 1, b), phi, out=phi)
         self.gain[a % 2 :: 2] -= np.arange((a + a % 2) // 2 - 1, b // 2)
-        o0 = a | 1
-        odd = np.arange(o0, b + 1, 2, dtype=np.int64)
-        comp = qs[:, 0] != np.iinfo(qs.dtype).max
-        olab = np.searchsorted(table.primes, np.where(comp, qs[:, 0], odd)) + 1
+        odd = np.arange(a | 1, b + 1, 2, dtype=np.int64)
+        comp = used > 0  # the odd composites
+        spf, qs = np.where(comp, qs[:, 0], odd), qs[comp]  # frees the sieve's matrix early
+        gain_odd = self.gain[1 - a % 2 :: 2]
+        self.rows = _Rows(odd, spf, qs, used[comp], gain_odd[comp] - (odd[comp] - 1) // 2,
+                          sizes, table)  # d1 = (m - 1) // 2 - phi(m)
         labels[a % 2 :: 2] = 1
-        labels[o0 - a :: 2] = olab
-        self.ranks = _Ranks(olab, sizes)
-        rank = np.empty_like(olab)  # each odd integer's place in the ranks' keys
-        rank[self.ranks.keys % len(olab)] = np.arange(len(olab))
-        self.rows = np.flatnonzero(comp)
-        self.i = olab[self.rows]
-        self.s_i = self.ranks.base[self.i] + rank[self.rows]
-        self.m = odd[self.rows]
-        gain_odd = self.gain[o0 - a :: 2]
-        self.d1 = gain_odd[self.rows] - (self.m - 1) // 2  # (m - 1) // 2 - phi(m)
-        gain_odd[self.rows] -= self.s_i
-        self.qs, self.used = qs[self.rows], used[self.rows]
-        sizes += self.ranks.counts
+        labels[1 - a % 2 :: 2] = self.rows.lab
+        gain_odd[self.rows.k] -= self.rows.s_i
 
     def bounds(self, table: PrimeTable):
-        """Yield (j, k, W_j) for j = 2, 3, ...: the rows k still open and their
+        """Yield (j, t, W_j) for j = 2, 3, ...: the rows t still open and their
         friend bound; then ``exact`` marks the rows to score exactly.  Friends
         of m in class j are p_j * k, k <= x = (m - 1) // p_j free of the first
         j - 1 primes and divisible by a prime q | m, so at most W_j = sum of
@@ -268,16 +264,17 @@ class _Span:
         where W_j < s_i: as j rises, x falls and r = min(j - 1, 4) never falls,
         and phi(y, r) rises with y and falls with r, so W_j never rises.
         """
-        self.exact = self.d1 >= self.s_i
-        k, j = np.flatnonzero((self.i > 2) & ~self.exact), 2
-        while len(k):
-            x = (self.m[k] - 1) // table._primes_view[j - 1]
-            w = sum(wheel_phi(x // q, min(j - 1, 4)) for q in self.qs[k, : self.used[k].max()].T)
-            yield j, k, w
-            s_i, s_j = self.s_i[k], self.ranks.size(j, self.rows[k])
+        r = self.rows
+        self.exact = r.d1 >= r.s_i
+        t, j = np.flatnonzero((r.i > 2) & ~self.exact), 2
+        while len(t):
+            x = (r.m[t] - 1) // table._primes_view[j - 1]
+            w = sum(wheel_phi(x // q, min(j - 1, 4)) for q in r.qs[t, : r.used[t].max()].T)
+            yield j, t, w
+            s_i, s_j = r.s_i[t], r.size(j, r.k[t])
             fail = 2 * np.minimum(w, s_j) - s_j >= s_i
-            self.exact[k[fail]] = True
-            k, j = k[~fail & (w >= s_i) & (self.i[k] > j + 1)], j + 1
+            self.exact[t[fail]] = True
+            t, j = t[~fail & (w >= s_i) & (r.i[t] > j + 1)], j + 1
 
 
 def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
@@ -287,8 +284,8 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     the class i of its smallest prime if s_i beats class 1, a fresh class
     (0) and each class 2 <= j < i (no class beyond i can beat it).  Per
     ``SPAN``, ``_Span`` scores class 1 exactly and bounds each class j >= 2
-    until the friend bound W_j, falling with j, is below s_i; ``_score_rows``
-    scores what stays open exactly.  Conflicts are summed in closed form.
+    until the friend bound W_j, falling with j, is below s_i; its rows score
+    what stays open exactly.  Conflicts are summed in closed form.
 
     A step whose winner differs from class i is recorded as an anomaly and
     labeled with the actual winner.  The scores of every later step assume
@@ -308,11 +305,9 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
         if state.anomalies:
             continue
         state.bound_checks += sum(len(k) for _, k, _ in span.bounds(table))
-        rows = np.flatnonzero(span.exact)
-        state.exact_checks += len(rows)
-        scores = _score_rows(span.m[rows], span.qs[rows], span.i[rows], span.d1[rows],
-                             lambda o, j: span.ranks.size(j, span.rows[rows[o]]), table)
-        for m, vals in zip(span.m[rows].tolist(), scores):
+        sel = np.flatnonzero(span.exact)
+        state.exact_checks += len(sel)
+        for m, vals in zip(span.rows.m[sel].tolist(), span.rows.scores(sel, table)):
             chosen = vals.index(max(vals))  # ties to the smallest class
             if chosen != len(vals) - 1:  # s_i >= 1, so never a fresh class
                 state.anomalies.append((m, len(vals) - 1, chosen))
@@ -408,8 +403,7 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     pi(isqrt(stop)), is opened below ``start`` by one ``class_size``, and
     each block's odd integers then join their classes, pass or fail, since
     every check is against the canonical state.  Disjoint ranges can run
-    anywhere, each with its own sizes, and their reports merge
-    deterministically; each block's odd composites go to ``_score_rows``.
+    anywhere, each with its own sizes; their reports merge deterministically.
     """
     if start < 2 or stop < start:
         raise ValueError(f"bad range [{start}, {stop}]")
@@ -417,11 +411,11 @@ def verify_range(start: int, stop: int, table: PrimeTable,
         raise ValueError(f"table limit {table.limit} too small to verify up to "
                          f"{stop}; need at least {verify_table_limit(stop)}")
     report = VerifyReport(start=start, stop=stop)
-    report.auto_passed += stop // 2 - (start - 1) // 2  # the evens
     sizes = np.zeros(max(table.pi(isqrt(stop)), 1) + 1, dtype=np.int64)  # sizes[c], c >= 2
     sizes[2:] = class_size(np.arange(2, len(sizes)), start - 1, table)  # below start
     for a in range(start | 1, stop + 1, 2 * VERIFY_BLOCK):
         _verify_block(a, min(a + 2 * VERIFY_BLOCK - 2, stop), table, sizes, report, out)
+    report.auto_passed = stop - start + 1 - report.checked  # the evens and the primes
     return report
 
 
@@ -430,29 +424,22 @@ def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
     """``verify_range`` on the odd integers of [a, b], a odd; adds the
     block's members to ``sizes``."""
     fs = [factorize(n, table) for n in range(a, b + 1, 2)]
-    odd = np.arange(a, b + 1, 2, dtype=np.int64)
-    spf = np.array([f.distinct_primes[0] for f in fs], dtype=np.int64)
-    rows = np.flatnonzero(spf != odd)  # the odd composites
-    report.auto_passed += len(odd) - len(rows)
-    report.checked += len(rows)
-    lab = np.searchsorted(table.primes, spf) + 1
-    i = lab[rows]
-    ranks = _Ranks(lab, sizes)
-    sizes += ranks.counts
-    if not len(rows):
-        return
-    comp = [fs[k] for k in rows.tolist()]
-    width = max(len(f.distinct_primes) for f in comp)
-    qs = np.array([f.distinct_primes + (2 ** 63 - 1,) * (width - len(f.distinct_primes))
-                   for f in comp])
-    scores = _score_rows(odd[rows], qs, i, np.array([(f.n - 1) // 2 - totient(f) for f in comp]),
-                         lambda o, j: ranks.size(j, rows[o]), table)
+    comp = [f for f in fs if f.distinct_primes[0] != f.n]
+    report.checked += len(comp)
+    used = [len(f.distinct_primes) for f in comp]
+    width = max(used, default=1)
+    qs = [f.distinct_primes + (2 ** 63 - 1,) * (width - u) for f, u in zip(comp, used)]
+    rows = _Rows(np.arange(a, b + 1, 2, dtype=np.int64),
+                 np.array([f.distinct_primes[0] for f in fs], dtype=np.int64),
+                 np.array(qs, dtype=np.int64).reshape(-1, width), np.array(used, dtype=np.int8),
+                 np.array([(f.n - 1) // 2 - totient(f) for f in comp], dtype=np.int64),
+                 sizes, table)
     lines = []
-    for n, i_k, vals in zip(odd[rows].tolist(), i.tolist(), scores):
-        chosen = vals.index(max(vals))  # ties to the smallest class
-        if chosen != i_k:
-            report.anomalies.append((n, i_k, chosen))
+    for n, vals in zip(rows.m.tolist(), rows.scores(slice(None), table)):
+        chosen, i = vals.index(max(vals)), len(vals) - 1  # ties to the smallest class
+        if chosen != i:
+            report.anomalies.append((n, i, chosen))
         if out is not None:
-            lines.append(_record_json(n, i_k, enumerate(vals[1:], 1), chosen, i_k) + "\n")
-    if out is not None:
+            lines.append(_record_json(n, i, enumerate(vals[1:], 1), chosen, i) + "\n")
+    if out is not None and lines:
         out("".join(lines))

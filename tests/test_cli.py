@@ -75,6 +75,18 @@ def test_greedy_anomaly_exit_1(capsys, monkeypatch, fmt):
         assert 105 in doc["classes"]["1"]
 
 
+@pytest.mark.parametrize("argv", [("--n", "100", "--guard", "5"),
+                                  ("--n", "100", "--mode", "accelerated", "--guard", "100000")])
+def test_greedy_usage_exit_64(capsys, monkeypatch, argv):
+    # the accelerated greedy has no guard; refused before any table
+    limits = record_table_limits(monkeypatch)
+    code, out, err = run_cli(capsys, "greedy", *argv)
+    assert code == 64
+    assert out == ""
+    assert err == "greedy: --guard applies only to --mode reference\n"
+    assert limits == []
+
+
 def test_greedy_reference_guard_exit_2(capsys):
     code, out, err = run_cli(capsys, "greedy", "--n", "200000", "--mode", "reference")
     assert code == 2
@@ -317,6 +329,20 @@ def test_tables_census_default_bound_near_table_end(capsys, monkeypatch, p, limi
     ("--which", "census", "--p", "20", "--bound", "1000000"),
     ("--which", "n1", "--i", "3", "--j", "5", "--t", "1"),
     ("--which", "n1", "--i", "21"),
+    # options that the chosen path would drop unread
+    ("--which", "n1", "--i", "5", "--j", "2"),  # --j is read only with --t
+    ("--which", "n1", "--t", "1"),
+    ("--which", "n1", "--j", "2", "--t", "1"),
+    ("--which", "n1", "--force"),
+    ("--which", "n1", "--i", "21", "--force"),  # the table's rows stop at i = 20
+    ("--which", "n1", "--p", "19"),
+    ("--which", "n1", "--i", "5", "--bound", "1000"),
+    ("--which", "n1", "--long-run"),
+    ("--which", "census", "--i", "5"),
+    ("--which", "census", "--p", "19", "--t", "1"),
+    ("--which", "census", "--force"),
+    ("--which", "census", "--bound", "1000000"),
+    ("--which", "census", "--p", "19", "--long-run"),
 ])
 def test_tables_usage_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, "tables", *argv)
@@ -431,6 +457,7 @@ _CONFLICTS_REFUSED = {
     ("--n", "1", "--to-class", "1"): [],
     ("--n", "1"): [],
     ("--n", "10007", "--to-class", "1231"): [10007],  # a prime, class pi(10007) = 1230
+    ("--n", "105", "--to-class", "1", "--guard", "500"): [],  # a move score has no guard
 }
 
 

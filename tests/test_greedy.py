@@ -201,7 +201,7 @@ def class_1_wins_at(m0: int, monkeypatch) -> list[int]:
 
     def leave_open(span, table):
         yield from bounds(span, table)
-        span.exact[span.m == m0] = True  # class 2 is no longer settled by the bounds
+        span.exact[span.rows.m == m0] = True  # class 2 is no longer settled by the bounds
 
     monkeypatch.setattr(greedy, "_score_rows", doctored)
     monkeypatch.setattr(greedy._Span, "bounds", leave_open)
@@ -448,6 +448,75 @@ def test_verify_blocks_match_verify_single(table, anchor, width, offset, block, 
         _check_window_sizes(a, a + width - 1, table)
 
 
+# ------------------------------------------------------ the row model
+
+def _rows_of_both_sweeps(a: int, b: int, table):
+    """The ``_Rows`` that ``_Span`` and ``_verify_block`` build over the odd
+    integers of [a, b], each from the entry sizes ``class_size(c, a - 1)``,
+    with the sizes each leaves behind; and those entry sizes."""
+    top = max(table.pi(isqrt(b)), 1) + 1
+    entry = np.zeros(top, dtype=np.int64)
+    entry[2:] = class_size(np.arange(2, top), a - 1, table)
+    built = []
+
+    class Kept(greedy._Rows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    span_sizes, block_sizes = entry.copy(), entry.copy()
+    with mock.patch.object(greedy, "_Rows", Kept):
+        span = greedy._Span(a, b, table, span_sizes, np.empty(b - a + 1, dtype=np.int64))
+        greedy._verify_block(a | 1, b, table, block_sizes, greedy.VerifyReport(a, b), None)
+    assert len(built) == 2 and built[0] is span.rows
+    return (built[0], span_sizes), (built[1], block_sizes), entry
+
+
+@settings(max_examples=30, deadline=None)
+@given(anchor=strategies.sampled_from([3, 10 ** 7, FIRST_IRREGULAR])
+       | strategies.integers(2, 125 * 10 ** 6),  # the 10^7 table scores up to 1.3 * 10^8
+       width=strategies.integers(2, 1_500), offset=strategies.integers(0, 1_499))
+@example(anchor=3, width=1_500, offset=0)  # from 3: the primes open their classes
+@example(anchor=2, width=1_000, offset=0)
+@example(anchor=10 ** 7, width=1_000, offset=500)  # across the SPF limit
+@example(anchor=FIRST_IRREGULAR, width=1_000, offset=500)  # a odd
+@example(anchor=FIRST_IRREGULAR, width=1_000, offset=501)  # a even
+def test_span_and_verify_block_build_the_same_rows(table, anchor, width, offset):
+    # the window [a, b] holds anchor; the span sieve and verify's factorize
+    # calls place its odd integers in the same rows and leave the same sizes
+    a = max(2, anchor - offset % width)
+    b = a + width - 1
+    (span, span_sizes), (block, block_sizes), entry = _rows_of_both_sweeps(a, b, table)
+    for name in ("lab", "k", "m", "i", "s_i", "d1", "used"):
+        assert getattr(span, name).tolist() == getattr(block, name).tolist(), name
+    for r, u in enumerate(span.used.tolist()):
+        assert span.qs[r, :u].tolist() == block.qs[r, :u].tolist(), r
+    assert span_sizes.tolist() == block_sizes.tolist()
+    assert span_sizes[2:].tolist() == class_size(np.arange(2, len(entry)), b, table).tolist()
+    assert span.m.tolist() == [m for m in range(a | 1, b + 1, 2)
+                               if factorize(m, table).distinct_primes[0] != m]
+
+
+def test_rows_size_counts_class_members_below(table):
+    # size(c, k): class c's entry size plus its members among the first k odd
+    # integers of the run, for one class or one per k; s_i the same at k, i
+    rng = np.random.default_rng(7)
+    for a, b in ((2, 3_000), (999_001, 1_003_000), (FIRST_IRREGULAR - 999, FIRST_IRREGULAR + 999)):
+        top = table.pi(isqrt(b)) + 1
+        entry = rng.integers(0, 10 ** 6, top)
+        rows = greedy._Span(a, b, table, entry.copy(), np.empty(b - a + 1, dtype=np.int64)).rows
+        lab = rows.lab.tolist()
+        k = rng.integers(0, len(lab) + 1, 400)
+        own = rng.choice(rows.k, 200)  # the class of the k-th odd integer itself
+        c = np.r_[rng.integers(0, top, 400), rows.lab[own]]
+        k = np.r_[k, own]
+        want = [entry[ci] + lab[:ki].count(ci) for ci, ki in zip(c.tolist(), k.tolist())]
+        assert rows.size(c, k).tolist() == want
+        assert [rows.size(ci, ki) for ci, ki in zip(c.tolist(), k.tolist())] == want
+        assert rows.s_i.tolist() == [entry[i] + lab[:ki].count(i)
+                                     for i, ki in zip(rows.i.tolist(), rows.k.tolist())]
+
+
 # ------------------------------------------------ the span engine's bound
 
 def _engine_report(a: int, b: int, table, sizes) -> dict[int, tuple]:
@@ -455,12 +524,13 @@ def _engine_report(a: int, b: int, table, sizes) -> dict[int, tuple]:
     collect, per odd composite m: (d1, s_i, {class j: W_j} for each class
     m was carried at, whether m was marked for exact scoring)."""
     span = greedy._Span(a, b, table, np.array(sizes), np.empty(b - a + 1, dtype=np.int64))
-    carried = {m: {} for m in span.m.tolist()}
+    rows = span.rows
+    carried = {m: {} for m in rows.m.tolist()}
     for j, k, w in span.bounds(table):
-        for m, w_m in zip(span.m[k].tolist(), w.tolist()):
+        for m, w_m in zip(rows.m[k].tolist(), w.tolist()):
             carried[m][j] = w_m
     return {m: (d1, s_i, carried[m], marked) for m, d1, s_i, marked in
-            zip(span.m.tolist(), span.d1.tolist(), span.s_i.tolist(), span.exact.tolist())}
+            zip(rows.m.tolist(), rows.d1.tolist(), rows.s_i.tolist(), span.exact.tolist())}
 
 
 def _rebuilt_bounds(n: int, row: tuple, s_j) -> list:
