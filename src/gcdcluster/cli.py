@@ -4,7 +4,7 @@ Subcommands expose the engine end to end: ``greedy`` prints partitions,
 ``verify`` runs the regularity sweep (JSONL to stdout, one object per checked
 integer plus a summary), ``tables`` regenerates the threshold table and the
 three-prime census, ``n0`` runs the irregularity search, and ``conflicts``
-answers conflict-count and move-delta queries.
+answers conflict-count (a span at a time) and move-delta queries at any scale.
 
 stdout carries only machine-readable output; progress goes to stderr.  Exit
 codes: 0 success (all checks pass), 1 a verification anomaly was found, 2 a
@@ -26,8 +26,7 @@ import numpy as np
 from . import greedy as greedy_mod
 from . import thresholds
 from .errors import OutOfRangeError, ResourceGuardError
-from .partition import (DEFAULT_CONFLICT_GUARD, canonical_partition, check_conflict_guard,
-                        count_conflicts, partition_to_csv)
+from .partition import partition_to_csv
 from .primes import DEFAULT_SPF_LIMIT, PrimeTable, build_prime_table, factorize
 
 EXIT_OK = 0
@@ -85,10 +84,9 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("conflicts", help="conflict counts and move deltas")
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--guard", type=int, default=None)
     c.add_argument("--to-class", dest="to_class", type=int, default=None,
                    help="score moving n itself from its canonical class here "
-                        "(tally-based, works at any scale)")
+                        "(tally-based; this and the count both work at any scale)")
     return parser
 
 
@@ -252,9 +250,9 @@ def _tables_text(args) -> str:
     table = build_prime_table(limit)
     if args.which == "n1":
         if args.i is not None:
-            if args.i > 20 and not args.force:
-                raise ValueError("i > 20 is outside the verified range "
-                                 "(pass --force to compute anyway)")
+            if (args.i > 20 and not args.force) or (args.i < 3 and args.t is None):
+                raise ValueError(f"i = {args.i} is outside the table's rows 3 <= i <= 20 "
+                                 "(pass --t, and --force above 20, to compute a cell)")
             j = args.j if args.j is not None else args.i - 1
             if args.t is not None:
                 records = [thresholds.n1_table(args.i, j, args.t, table)]
@@ -296,16 +294,10 @@ def cmd_conflicts(args) -> int:
         raise _UsageError("move scoring is defined for odd n >= 3")
     if n < 2:
         raise _UsageError("--n must be at least 2")
-    if args.to_class is None:
-        guard = args.guard if args.guard is not None else DEFAULT_CONFLICT_GUARD
-        check_conflict_guard(n, guard)  # before the table and the partition
-        table = build_prime_table(max(n, 1000))
-        total = count_conflicts(canonical_partition(n, table), guard=guard)
-        sys.stdout.write(json.dumps({"n": n, "clustering": "canonical",
-                                     "conflicts": total}) + "\n")
+    if args.to_class is None:  # the table ``greedy --n`` builds
+        total = greedy_mod.canonical_conflicts(n, build_prime_table(max(n, 1000)))
+        sys.stdout.write(json.dumps({"n": n, "clustering": "canonical", "conflicts": total}) + "\n")
         return EXIT_OK
-    if args.guard is not None:
-        raise _UsageError("--guard applies only without --to-class")
     if args.to_class < 0:  # refused before any sieve
         raise _UsageError(f"--to-class must be at least 0, got {args.to_class}")
     table = build_prime_table(_verify_limit(n))

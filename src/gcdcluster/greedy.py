@@ -36,7 +36,7 @@ from .partition import Partition
 from .primes import Factorization, PrimeTable, factorize, totient
 
 DEFAULT_REFERENCE_GUARD = 100_000
-SPAN = 200_000  # integers per span of ``run_accelerated`` and per CLI ``verify`` call
+SPAN = 200_000  # integers per span of the ``_Span`` walk and per CLI ``verify`` call
 VERIFY_BLOCK = 256  # odd integers per block of ``verify_range``
 VERIFY_PAIRS = 1024  # (n, j) pairs per ``counts.tally_diffs`` call
 VERIFY_STOP_LIMIT = 2 ** 60  # odd n below it: Moebius sums < 1.1 * n, int64s < 2**62
@@ -277,6 +277,24 @@ class _Span:
             t, j = t[~fail & (w >= s_i) & (r.i[t] > j + 1)], j + 1
 
 
+def _spans(n: int, table: PrimeTable, labels):
+    """(a, the ``_Span`` over [a, b]) per ``SPAN`` integers of [2, n], in order,
+    class sizes carried across spans; [a, b]'s labels go to ``labels(a, b)``."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if n > table.limit:
+        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    sizes = np.zeros(table.pi(isqrt(n)) + 1, dtype=np.int64)
+    ends = [(a, min(a + SPAN - 1, n)) for a in range(2, n + 1, SPAN)]
+    return ((a, _Span(a, b, table, sizes, labels(a, b))) for a, b in ends)
+
+
+def canonical_conflicts(n: int, table: PrimeTable) -> int:
+    """Conflicts of the canonical clustering of [2, n]: every span's ``_Span.gain``, summed."""
+    scratch = np.empty(SPAN, dtype=np.int64)
+    return sum(int(s.gain.sum()) for _, s in _spans(n, table, lambda a, b: scratch[: b - a + 1]))
+
+
 def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     """Greedy run that certifies every canonical choice by counting.
 
@@ -293,15 +311,10 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     the first anomaly is labeled by the canonical rule, recorded as
     unverified, and left out of ``conflicts``.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    spans = _spans(n, table, lambda a, b: labels[a - 2 : b - 1])  # checks n before labels exist
     labels = np.empty(n - 1, dtype=np.int64)
-    sizes = np.zeros(table.pi(isqrt(n)) + 1, dtype=np.int64)
     state = GreedyState(Partition(n, labels), "accelerated")
-    for a in range(2, n + 1, SPAN):
-        span = _Span(a, min(a + SPAN - 1, n), table, sizes, labels[a - 2 : a + SPAN - 2])
+    for a, span in spans:
         if state.anomalies:
             continue
         state.bound_checks += sum(len(k) for _, k, _ in span.bounds(table))

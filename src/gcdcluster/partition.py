@@ -97,14 +97,6 @@ def exceptional_partition(n: int, table: PrimeTable) -> Partition:
     return part
 
 
-def check_conflict_guard(n: int, guard: int = DEFAULT_CONFLICT_GUARD) -> None:
-    """Refuse the O(n^2) conflict count of [2, n] above ``guard``."""
-    if n > guard:
-        raise ResourceGuardError(
-            f"O(n^2) conflict count at n={n} refused (guard {guard}); "
-            "raise the guard explicitly if you really want this")
-
-
 def count_conflicts(p: Partition, guard: int = DEFAULT_CONFLICT_GUARD) -> int:
     """Exact number of conflicting unordered pairs in [2, p.n].
 
@@ -113,7 +105,9 @@ def count_conflicts(p: Partition, guard: int = DEFAULT_CONFLICT_GUARD) -> int:
     scale because it scores single-element moves by class scores instead.
     Deterministic regardless of internal chunking.
     """
-    check_conflict_guard(p.n, guard)
+    if p.n > guard:
+        raise ResourceGuardError(f"O(n^2) conflict count at n={p.n} refused (guard {guard}); "
+                                 "raise the guard explicitly if you really want this")
     values = np.arange(2, p.n + 1, dtype=np.int64)
     labels = p.labels
     total = 0

@@ -6,8 +6,11 @@ import sys
 from math import isqrt
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from gcdcluster import build_prime_table, cli, greedy, partition_to_csv, primes
+from gcdcluster import (build_prime_table, canonical_partition, cli, count_conflicts, greedy,
+                        partition_to_csv, primes)
 from gcdcluster.cli import main
 from gcdcluster.primes import DEFAULT_SPF_LIMIT
 from oracles import naive_spf
@@ -286,8 +289,10 @@ def test_tables_n1_json_single_cell(capsys):
 
 
 def test_tables_n1_index_bound(capsys):
+    # --force is read only with --t, so the refusal names both
     code, _, err = run_cli(capsys, "tables", "--which", "n1", "--i", "21")
     assert code == 64
+    assert "pass --t, and --force above 20," in err
     code, out, _ = run_cli(capsys, "tables", "--which", "n1", "--i", "21",
                            "--t", "1", "--force")
     assert code == 0 and out.startswith("i,p,t,n1")
@@ -343,6 +348,10 @@ def test_tables_census_default_bound_near_table_end(capsys, monkeypatch, p, limi
     ("--which", "census", "--force"),
     ("--which", "census", "--bound", "1000000"),
     ("--which", "census", "--p", "19", "--long-run"),
+    # the table's rows start at i = 3; only a cell (--t) is scored below
+    ("--which", "n1", "--i", "2"),
+    ("--which", "n1", "--i", "0"),
+    ("--which", "n1", "--i", "-5"),
 ])
 def test_tables_usage_exit_64(capsys, argv):
     code, out, err = run_cli(capsys, "tables", *argv)
@@ -374,18 +383,37 @@ def test_conflicts_count(capsys):
     assert json.loads(out)["conflicts"] == 10
 
 
-def test_conflicts_guard_exit_2(capsys):
-    code, _, err = run_cli(capsys, "conflicts", "--n", "200000")
-    assert code == 2
-
-
-@pytest.mark.parametrize("argv", [("--n", "100001"), ("--n", "501", "--guard", "500")])
-def test_conflicts_guard_refuses_before_table(capsys, monkeypatch, argv):
+def test_conflicts_count_has_no_guard(capsys, monkeypatch):
+    # the count is linear and unguarded: 200000 runs from the one table
+    # ``greedy --n`` builds, and conflicts takes no --guard option
     limits = record_table_limits(monkeypatch)
-    code, out, err = run_cli(capsys, "conflicts", *argv)
-    assert code == 2
-    assert out == "" and err.startswith("refused: O(n^2) conflict count")
-    assert limits == []
+    code, out, _ = run_cli(capsys, "conflicts", "--n", "200000")
+    assert code == 0 and json.loads(out)["n"] == 200000
+    assert limits == [200000]
+    for argv in (("--n", "15", "--guard", "5"), ("--n", "105", "--to-class", "1", "--guard", "500")):
+        with pytest.raises(SystemExit) as exc:
+            main(["conflicts", *argv])
+        assert exc.value.code == 64
+        assert "unrecognized arguments: --guard" in capsys.readouterr().err
+    assert limits == [200000]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.one_of(st.integers(2, 3000),
+                   st.sampled_from([2 + 97 * k + d for k in range(1, 31) for d in (-1, 0, 1)])))
+@example(n=2)
+@example(n=98)  # the first span ends, a = 99 starts the next
+@example(n=3000)
+def test_conflicts_count_over_small_spans(capsys, monkeypatch, small_table, n):
+    # spans of 97 integers: the count carries class sizes across span edges
+    # and reaches the last, partial span; the referee labels [2, n] from one
+    # smallest-prime-factor sieve and counts pair by pair
+    monkeypatch.setattr(greedy, "SPAN", 97)
+    code, out, _ = run_cli(capsys, "conflicts", "--n", str(n))
+    assert code == 0
+    want = count_conflicts(canonical_partition(n, small_table))
+    assert out == f'{{"n": {n}, "clustering": "canonical", "conflicts": {want}}}\n'
 
 
 @pytest.mark.parametrize("argv", [("verify", "--from", "2", "--to", "100"),
@@ -457,7 +485,6 @@ _CONFLICTS_REFUSED = {
     ("--n", "1", "--to-class", "1"): [],
     ("--n", "1"): [],
     ("--n", "10007", "--to-class", "1231"): [10007],  # a prime, class pi(10007) = 1230
-    ("--n", "105", "--to-class", "1", "--guard", "500"): [],  # a move score has no guard
 }
 
 
