@@ -385,17 +385,24 @@ def test_conflicts_count(capsys):
 
 def test_conflicts_count_has_no_guard(capsys, monkeypatch):
     # the count is linear and unguarded: 200000 runs from the one table
-    # ``greedy --n`` builds, and conflicts takes no --guard option
+    # ``greedy --n`` builds
     limits = record_table_limits(monkeypatch)
     code, out, _ = run_cli(capsys, "conflicts", "--n", "200000")
     assert code == 0 and json.loads(out)["n"] == 200000
     assert limits == [200000]
-    for argv in (("--n", "15", "--guard", "5"), ("--n", "105", "--to-class", "1", "--guard", "500")):
-        with pytest.raises(SystemExit) as exc:
-            main(["conflicts", *argv])
-        assert exc.value.code == 64
-        assert "unrecognized arguments: --guard" in capsys.readouterr().err
-    assert limits == [200000]
+
+
+@pytest.mark.parametrize("argv", [("--n", "15", "--guard", "5"),
+                                  ("--n", "105", "--to-class", "1", "--guard", "500")])
+def test_conflicts_guard_option_unknown(capsys, monkeypatch, argv):
+    # neither the count nor a move score takes --guard: argparse refuses it
+    # before any table is built
+    limits = record_table_limits(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["conflicts", *argv])
+    assert exc.value.code == 64
+    assert "unrecognized arguments: --guard" in capsys.readouterr().err
+    assert limits == []
 
 
 @settings(max_examples=60, deadline=None,
@@ -485,6 +492,7 @@ _CONFLICTS_REFUSED = {
     ("--n", "1", "--to-class", "1"): [],
     ("--n", "1"): [],
     ("--n", "10007", "--to-class", "1231"): [10007],  # a prime, class pi(10007) = 1230
+    ("--n", "104", "--to-class", "1"): [],  # an even n has no move score
 }
 
 
