@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--force", action="store_true",
                    help="allow indices beyond the verified range i <= 20")
     t.add_argument("--long-run", action="store_true",
-                   help="census: include the slow p=67 row")
+                   help="census: add the row of the remark prime 67")
 
     n0 = sub.add_parser("n0", help="search for the first irregular integer")
     n0.add_argument("--bound", type=int, default=2 * 10 ** 8)
@@ -244,15 +244,17 @@ def _tables_text(args) -> str:
             ("--long-run", args.long_run or None, not (n1 or p), "--which census and no --p")):
         if value is not None and not read:
             raise ValueError(f"{flag} is read only with {rule}")
+    if i and ((args.i > 20 and not args.force) or (args.i < 3 and not t)):
+        raise ValueError(f"i = {args.i} is outside the table's rows 3 <= i <= 20 "
+                         "(pass --t, and --force above 20, to compute a cell)")
+    if p and (args.p < 2 or (args.p == 2 and args.bound is None)):  # 2 has no class below
+        raise ValueError(f"--p must be a prime >= 3, or 2 with --bound, got {args.p}")
     limit = TABLES_LIMIT
-    if args.which == "census" and args.p is not None:
+    if p:
         limit = max(limit, thresholds.census_table_limit(args.p, args.bound))
     table = build_prime_table(limit)
     if args.which == "n1":
         if args.i is not None:
-            if (args.i > 20 and not args.force) or (args.i < 3 and args.t is None):
-                raise ValueError(f"i = {args.i} is outside the table's rows 3 <= i <= 20 "
-                                 "(pass --t, and --force above 20, to compute a cell)")
             j = args.j if args.j is not None else args.i - 1
             if args.t is not None:
                 records = [thresholds.n1_table(args.i, j, args.t, table)]

@@ -4,15 +4,16 @@ For odd n divisible by 3, the greedy prefers the even class over the class of
 3 exactly when the product of (1 - 1/q) over n's prime divisors beyond 3 drops
 below 1/2.  That criterion ignores exponents, so the smallest crossing point
 is a product of consecutive odd primes; walking those products finds the first
-irregular integer 111_546_435 instantly.
+irregular integer 111_546_435 instantly.  The same density test and walk, with
+13/24 from 5, give the analogous candidate among multiples of 5.
 
 For larger smallest-prime-factor indices the exact criterion is replaced by a
 sufficient threshold n1(i, j, t): any n at least n1 with t distinct prime
 factors starting at the i-th prime provably cannot land in class j.  Cells
 where n1 does not exceed the smallest possible such n certify the whole (i, t)
 family at once ("infeasible": no candidate escapes); the remaining cells leave
-finitely many candidates below n1, which the census enumerates for the
-three-prime-factor hunt.
+finitely many candidates below n1, which the census counts for the
+three-prime-factor hunt, one pi difference per middle prime.
 
 All threshold arithmetic is exact rational; ceilings and floors are taken on
 integer numerators and denominators, never through floating point.
@@ -20,7 +21,6 @@ integer numerators and denominators, never through floating point.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
@@ -30,12 +30,6 @@ from .primes import Factorization, PrimeTable, factorize, rosser_schoenfeld_boun
 
 # 3*5*7*11*13*17*19*23: the first integer the greedy clusters irregularly.
 FIRST_IRREGULAR = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
-
-# An odd multiple of 3 joins the even class iff prod_{k>=2}(1 - 1/q_k) < 1/2.
-# The analogous criterion for odd n with smallest prime 5 (the even class must
-# beat the class of 5, whose density below n is 1/15) works out to 13/24:
-# (n-1)/2 - phi(n) > n/15  <=>  phi(n)/n < 13/30  <=>  prod_{k>=2} < 13/24.
-_EVEN_BEATS_CLASS3 = Fraction(13, 24)
 
 # Published counts of three-prime-factor candidates, for reporting
 # residuals of the calibrated interpretation (see census_report).
@@ -72,63 +66,58 @@ def even_class_criterion(f: Factorization) -> bool:
     """Exponent-free criterion: does this integer prefer the even class?
 
     Requires an odd n divisible by 3 (smallest prime divisor exactly 3).
-    True iff prod over the remaining prime divisors of (1 - 1/q) < 1/2,
-    evaluated as 2 * prod(q - 1) < prod(q) in exact integers.
+    True iff prod over the remaining prime divisors of (1 - 1/q) < 1/2.
     """
     qs = f.distinct_primes
     if not qs or qs[0] != 3:
         raise ValueError(f"criterion needs smallest prime divisor 3, got {f.n}")
-    return 2 * prod(q - 1 for q in qs[1:]) < prod(qs[1:])
+    return _density_below(qs[1:], Fraction(1, 2))
+
+
+def _density_below(qs, ratio: Fraction) -> bool:
+    """prod (1 - 1/q) over the primes ``qs`` < ``ratio``, in exact integers."""
+    return prod(q - 1 for q in qs) * ratio.denominator < prod(qs) * ratio.numerator
+
+
+def _first_crossing(i: int, ratio: Fraction, table: PrimeTable,
+                    bound: int | None = None) -> int | None:
+    """p_i times the primes after it, in order, up to the first with which
+    their density (p_i's own factor left out) drops below ``ratio``; None
+    once the product passes ``bound``."""
+    product, qs = table.prime(i), []
+    while not _density_below(qs, ratio):
+        qs.append(table.prime(i + 1 + len(qs)))
+        product *= qs[-1]
+        if bound is not None and product > bound:
+            return None
+    return product
 
 
 def find_n0(search_bound: int, table: PrimeTable) -> int | None:
     """Smallest odd multiple of 3 up to ``search_bound`` preferring class 1.
 
-    Searches squarefree kernels (products of distinct odd primes including 3)
-    depth-first in increasing primes.  Two prunings collapse the tree: once a
-    kernel qualifies, every extension is a larger qualifying kernel, and from
-    any non-qualifying node the cheapest qualifying completion uses the
-    consecutive primes that follow (any other choice grows both the product
-    and the criterion value).  So each subtree's minimum is its consecutive
-    completion, and the global minimum is the consecutive completion from 3.
-    Returns None when nothing below the bound qualifies.
+    Walks 3 * 5 * 7 * ... over consecutive primes until the criterion holds.
+    That is enough: the criterion reads only the distinct primes beyond 3,
+    so an integer qualifies with its squarefree kernel, which is no larger;
+    and among kernels with k primes beyond 3, the consecutive one is the
+    smallest and has the lowest density, so it qualifies whenever any does.
+    The density falls with each prime added, so the walk's first crossing
+    is the minimum.  Returns None when nothing below the bound qualifies.
     """
     if search_bound < 3:
         return None
-    product = 3
-    num = den = 1  # running prod (q-1)/q over primes beyond 3
-    idx = 3  # next prime index: p_3 = 5
-    while 2 * num >= den:  # criterion not yet satisfied
-        q = table.prime(idx)
-        product *= q
-        if product > search_bound:
-            return None
-        num *= q - 1
-        den *= q
-        idx += 1
-    return product
+    return _first_crossing(2, Fraction(1, 2), table, search_bound)
 
 
 def n1_remark_candidate(table: PrimeTable) -> int:
     """The analogous first-irregular candidate among multiples of 5.
 
-    Returns 5 * p_4 * ... * p_14 and checks the class-3 analogue of the
-    exponent-free criterion: it must hold for the full kernel and fail with
-    the last prime dropped (otherwise a smaller candidate would exist).
+    The even class beats the class of 5, whose density below n is 1/15,
+    when (n-1)/2 - phi(n) > n/15, i.e. phi(n)/n < 13/30, i.e. the product
+    of (1 - 1/q) over the primes beyond 5 is below 13/24.  The walk from 5
+    stops at its first crossing, 5 * p_4 * ... * p_14.
     """
-    primes = [table.prime(k) for k in range(4, 15)]
-    value = 5 * prod(primes)
-    if not _beats_class3(primes):
-        raise AssertionError("criterion unexpectedly fails for the full kernel")
-    if _beats_class3(primes[:-1]):
-        raise AssertionError("criterion unexpectedly holds without the last prime")
-    return value
-
-
-def _beats_class3(qs) -> bool:
-    """prod (1 - 1/q) < 13/24 over the given primes, exact."""
-    return (prod(q - 1 for q in qs) * _EVEN_BEATS_CLASS3.denominator
-            < prod(qs) * _EVEN_BEATS_CLASS3.numerator)
+    return _first_crossing(3, Fraction(13, 24), table)
 
 
 def threshold_T(i: int, j: int, t: int, table: PrimeTable) -> Fraction:
@@ -225,18 +214,28 @@ def census_table_limit(p: int, bound: int | None = None) -> int:
     prime after p.  With no bound, the census's default bound n1(i, i-1, 3)
     (capped at the first irregular integer) also reads the two primes after p.
     """
+    if p < 2:
+        raise ValueError(f"the census needs a prime p >= 2, got {p}")
     q = _next_prime(p)
     if bound is None:
         return max(_next_prime(q), census_table_limit(p, FIRST_IRREGULAR))
     return max(p, (bound - 1) // (p * q))
 
 
-def _check_census_table(p: int, bound: int, table: PrimeTable) -> None:
-    table.prime_index(p)  # validates p is a stored prime
+def _census_ranges(p: int, bound: int, table: PrimeTable):
+    """Per prime q > p with a candidate p*q*r < bound, the pair (q, ks): ks
+    the range of 0-based table indices of the primes r > q with p*q*r <
+    bound, ending at pi((bound - 1) // (p*q)).  Raises OutOfRangeError when
+    the table stops below ``census_table_limit(p, bound)``."""
+    iq = table.prime_index(p)  # raises unless p is a stored prime; q's 0-based index
     need = census_table_limit(p, bound)
     if table.limit < need:
         raise OutOfRangeError(f"the census of {p} below {bound} needs primes up "
                               f"to {need}, the table stops at {table.limit}")
+    primes = table._primes_view
+    while iq + 1 < len(primes) and p * primes[iq] * primes[iq + 1] < bound:
+        yield primes[iq], range(iq + 1, table.pi((bound - 1) // (p * primes[iq])))
+        iq += 1
 
 
 def three_factor_candidates(p: int, bound: int, table: PrimeTable) -> list[int]:
@@ -247,26 +246,13 @@ def three_factor_candidates(p: int, bound: int, table: PrimeTable) -> list[int]:
     exhaustive one there (property-tested).  Raises OutOfRangeError when the
     table stops below ``census_table_limit(p, bound)``.
     """
-    _check_census_table(p, bound, table)
-    out = []
     primes = table._primes_view
-    iq = bisect.bisect_right(primes, p)
-    while iq + 1 < len(primes):
-        q = primes[iq]
-        if p * q * primes[iq + 1] >= bound:
-            break
-        lim = (bound - 1) // (p * q)
-        ir = iq + 1
-        while ir < len(primes) and primes[ir] <= lim:
-            out.append(p * q * primes[ir])
-            ir += 1
-        iq += 1
-    out.sort()
-    return out
+    return sorted(p * q * primes[k] for q, ks in _census_ranges(p, bound, table) for k in ks)
 
 
 def census_three_factor(p: int, bound: int | None, table: PrimeTable) -> CandidateCensus:
-    """Count the three-prime-factor candidates for prime p below ``bound``.
+    """Count the three-prime-factor candidates for prime p below ``bound``,
+    one pi difference per q, listing none.
 
     Default bound: the class-certification threshold n1(i, i-1, 3) for p's
     index i, capped at the first irregular integer (candidates beyond it are
@@ -276,7 +262,7 @@ def census_three_factor(p: int, bound: int | None, table: PrimeTable) -> Candida
     if bound is None:
         bound = min(n1_table(i, i - 1, 3, table).n1, FIRST_IRREGULAR)
     return CandidateCensus(p=p, bound=bound,
-                           count=len(three_factor_candidates(p, bound, table)))
+                           count=sum(len(ks) for _, ks in _census_ranges(p, bound, table)))
 
 
 def census_report(table: PrimeTable, ps=(19, 23, 29, 31, 37, 41, 43),

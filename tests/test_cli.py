@@ -329,6 +329,12 @@ def test_tables_census_default_bound_near_table_end(capsys, monkeypatch, p, limi
     assert out == f"p,count\n{p},0\n"
 
 
+# of the refusals below, these alone need the table: a non-prime --p, a cell's indices
+_REFUSED_BY_TABLE = {("--which", "census", "--p", "20"),
+                     ("--which", "census", "--p", "20", "--bound", "1000000"),
+                     ("--which", "n1", "--i", "3", "--j", "5", "--t", "1")}
+
+
 @pytest.mark.parametrize("argv", [
     ("--which", "census", "--p", "20"),
     ("--which", "census", "--p", "20", "--bound", "1000000"),
@@ -352,12 +358,28 @@ def test_tables_census_default_bound_near_table_end(capsys, monkeypatch, p, limi
     ("--which", "n1", "--i", "2"),
     ("--which", "n1", "--i", "0"),
     ("--which", "n1", "--i", "-5"),
+    # no prime below 2, and 2's default bound needs a class below its own
+    ("--which", "census", "--p", "0"),
+    ("--which", "census", "--p", "1"),
+    ("--which", "census", "--p", "-5"),
+    ("--which", "census", "--p", "2"),
 ])
-def test_tables_usage_exit_64(capsys, argv):
+def test_tables_usage_exit_64(capsys, monkeypatch, argv):
+    limits = record_table_limits(monkeypatch)
     code, out, err = run_cli(capsys, "tables", *argv)
     assert code == 64
     assert out == ""
     assert err.startswith("tables: ") and err.count("\n") == 1
+    assert limits == ([cli.TABLES_LIMIT] if argv in _REFUSED_BY_TABLE else [])
+    if argv[:3] == ("--which", "census", "--p") and int(argv[3]) <= 2:
+        assert "--p" in err
+
+
+def test_tables_census_of_2_with_bound(capsys):
+    # 2 * q * r < 1000 with 2 < q < r prime: 2 has no default bound, an explicit one works
+    code, out, _ = run_cli(capsys, "tables", "--which", "census", "--p", "2", "--bound", "1000")
+    assert code == 0
+    assert out == "p,count\n2,93\n"
 
 
 def test_tables_census_json_residuals(capsys):

@@ -2,8 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt, prod
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcdcluster import (
     DegenerateThresholdError,
@@ -22,8 +27,8 @@ from gcdcluster import (
     table1_records,
     three_factor_candidates,
 )
-from gcdcluster.thresholds import census_table_limit, table1_csv, threshold_T
-from oracles import count_with_multiplicity, tally_wheel_oracle, threshold_T_stepwise
+from gcdcluster.thresholds import _density_below, census_table_limit, table1_csv, threshold_T
+from oracles import count_with_multiplicity, naive_spf, tally_wheel_oracle, threshold_T_stepwise
 
 # The published threshold table n1(i, i-1, t): {i: [(t, n1, certified), ...]},
 # certified = the displayed italics = every candidate of the (i, t) family
@@ -118,6 +123,19 @@ def test_remark_candidate_value(table):
 
 def test_remark_candidate_not_divisible_by_three(table):
     assert n1_remark_candidate(table) % 3 != 0
+
+
+def test_walks_stop_at_first_crossing(table):
+    # each walk's product holds its density test, and fails it without its last prime
+    remark = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+    assert _density_below(remark, Fraction(13, 24))
+    assert not _density_below(remark[:-1], Fraction(13, 24))
+    assert n1_remark_candidate(table) == 5 * prod(remark)
+    beyond_3 = factorize(FIRST_IRREGULAR, table).distinct_primes[1:]
+    assert beyond_3 == (5, 7, 11, 13, 17, 19, 23)
+    assert _density_below(beyond_3, Fraction(1, 2))
+    assert not _density_below(beyond_3[:-1], Fraction(1, 2))
+    assert find_n0(2 * 10 ** 8, table) == 3 * prod(beyond_3)
 
 
 # ------------------------------------------------------------ threshold table
@@ -248,6 +266,40 @@ def test_census_small_table_refused(small_table):
 def test_census_rejects_non_prime(table):
     with pytest.raises(ValueError):
         census_three_factor(21, None, table)
+    for p in (1, 0, -5):  # no prime below 2; the limit refuses before dividing by p
+        with pytest.raises(ValueError, match="prime p >= 2"):
+            census_table_limit(p, 10 ** 6)
+
+
+@lru_cache(maxsize=None)
+def _spf_upto(limit: int) -> np.ndarray:
+    """Smallest prime factor of each m in [0, limit] by a plain list sieve (spf[1] = 1)."""
+    spf = list(range(limit + 1))
+    for d in range(2, isqrt(limit) + 1):
+        if spf[d] == d:
+            for k in range(d * d, limit + 1, d):
+                if spf[k] == k:
+                    spf[k] = d
+    return np.array(spf)
+
+
+_PRIMES_TO_100 = [q for q in range(2, 101) if naive_spf(q) == q]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(_PRIMES_TO_100), bound=st.integers(1, 10 ** 6))
+@example(p=2, bound=10 ** 6)
+@example(p=19, bound=19 * 23 * 29)
+@example(p=19, bound=19 * 23 * 29 + 1)
+@example(p=97, bound=97 * 101 * 103 + 1)
+def test_census_count_matches_listing_and_brute_force(table, p, bound):
+    # m = q * r below bound / p with p < q < r prime, read off a plain sieve
+    m = np.arange(1, (bound - 1) // p + 1)
+    spf = _spf_upto(10 ** 6 // 2)
+    q = spf[m]
+    brute = int(np.count_nonzero((q > p) & (m // q > q) & (spf[m // q] == m // q)))
+    assert census_three_factor(p, bound, table).count == brute
+    assert len(three_factor_candidates(p, bound, table)) == brute
 
 
 # ----------------------------------------------- prime-count inequality check
