@@ -26,7 +26,7 @@ import numpy as np
 from . import greedy as greedy_mod
 from . import thresholds
 from .errors import OutOfRangeError, ResourceGuardError
-from .partition import partition_to_csv
+from .partition import csv_blocks, partition_to_csv  # noqa: F401  (perfbench wraps it)
 from .primes import DEFAULT_SPF_LIMIT, PrimeTable, build_prime_table, factorize
 
 EXIT_OK = 0
@@ -128,7 +128,7 @@ def cmd_greedy(args) -> int:
     fh, close = _open_out(args.out)
     try:
         if args.fmt == "csv":
-            fh.write(partition_to_csv(state.partition))
+            fh.writelines(csv_blocks(state.partition))  # never the whole text at once
         else:
             fh.write(json.dumps({
                 "n": state.partition.n,
@@ -247,6 +247,12 @@ def _tables_text(args) -> str:
     if i and ((args.i > 20 and not args.force) or (args.i < 3 and not t)):
         raise ValueError(f"i = {args.i} is outside the table's rows 3 <= i <= 20 "
                          "(pass --t, and --force above 20, to compute a cell)")
+    j = args.i - 1 if args.j is None and i else args.j
+    if t and not 1 <= j < args.i:  # a cell n1(i, j, t) needs i > j >= 1 and t >= 1
+        raise ValueError(f"--j must be in [1, i - 1] for i = {args.i}, got {j}"
+                         + (" (its default, i - 1)" if args.j is None else ""))
+    if t and args.t < 1:
+        raise ValueError(f"--t must be at least 1, got {args.t}")
     if p and (args.p < 2 or (args.p == 2 and args.bound is None)):  # 2 has no class below
         raise ValueError(f"--p must be a prime >= 3, or 2 with --bound, got {args.p}")
     limit = TABLES_LIMIT
@@ -255,7 +261,6 @@ def _tables_text(args) -> str:
     table = build_prime_table(limit)
     if args.which == "n1":
         if args.i is not None:
-            j = args.j if args.j is not None else args.i - 1
             if args.t is not None:
                 records = [thresholds.n1_table(args.i, j, args.t, table)]
             else:

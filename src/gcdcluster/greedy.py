@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import isqrt, prod
 
 import numpy as np
@@ -70,16 +71,28 @@ class VerifyRecord:
         return "pass" if self.chosen_j == self.expected_j else "fail"
 
     def to_json(self) -> str:
-        return _record_json(self.n, self.spf_index, sorted(self.deltas.items()),
-                            self.chosen_j, self.expected_j)
+        return json.dumps({"n": self.n, "spf_index": self.spf_index,
+                           "deltas": dict(sorted(self.deltas.items())), "chosen_j": self.chosen_j,
+                           "expected_j": self.expected_j, "status": self.status})
 
 
-def _record_json(n: int, spf_index: int, deltas, chosen_j: int, expected_j: int) -> str:
-    """A record as ``json.dumps`` writes it; ``deltas`` yields (j, delta), j rising."""
-    text = ", ".join([f'"{j}": {d}' for j, d in deltas])
-    return (f'{{"n": {n}, "spf_index": {spf_index}, "deltas": {{{text}}}, '
-            f'"chosen_j": {chosen_j}, "expected_j": {expected_j}, '
-            f'"status": "{"pass" if chosen_j == expected_j else "fail"}"}}')
+class _Records:
+    """``verify``'s JSONL records for ``out``, as ``json.dumps`` writes them, by
+    one ``%`` each over a template whose deltas are a slice of ``keys``, ', "1":
+    %d, "2": %d, ...' to twice the largest class yet; key i ends at ``ends[i]``."""
+
+    def __init__(self, out):
+        self.out, self.keys, self.ends = out, "", [0]
+
+    def line(self, n: int, vals: list[int], chosen: int) -> str:
+        """n's record line, from its ``class_scores`` ``vals`` and its winner."""
+        i = len(vals) - 1
+        if i >= len(self.ends):
+            keys = [f', "{j}": %d' for j in range(1, 2 * i + 1)]
+            self.keys, self.ends = "".join(keys), [0, *accumulate(map(len, keys))]
+        return (('{"n": %d, "spf_index": %d, "deltas": {' + self.keys[2 : self.ends[i]]
+                 + '}, "chosen_j": %d, "expected_j": %d, "status": "%s"}\n')
+                % (n, i, *vals[1:], chosen, i, "pass" if chosen == i else "fail"))
 
 
 @dataclass
@@ -426,16 +439,17 @@ def verify_range(start: int, stop: int, table: PrimeTable,
     report = VerifyReport(start=start, stop=stop)
     sizes = np.zeros(max(table.pi(isqrt(stop)), 1) + 1, dtype=np.int64)  # sizes[c], c >= 2
     sizes[2:] = class_size(np.arange(2, len(sizes)), start - 1, table)  # below start
+    records = None if out is None else _Records(out)
     for a in range(start | 1, stop + 1, 2 * VERIFY_BLOCK):
-        _verify_block(a, min(a + 2 * VERIFY_BLOCK - 2, stop), table, sizes, report, out)
+        _verify_block(a, min(a + 2 * VERIFY_BLOCK - 2, stop), table, sizes, report, records)
     report.auto_passed = stop - start + 1 - report.checked  # the evens and the primes
     return report
 
 
 def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
-                  report: VerifyReport, out) -> None:
+                  report: VerifyReport, records: _Records | None) -> None:
     """``verify_range`` on the odd integers of [a, b], a odd; adds the
-    block's members to ``sizes``."""
+    block's members to ``sizes``, and its record lines to ``records.out``."""
     fs = [factorize(n, table) for n in range(a, b + 1, 2)]
     comp = [f for f in fs if f.distinct_primes[0] != f.n]
     report.checked += len(comp)
@@ -452,7 +466,7 @@ def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
         chosen, i = vals.index(max(vals)), len(vals) - 1  # ties to the smallest class
         if chosen != i:
             report.anomalies.append((n, i, chosen))
-        if out is not None:
-            lines.append(_record_json(n, i, enumerate(vals[1:], 1), chosen, i) + "\n")
-    if out is not None and lines:
-        out("".join(lines))
+        if records is not None:
+            lines.append(records.line(n, vals, chosen))
+    if lines:
+        records.out("".join(lines))

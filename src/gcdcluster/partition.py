@@ -29,6 +29,7 @@ from .primes import PrimeTable, _sieve_spf
 DEFAULT_CONFLICT_GUARD = 100_000
 
 CSV_HEADER = "integer,class"
+CSV_BLOCK = 16384  # rows per string of ``csv_blocks``
 
 
 def similar(a: int, b: int) -> bool:
@@ -119,15 +120,41 @@ def count_conflicts(p: Partition, guard: int = DEFAULT_CONFLICT_GUARD) -> int:
     return total
 
 
+def _csv_rows(*cols: np.ndarray) -> str:
+    """One CSV row per index of the int64 columns ``cols``, as f-strings write
+    them: per column a sign, its widest value's digits right-aligned and a comma
+    (a newline after the last), in one uint8 matrix; one mask drops unused signs
+    and leading zeros."""
+    mags = [np.where(c < 0, -c.view(np.uint64), c.view(np.uint64)) for c in cols]  # |c|
+    widths = [len(str(int(q.max()))) for q in mags]
+    mat = np.empty((len(cols[0]), sum(widths) + 2 * len(cols)), dtype=np.uint8)
+    keep, x = np.ones(mat.shape, dtype=bool), 0
+    for c, q, w in zip(cols, mags, widths):
+        q = q.astype(np.uint32) if w < 10 else q  # divides faster
+        for y in range(x + w, x, -1):  # the digits, right to left
+            r = q // 10  # a divmod or a % takes several times as long
+            mat[:, y] = q - 10 * r
+            keep[:, y - 1] = r > 0  # the digit left of y, unless a leading zero
+            q = r
+        mat[:, x + 1 : x + w + 1] += ord("0")
+        mat[:, x], keep[:, x] = ord("-"), c < 0
+        mat[:, x + w + 1] = ord(",")
+        x += w + 2
+    mat[:, -1] = ord("\n")
+    return np.compress(keep.ravel(), mat.ravel()).tobytes().decode("ascii")
+
+
+def csv_blocks(p: Partition):
+    """``partition_to_csv`` in pieces: the header, then ``CSV_BLOCK`` rows at a time."""
+    yield CSV_HEADER + "\n"
+    for k in range(0, p.n - 1, CSV_BLOCK):
+        labels = p.labels[k : k + CSV_BLOCK].astype(np.int64, copy=False)
+        yield _csv_rows(np.arange(k + 2, k + 2 + len(labels), dtype=np.int64), labels)
+
+
 def partition_to_csv(p: Partition) -> str:
-    """CSV serialization: header then one "integer,class" row per integer,
-    joined a block at a time so that one block's row strings are alive."""
-    blocks = [CSV_HEADER + "\n"]
-    for k in range(0, p.n - 1, 4096):
-        labels = p.labels[k : k + 4096].tolist()
-        rows = zip(range(k + 2, p.n + 1), labels)
-        blocks.append("".join([f"{m},{c}\n" for m, c in rows]))
-    return "".join(blocks)
+    """CSV serialization: header then one "integer,class" row per integer."""
+    return "".join(csv_blocks(p))
 
 
 def read_partition_csv(fh) -> Partition:

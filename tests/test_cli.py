@@ -329,10 +329,9 @@ def test_tables_census_default_bound_near_table_end(capsys, monkeypatch, p, limi
     assert out == f"p,count\n{p},0\n"
 
 
-# of the refusals below, these alone need the table: a non-prime --p, a cell's indices
+# of the refusals below, these alone need the table: a non-prime --p
 _REFUSED_BY_TABLE = {("--which", "census", "--p", "20"),
-                     ("--which", "census", "--p", "20", "--bound", "1000000"),
-                     ("--which", "n1", "--i", "3", "--j", "5", "--t", "1")}
+                     ("--which", "census", "--p", "20", "--bound", "1000000")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,6 +362,12 @@ _REFUSED_BY_TABLE = {("--which", "census", "--p", "20"),
     ("--which", "census", "--p", "1"),
     ("--which", "census", "--p", "-5"),
     ("--which", "census", "--p", "2"),
+    # a cell n1(i, j, t) needs i > j >= 1 and t >= 1, checked before any table
+    ("--which", "n1", "--i", "3", "--j", "3", "--t", "1"),
+    ("--which", "n1", "--i", "3", "--j", "0", "--t", "1"),
+    ("--which", "n1", "--i", "1", "--t", "1"),  # the default j = i - 1 = 0
+    ("--which", "n1", "--i", "3", "--j", "2", "--t", "0"),
+    ("--which", "n1", "--i", "3", "--t", "-1"),
 ])
 def test_tables_usage_exit_64(capsys, monkeypatch, argv):
     limits = record_table_limits(monkeypatch)
@@ -373,6 +378,10 @@ def test_tables_usage_exit_64(capsys, monkeypatch, argv):
     assert limits == ([cli.TABLES_LIMIT] if argv in _REFUSED_BY_TABLE else [])
     if argv[:3] == ("--which", "census", "--p") and int(argv[3]) <= 2:
         assert "--p" in err
+    if "--t" in argv and int(argv[argv.index("--t") + 1]) < 1:
+        assert "--t" in err
+    elif argv[:2] == ("--which", "n1") and "--t" in argv and "--i" in argv:
+        assert "--j" in err
 
 
 def test_tables_census_of_2_with_bound(capsys):

@@ -702,3 +702,27 @@ def test_record_json_matches_json_dumps(n, i, deltas, chosen):
         "expected_j": i,
         "status": rec.status,
     })
+
+
+@settings(max_examples=200, deadline=None)
+@example(n=9, classes=[1], seed=0)
+@example(n=111546435, classes=[2, 1300, 1299, 3, 1301 // 2], seed=1)
+@given(n=strategies.integers(9, 2 ** 60),
+       classes=strategies.lists(strategies.integers(1, 1300), min_size=1, max_size=6),
+       seed=strategies.integers(0, 2 ** 32 - 1))
+def test_record_lines_match_json_dumps(n, classes, seed):
+    # the records of ``verify`` for classes i up to 1300 (the largest near
+    # 1.1 * 10^8), in turn from an empty key string that grows on demand;
+    # deltas are zero, negative, or at the int64 extremes
+    rng, records = np.random.default_rng(seed), greedy._Records(None)
+    for i in classes:
+        pick = rng.integers(0, 5, i)
+        deltas = np.choose(pick, [0, -(2 ** 63), 2 ** 63 - 1,
+                                  rng.integers(-(2 ** 63), 0, i),
+                                  rng.integers(0, 2 ** 63 - 1, i, endpoint=True)]).tolist()
+        vals = [0, *deltas]
+        chosen = vals.index(max(vals))
+        assert records.line(n, vals, chosen) == json.dumps({
+            "n": n, "spf_index": i, "deltas": {str(j): vals[j] for j in range(1, i + 1)},
+            "chosen_j": chosen, "expected_j": i,
+            "status": "pass" if chosen == i else "fail"}) + "\n"

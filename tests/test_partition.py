@@ -6,7 +6,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from gcdcluster import (
     ResourceGuardError,
@@ -20,7 +20,7 @@ from gcdcluster import (
     read_partition_csv,
     similar,
 )
-from gcdcluster.partition import Partition
+from gcdcluster.partition import CSV_BLOCK, Partition, csv_blocks
 from gcdcluster.primes import DEFAULT_SPF_LIMIT
 from oracles import naive_conflicts, naive_spf, tally_exact
 
@@ -237,6 +237,44 @@ def test_csv_roundtrip(small_table):
     back = read_partition_csv(io.StringIO(text))
     assert back.n == part.n
     assert np.array_equal(back.labels, part.labels)
+
+
+# every n = 10^k - 1, 10^k, 10^k + 1 up to 10^5, and n - 1 rows at a block edge, +-1
+_CSV_EDGES = sorted({10 ** k + d for k in range(1, 6) for d in (-1, 0, 1)}
+                    | {CSV_BLOCK * b + 1 + d for b in (1, 2) for d in (-1, 0, 1)})
+
+
+def _with_csv_edges(test):
+    for k, n in enumerate(_CSV_EDGES):
+        test = example(n=n, digits=k % 19 + 1, signed=k % 2 == 1, seed=k)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@_with_csv_edges
+@example(n=2, digits=1, signed=False, seed=0)
+@given(n=strategies.integers(2, 3 * CSV_BLOCK + 2), digits=strategies.integers(1, 19),
+       signed=strategies.booleans(), seed=strategies.integers(0, 2 ** 32 - 1))
+def test_csv_matches_fstring_rows(n, digits, signed, seed):
+    # labels of 1 up to ``digits`` digits (19: up to 2^63 - 1), zeros among
+    # them, and negative ones down to -2^63 when ``signed``
+    rng = np.random.default_rng(seed)
+    top = 10 ** digits - 1 if digits < 19 else 2 ** 63 - 1
+    labels = rng.integers(0, top, n - 1, endpoint=True) // 10 ** rng.integers(0, digits, n - 1)
+    labels[rng.random(n - 1) < 0.05] = 0
+    labels[rng.integers(0, n - 1)] = top
+    if signed:
+        labels[rng.random(n - 1) < 0.5] *= -1
+        labels[rng.integers(0, n - 1)] = -top - (digits == 19)
+    part = Partition(n, labels)
+    text = partition_to_csv(part)
+    got = text.splitlines(keepends=True)  # row by row: a diff of the whole text takes minutes
+    expected = ["integer,class\n"] + [f"{m},{c}\n" for m, c in enumerate(labels.tolist(), 2)]
+    assert len(got) == len(expected) and not [r for r, e in zip(got, expected) if r != e][:3]
+    rows = [block.count("\n") for block in csv_blocks(part)]
+    assert rows == [1] + [CSV_BLOCK] * ((n - 2) // CSV_BLOCK) + [(n - 2) % CSV_BLOCK + 1]
+    back = read_partition_csv(io.StringIO(text))
+    assert back.n == n and np.array_equal(back.labels, labels)
 
 
 def test_csv_golden_g15(small_table, data_dir):
