@@ -37,7 +37,7 @@ print()
 print("=" * 70)
 print("  three-prime-factor candidates below their bounds")
 print("=" * 70)
-for row in census_report(table, include_remark_prime=True):
+for row in census_report(table, (19, 23, 29, 31, 37, 41, 43, 67)):
     note = ""
     if row["residual"]:
         note = (f"  <- reported {row['reported']}; no bound reading we tried "

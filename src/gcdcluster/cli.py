@@ -20,13 +20,12 @@ import sys
 import time
 from collections import deque
 from functools import lru_cache, partial
-
-import numpy as np
+from math import isqrt
 
 from . import greedy as greedy_mod
 from . import thresholds
 from .errors import OutOfRangeError, ResourceGuardError
-from .partition import csv_blocks, partition_to_csv  # noqa: F401  (perfbench wraps it)
+from .partition import csv_blocks, json_blocks, partition_to_csv  # noqa: F401  (perfbench)
 from .primes import DEFAULT_SPF_LIMIT, PrimeTable, build_prime_table, factorize
 
 EXIT_OK = 0
@@ -74,10 +73,6 @@ def _build_parser() -> _Parser:
     t.add_argument("--t", type=int, default=None)
     t.add_argument("--p", type=int, default=None, help="census: single prime")
     t.add_argument("--bound", type=int, default=None, help="census: explicit bound")
-    t.add_argument("--force", action="store_true",
-                   help="allow indices beyond the verified range i <= 20")
-    t.add_argument("--long-run", action="store_true",
-                   help="census: add the row of the remark prime 67")
 
     n0 = sub.add_parser("n0", help="search for the first irregular integer")
     n0.add_argument("--bound", type=int, default=2 * 10 ** 8)
@@ -90,28 +85,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _verify_limit(stop: int) -> int:
+def _verify_limit(start: int, stop: int) -> int:
     """The table that scores every odd composite up to ``stop``, widened to
-    ``min(stop, DEFAULT_SPF_LIMIT)`` so that small jobs keep the SPF fast path."""
-    return max(greedy_mod.verify_table_limit(stop), min(stop, DEFAULT_SPF_LIMIT))
+    ``min(stop, DEFAULT_SPF_LIMIT)`` so that small jobs keep the SPF fast path;
+    a window starting above ``DEFAULT_SPF_LIMIT`` never reads the SPF array."""
+    spf = min(stop, DEFAULT_SPF_LIMIT) if start <= DEFAULT_SPF_LIMIT else 0
+    return max(greedy_mod.verify_table_limit(stop), spf)
 
 
 def _open_out(path: str | None):
     if path is None:
         return sys.stdout, False
     return open(path, "w"), True
-
-
-def _write_classes_json(fh, labels: np.ndarray) -> None:
-    """Write, one class at a time, the JSON object mapping each class id (text,
-    increasing) to its integers (increasing); ``labels[k]`` is k + 2's class."""
-    order = np.argsort(labels, kind="stable")
-    bounds = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1, len(order)].tolist()
-    ids = labels[order[bounds[:-1]]].tolist()
-    order += 2
-    for c, lo, hi in zip(ids, bounds, bounds[1:]):
-        fh.write(f'{", " if lo else "{"}"{c}": {json.dumps(order[lo:hi].tolist())}')
-    fh.write("}")
 
 
 def cmd_greedy(args) -> int:
@@ -130,13 +115,10 @@ def cmd_greedy(args) -> int:
         if args.fmt == "csv":
             fh.writelines(csv_blocks(state.partition))  # never the whole text at once
         else:
-            fh.write(json.dumps({
-                "n": state.partition.n,
-                "mode": state.mode,
-                "conflicts": state.conflicts,
-                "anomalies": [list(a) for a in state.anomalies],
-            })[:-1] + ', "classes": ')  # the object stays open for the classes
-            _write_classes_json(fh, state.partition.labels)
+            head = {"n": state.partition.n, "mode": state.mode, "conflicts": state.conflicts,
+                    "anomalies": [list(a) for a in state.anomalies]}
+            fh.write(json.dumps(head)[:-1] + ', "classes": ')  # the object stays open for them
+            fh.writelines(json_blocks(state.partition))
             fh.write("}\n")
     finally:
         if close:
@@ -187,7 +169,7 @@ def cmd_verify(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise _UsageError(f"--workers must be in [1, {cpus}], got {args.workers}")
-    limit = _verify_limit(args.stop)
+    limit = _verify_limit(args.start, args.stop)
     spans = [(a, min(a + greedy_mod.SPAN - 1, args.stop))
              for a in range(args.start, args.stop + 1, greedy_mod.SPAN)]
     fh, close = _open_out(args.out)
@@ -224,10 +206,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    # from i = 14265 on, an n1 passes CPython's 4300-digit limit on int-to-text
+    # conversion, a guard for parsing untrusted text, not for printing results
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.10.7 on; 0: none
     try:
+        if digits:
+            sys.set_int_max_str_digits(0)
         text = _tables_text(args)
     except ValueError as exc:  # an option, index, cell or prime the thresholds refuse
         raise _UsageError(exc)
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -238,47 +228,36 @@ def _tables_text(args) -> str:
             ("--i", args.i, n1, "--which n1"),
             ("--j", args.j, n1 and i and t, "--which n1, --i and --t"),
             ("--t", args.t, n1 and i, "--which n1 and --i"),
-            ("--force", args.force or None, n1 and i and t, "--which n1, --i and --t"),
             ("--p", args.p, not n1, "--which census"),
-            ("--bound", args.bound, not n1 and p, "--which census and --p"),
-            ("--long-run", args.long_run or None, not (n1 or p), "--which census and no --p")):
+            ("--bound", args.bound, not n1 and p, "--which census and --p")):
         if value is not None and not read:
             raise ValueError(f"{flag} is read only with {rule}")
-    if i and ((args.i > 20 and not args.force) or (args.i < 3 and not t)):
+    if i and not t and not 3 <= args.i <= 20:
         raise ValueError(f"i = {args.i} is outside the table's rows 3 <= i <= 20 "
-                         "(pass --t, and --force above 20, to compute a cell)")
+                         "(pass --t to compute a cell)")
     j = args.i - 1 if args.j is None and i else args.j
     if t and not 1 <= j < args.i:  # a cell n1(i, j, t) needs i > j >= 1 and t >= 1
         raise ValueError(f"--j must be in [1, i - 1] for i = {args.i}, got {j}"
                          + (" (its default, i - 1)" if args.j is None else ""))
     if t and args.t < 1:
         raise ValueError(f"--t must be at least 1, got {args.t}")
-    if p and (args.p < 2 or (args.p == 2 and args.bound is None)):  # 2 has no class below
+    # 2 has no class below; a composite is refused by trial division, not a sieve sized from it
+    if p and (not thresholds.is_prime(args.p) or (args.p == 2 and args.bound is None)):
         raise ValueError(f"--p must be a prime >= 3, or 2 with --bound, got {args.p}")
     limit = TABLES_LIMIT
     if p:
         limit = max(limit, thresholds.census_table_limit(args.p, args.bound))
     table = build_prime_table(limit)
-    if args.which == "n1":
-        if args.i is not None:
-            if args.t is not None:
-                records = [thresholds.n1_table(args.i, j, args.t, table)]
-            else:
-                records = [r for r in thresholds.table1_records(table) if r.i == args.i]
+    if n1:
+        if t:
+            records = [thresholds.n1_table(args.i, j, args.t, table)]
         else:
-            records = thresholds.table1_records(table)
+            records = [r for r in thresholds.table1_records(table) if not i or r.i == args.i]
         if args.fmt == "csv":
             return thresholds.table1_csv(records, table)
         return json.dumps([r.__dict__ for r in records]) + "\n"
-    if args.p is not None:
-        if args.bound is not None:
-            c = thresholds.census_three_factor(args.p, args.bound, table)
-            rows = [{"p": c.p, "bound": c.bound, "count": c.count,
-                     "reported": None, "residual": None}]
-        else:
-            rows = thresholds.census_report(table, ps=(args.p,))
-    else:
-        rows = thresholds.census_report(table, include_remark_prime=args.long_run)
+    rows = (thresholds.census_report(table, (args.p,), args.bound) if p
+            else thresholds.census_report(table))
     if args.fmt == "csv":
         return "\n".join(["p,count"] + [f"{r['p']},{r['count']}" for r in rows]) + "\n"
     return json.dumps(rows) + "\n"
@@ -301,13 +280,13 @@ def cmd_conflicts(args) -> int:
         raise _UsageError("move scoring is defined for odd n >= 3")
     if n < 2:
         raise _UsageError("--n must be at least 2")
-    if args.to_class is None:  # the table ``greedy --n`` builds
-        total = greedy_mod.canonical_conflicts(n, build_prime_table(max(n, 1000)))
+    if args.to_class is None:  # the count reads primes up to isqrt(n) only
+        total = greedy_mod.canonical_conflicts(n, build_prime_table(max(isqrt(n), 2)))
         sys.stdout.write(json.dumps({"n": n, "clustering": "canonical", "conflicts": total}) + "\n")
         return EXIT_OK
     if args.to_class < 0:  # refused before any sieve
         raise _UsageError(f"--to-class must be at least 0, got {args.to_class}")
-    table = build_prime_table(_verify_limit(n))
+    table = build_prime_table(_verify_limit(n, n))
     f = factorize(n, table)
     if f.distinct_primes[0] > table.limit:  # a prime's class index is pi(n)
         del table  # let the small table go before the large one is built

@@ -121,15 +121,6 @@ class VerifyReport:
         })
 
 
-def _fill_friend_mask(mask: np.ndarray, m: int, primes_of_m) -> None:
-    """mask[a - 2] = True for every friend a < m, i.e. every multiple of a
-    prime divisor of m (the definition of friendship, stride by stride)."""
-    k = m - 2
-    mask[:k] = False
-    for q in primes_of_m:
-        mask[q - 2 : k : q] = True
-
-
 def _scan_step(lab: np.ndarray, friend: np.ndarray,
                max_id: int) -> tuple[int, int, int]:
     """Score one greedy step member by member against any labeling.
@@ -167,7 +158,9 @@ def run_reference(n: int, guard: int = DEFAULT_REFERENCE_GUARD) -> GreedyState:
     next_id = 1
     conflicts = 0
     for m in range(3, n + 1):
-        _fill_friend_mask(mask, m, factorize(m, table).distinct_primes)
+        mask[: m - 2] = False  # friends of m below it: the multiples of its primes
+        for q in factorize(m, table).distinct_primes:
+            mask[q - 2 : m - 2 : q] = True
         chosen, added, _ = _scan_step(labels[: m - 2], mask[: m - 2], next_id)
         if chosen == 0:
             next_id += 1
@@ -292,11 +285,12 @@ class _Span:
 
 def _spans(n: int, table: PrimeTable, labels):
     """(a, the ``_Span`` over [a, b]) per ``SPAN`` integers of [2, n], in order,
-    class sizes carried across spans; [a, b]'s labels go to ``labels(a, b)``."""
+    class sizes carried across spans; [a, b]'s labels go to ``labels(a, b)``,
+    those of primes above the table (it need only reach isqrt(n)) past its end."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    if isqrt(n) > table.limit:
+        raise OutOfRangeError(f"isqrt(n) = {isqrt(n)} exceeds table limit {table.limit}")
     sizes = np.zeros(table.pi(isqrt(n)) + 1, dtype=np.int64)
     ends = [(a, min(a + SPAN - 1, n)) for a in range(2, n + 1, SPAN)]
     return ((a, _Span(a, b, table, sizes, labels(a, b))) for a, b in ends)
@@ -324,6 +318,8 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     the first anomaly is labeled by the canonical rule, recorded as
     unverified, and left out of ``conflicts``.
     """
+    if n > table.limit:  # a prime's label is its index, so every prime up to n is read
+        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     spans = _spans(n, table, lambda a, b: labels[a - 2 : b - 1])  # checks n before labels exist
     labels = np.empty(n - 1, dtype=np.int64)
     state = GreedyState(Partition(n, labels), "accelerated")

@@ -30,6 +30,7 @@ DEFAULT_CONFLICT_GUARD = 100_000
 
 CSV_HEADER = "integer,class"
 CSV_BLOCK = 16384  # rows per string of ``csv_blocks``
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # how many are <= m: m's digit count
 
 
 def similar(a: int, b: int) -> bool:
@@ -150,6 +151,29 @@ def csv_blocks(p: Partition):
     for k in range(0, p.n - 1, CSV_BLOCK):
         labels = p.labels[k : k + CSV_BLOCK].astype(np.int64, copy=False)
         yield _csv_rows(np.arange(k + 2, k + 2 + len(labels), dtype=np.int64), labels)
+
+
+def json_blocks(p: Partition):
+    """The JSON object of each class id (text, increasing) and its members
+    (increasing), ``CSV_BLOCK`` members at a time, written by ``_csv_rows`` as
+    ", m" each: a class opens where its predecessors' digits plus 2 each end."""
+    order = np.argsort(p.labels, kind="stable")
+    ids = p.labels[order]
+    heads = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])  # each class's first place
+    ids = ids[heads].tolist()
+    order += 2
+    sep = "{"
+    for k in range(0, len(order), CSV_BLOCK):
+        members = order[k : k + CSV_BLOCK]
+        text = ("\n" + _csv_rows(members)[:-1]).replace("\n", ", ")
+        starts = np.r_[0, np.cumsum(np.searchsorted(_POW10, members, side="right") + 2)]
+        lo, hi = np.searchsorted(heads, (k, k + CSV_BLOCK))
+        cut = 0
+        for at, c in zip(starts[heads[lo:hi] - k].tolist(), ids[lo:hi]):
+            yield f'{text[cut:at]}{sep}"{c}": ['
+            cut, sep = at + 2, "], "
+        yield text[cut:]
+    yield "]}"
 
 
 def partition_to_csv(p: Partition) -> str:

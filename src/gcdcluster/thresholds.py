@@ -201,9 +201,14 @@ def table1_records(table: PrimeTable) -> list[ThresholdRecord]:
     return records
 
 
+def is_prime(q: int) -> bool:
+    """Trial division, no table: what a census checks of p before it sieves."""
+    return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
 def _next_prime(x: int) -> int:
     q = x + 1
-    while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+    while not is_prime(q):
         q += 1
     return q
 
@@ -266,20 +271,21 @@ def census_three_factor(p: int, bound: int | None, table: PrimeTable) -> Candida
 
 
 def census_report(table: PrimeTable, ps=(19, 23, 29, 31, 37, 41, 43),
-                  include_remark_prime: bool = False) -> list[dict]:
-    """Census rows with calibration bookkeeping against the reported counts.
+                  bound: int | None = None) -> list[dict]:
+    """Census rows of the primes ``ps`` below ``bound`` (``census_three_factor``'s
+    default when None), with calibration bookkeeping against the reported counts.
 
     The calibrated interpretation (bound = n1(i, i-1, 3) capped at the first
     irregular integer, distinct three primes, strict upper bound) reproduces
     the seven reported counts for p = 19..43 exactly.  No interpretation we
     tried reproduces the reported 90338 for p = 67; the row reports the
-    calibrated count and the residual rather than adjusting anything.
+    calibrated count and the residual rather than adjusting anything.  Under
+    an explicit bound no row is compared: ``reported`` and ``residual`` are None.
     """
     rows = []
-    wanted = list(ps) + ([67] if include_remark_prime else [])
-    for p in wanted:
-        c = census_three_factor(p, None, table)
-        reported = _REPORTED_CENSUS.get(p)
+    for p in ps:
+        c = census_three_factor(p, bound, table)
+        reported = None if bound is not None else _REPORTED_CENSUS.get(p)
         rows.append({
             "p": p,
             "bound": c.bound,
@@ -307,27 +313,21 @@ def prime_count_inequality(x_grid, t_grid, table: PrimeTable) -> list[dict]:
             if t < 41:
                 raise ValueError(f"t={t} below the inequality's domain 41")
             xf = int(x)
-            sq = isqrt(xf)
-            quot = int(x / t)
+            sq, quot = isqrt(xf), int(x / t)
             row = {"x": x, "t": t}
             if xf <= table.limit:
-                pi_x = table.pi(xf)
-                pi_sq = table.pi(sq)
-                pi_q = table.pi(quot)
-                lhs = pi_x - pi_sq
-                rhs = 18 * pi_q + 56
+                pi_x, pi_sq, pi_q = table.pi(xf), table.pi(sq), table.pi(quot)
+                lhs, rhs = pi_x - pi_sq, 18 * pi_q + 56
                 row.update({"pi_x": pi_x, "pi_sqrt": pi_sq, "pi_quot": pi_q,
                             "lhs": lhs, "rhs": rhs, "margin": lhs - rhs,
                             "holds": lhs > rhs, "exact": True})
             else:
                 row.update({"exact": False})
+            row["rs_sufficient"] = None
             if sq >= 59 and quot >= 59:
-                lo_x, _ = rosser_schoenfeld_bounds(float(x))
-                _, up_sq = rosser_schoenfeld_bounds(float(sq))
-                _, up_q = rosser_schoenfeld_bounds(float(quot))
+                (lo_x, _), (_, up_sq), (_, up_q) = map(rosser_schoenfeld_bounds,
+                                                       map(float, (x, sq, quot)))
                 row["rs_sufficient"] = lo_x - up_sq > 18 * up_q + 56
-            else:
-                row["rs_sufficient"] = None
             rows.append(row)
     return rows
 

@@ -128,7 +128,7 @@ def test_criterion_05_threshold_table_reproduced(table):
 
 
 def test_criterion_06_census_reproduced_with_documented_residual(table):
-    rows = census_report(table, include_remark_prime=True)
+    rows = census_report(table, (19, 23, 29, 31, 37, 41, 43, 67))
     for row in rows:
         if row["p"] in PUBLISHED_CENSUS:
             assert row["count"] == PUBLISHED_CENSUS[row["p"]], row

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gcdcluster import (build_prime_table, canonical_partition, cli, count_conflicts, greedy,
                         partition_to_csv, primes)
 from gcdcluster.cli import main
-from gcdcluster.primes import DEFAULT_SPF_LIMIT
+from gcdcluster.thresholds import n1_table
 from oracles import naive_spf
 from test_greedy import class_1_wins_at
 
@@ -143,7 +143,8 @@ def test_verify_default_table_size(capsys, monkeypatch, table):
     limits = record_table_limits(monkeypatch, table)
     code, _, _ = run_cli(capsys, "verify", "--from", str(start), "--to", str(stop))
     assert code == 1
-    assert limits == [max(isqrt(stop), stop // 13, min(stop, DEFAULT_SPF_LIMIT))]
+    # the window starts above the SPF limit, so the table is not widened to it
+    assert limits == [max(isqrt(stop), stop // 13)] == [8580500]
 
 
 def test_verify_above_spf_limit_sieves_no_spf(capsys, monkeypatch):
@@ -289,13 +290,37 @@ def test_tables_n1_json_single_cell(capsys):
 
 
 def test_tables_n1_index_bound(capsys):
-    # --force is read only with --t, so the refusal names both
+    # the table's rows stop at i = 20; a cell beyond them is computed with --t
     code, _, err = run_cli(capsys, "tables", "--which", "n1", "--i", "21")
     assert code == 64
-    assert "pass --t, and --force above 20," in err
-    code, out, _ = run_cli(capsys, "tables", "--which", "n1", "--i", "21",
-                           "--t", "1", "--force")
-    assert code == 0 and out.startswith("i,p,t,n1")
+    assert err == ("tables: i = 21 is outside the table's rows 3 <= i <= 20 "
+                   "(pass --t to compute a cell)\n")
+    code, out, _ = run_cli(capsys, "tables", "--which", "n1", "--i", "21", "--t", "1")
+    assert code == 0 and out == "i,p,t,n1,infeasible\n21,73,1,297357385,0\n"
+
+
+@pytest.mark.parametrize("i, t", [(14265, 1), (78496, 3)])
+def test_tables_n1_cell_past_int_digit_limit(capsys, table, i, t):
+    # n1 has more than 4300 digits from i = 14265 on (23,637 at i = 78496,
+    # t = 3, the largest cell the 10^6 table holds); tables prints it exactly
+    # and leaves the interpreter's limit as it found it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    want = n1_table(i, i - 1, t, table)
+    code, out, _ = run_cli(capsys, "tables", "--which", "n1", "--i", str(i), "--t", str(t))
+    assert code == 0
+    code_json, out_json, _ = run_cli(capsys, "tables", "--which", "n1", "--i", str(i),
+                                     "--t", str(t), "--format", "json")
+    assert code_json == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        _, row = out.splitlines()
+        assert row.split(",")[3] == str(want.n1) and len(str(want.n1)) > 4300
+        assert json.loads(out_json) == [want.__dict__]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_tables_census_csv(capsys):
@@ -329,11 +354,6 @@ def test_tables_census_default_bound_near_table_end(capsys, monkeypatch, p, limi
     assert out == f"p,count\n{p},0\n"
 
 
-# of the refusals below, these alone need the table: a non-prime --p
-_REFUSED_BY_TABLE = {("--which", "census", "--p", "20"),
-                     ("--which", "census", "--p", "20", "--bound", "1000000")}
-
-
 @pytest.mark.parametrize("argv", [
     ("--which", "census", "--p", "20"),
     ("--which", "census", "--p", "20", "--bound", "1000000"),
@@ -343,16 +363,17 @@ _REFUSED_BY_TABLE = {("--which", "census", "--p", "20"),
     ("--which", "n1", "--i", "5", "--j", "2"),  # --j is read only with --t
     ("--which", "n1", "--t", "1"),
     ("--which", "n1", "--j", "2", "--t", "1"),
-    ("--which", "n1", "--force"),
-    ("--which", "n1", "--i", "21", "--force"),  # the table's rows stop at i = 20
+    # a composite --p, by trial division before a sieve sized from it
+    ("--which", "census", "--p", "4"),
+    ("--which", "census", "--p", "9", "--bound", "10000000000"),
     ("--which", "n1", "--p", "19"),
     ("--which", "n1", "--i", "5", "--bound", "1000"),
-    ("--which", "n1", "--long-run"),
+    ("--which", "census", "--p", "1000001"),
     ("--which", "census", "--i", "5"),
     ("--which", "census", "--p", "19", "--t", "1"),
-    ("--which", "census", "--force"),
+    ("--which", "census", "--p", "25", "--bound", "1000"),
     ("--which", "census", "--bound", "1000000"),
-    ("--which", "census", "--p", "19", "--long-run"),
+    ("--which", "n1", "--i", "78496"),  # the table's rows stop at i = 20
     # the table's rows start at i = 3; only a cell (--t) is scored below
     ("--which", "n1", "--i", "2"),
     ("--which", "n1", "--i", "0"),
@@ -375,9 +396,9 @@ def test_tables_usage_exit_64(capsys, monkeypatch, argv):
     assert code == 64
     assert out == ""
     assert err.startswith("tables: ") and err.count("\n") == 1
-    assert limits == ([cli.TABLES_LIMIT] if argv in _REFUSED_BY_TABLE else [])
-    if argv[:3] == ("--which", "census", "--p") and int(argv[3]) <= 2:
-        assert "--p" in err
+    assert limits == []
+    if argv[:3] == ("--which", "census", "--p") and "--t" not in argv:
+        assert err == f"tables: --p must be a prime >= 3, or 2 with --bound, got {argv[3]}\n"
     if "--t" in argv and int(argv[argv.index("--t") + 1]) < 1:
         assert "--t" in err
     elif argv[:2] == ("--which", "n1") and "--t" in argv and "--i" in argv:
@@ -392,11 +413,21 @@ def test_tables_census_of_2_with_bound(capsys):
 
 
 def test_tables_census_json_residuals(capsys):
-    code, out, _ = run_cli(capsys, "tables", "--which", "census",
-                           "--format", "json", "--long-run")
+    code, out, _ = run_cli(capsys, "tables", "--which", "census", "--p", "67",
+                           "--format", "json")
     rows = json.loads(out)
-    assert rows[-1]["p"] == 67
-    assert rows[-1]["residual"] == rows[-1]["count"] - 90338
+    assert code == 0 and [r["p"] for r in rows] == [67]
+    assert rows[-1]["residual"] == rows[-1]["count"] - 90338 == -1540
+
+
+def test_tables_census_bound_compares_nothing(capsys):
+    # an explicit bound is not the reported count's reading, even where it
+    # equals p = 19's calibrated bound n1(8, 7, 3) = 17815
+    code, out, _ = run_cli(capsys, "tables", "--which", "census", "--p", "19",
+                           "--bound", "17815", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"p": 19, "bound": 17815, "count": 4,
+                                "reported": None, "residual": None}]
 
 
 def test_n0_search(capsys):
@@ -415,12 +446,12 @@ def test_conflicts_count(capsys):
 
 
 def test_conflicts_count_has_no_guard(capsys, monkeypatch):
-    # the count is linear and unguarded: 200000 runs from the one table
-    # ``greedy --n`` builds
+    # the count is linear and unguarded: 200000 runs from one table of the
+    # primes up to isqrt(200000) = 447, all its spans read
     limits = record_table_limits(monkeypatch)
     code, out, _ = run_cli(capsys, "conflicts", "--n", "200000")
     assert code == 0 and json.loads(out)["n"] == 200000
-    assert limits == [200000]
+    assert limits == [447]
 
 
 @pytest.mark.parametrize("argv", [("--n", "15", "--guard", "5"),
@@ -543,13 +574,14 @@ def test_conflicts_out_of_range_exit_64(capsys, monkeypatch, argv):
 
 
 def test_conflicts_prime_beyond_default_table(capsys, monkeypatch):
-    # a prime's class index is pi(n), so its table is rebuilt up to n
+    # a prime's class index is pi(n), so its table is rebuilt up to n; above
+    # the SPF limit the first table is not widened to it: 10007 // 13 = 769
     code, expected, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", "1")
     monkeypatch.setattr(cli, "DEFAULT_SPF_LIMIT", 1000)
     limits = record_table_limits(monkeypatch)
     code2, out, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", "1")
     assert code == code2 == 0
-    assert limits == [1000, 10007]
+    assert limits == [769, 10007]
     assert out == expected
 
 
@@ -570,6 +602,8 @@ def test_missing_subcommand_exit_64(capsys):
 @pytest.mark.parametrize("argv", [
     ("greedy", "--n", "10", "--limit", "1000"),
     ("--seed-cache", "x", "greedy", "--n", "10"),
+    ("tables", "--which", "n1", "--i", "21", "--t", "1", "--force"),  # cells need no override
+    ("tables", "--which", "census", "--long-run"),  # --p 67 prints that row
 ])
 def test_removed_table_flags_exit_64(capsys, argv):
     with pytest.raises(SystemExit) as exc:

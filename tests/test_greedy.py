@@ -8,12 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies
+from hypothesis import HealthCheck, example, given, settings, strategies
 
 from gcdcluster import (
     Factorization,
     OutOfRangeError,
     ResourceGuardError,
+    build_prime_table,
     canonical_partition,
     class_scores,
     class_size,
@@ -179,6 +180,29 @@ def test_accelerated_conflicts_identity(table):
 def test_accelerated_refuses_n_beyond_table(small_table):
     with pytest.raises(OutOfRangeError):
         run_accelerated(small_table.limit + 1, small_table)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=strategies.integers(2, 3000))
+@example(n=2)
+@example(n=3)
+@example(n=98)  # the first span of 97 ends
+@example(n=99)
+@example(n=960)  # isqrt(n) = 30; 961 = 31 * 31 is the first composite past that table
+@example(n=961)
+@example(n=2809)  # 53 * 53, the last span's square
+def test_canonical_conflicts_reads_primes_to_isqrt(monkeypatch, small_table, n):
+    # a table to isqrt(n) counts across span edges what the pair-by-pair
+    # referee counts on the canonical partition; a prime above the table
+    # joins the classes past it, which the count never reads
+    monkeypatch.setattr(greedy, "SPAN", 97)
+    table = build_prime_table(max(isqrt(n), 2))
+    want = count_conflicts(canonical_partition(n, small_table))
+    assert greedy.canonical_conflicts(n, table) == want
+    if isqrt(n) > 2:
+        with pytest.raises(OutOfRangeError):
+            greedy.canonical_conflicts(n, build_prime_table(isqrt(n) - 1))
 
 
 def class_1_wins_at(m0: int, monkeypatch) -> list[int]:

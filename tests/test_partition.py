@@ -1,6 +1,7 @@
 """Partition model, conflict counting, and move deltas from class scores."""
 
 import io
+import json
 import random
 from math import gcd
 
@@ -20,7 +21,7 @@ from gcdcluster import (
     read_partition_csv,
     similar,
 )
-from gcdcluster.partition import CSV_BLOCK, Partition, csv_blocks
+from gcdcluster.partition import CSV_BLOCK, Partition, csv_blocks, json_blocks
 from gcdcluster.primes import DEFAULT_SPF_LIMIT
 from oracles import naive_conflicts, naive_spf, tally_exact
 
@@ -275,6 +276,29 @@ def test_csv_matches_fstring_rows(n, digits, signed, seed):
     assert rows == [1] + [CSV_BLOCK] * ((n - 2) // CSV_BLOCK) + [(n - 2) % CSV_BLOCK + 1]
     back = read_partition_csv(io.StringIO(text))
     assert back.n == n and np.array_equal(back.labels, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=2, ids=1, run=0, seed=0)
+@example(n=3 * CSV_BLOCK + 2, ids=1, run=CSV_BLOCK, seed=0)  # classes open at block edges
+@example(n=CSV_BLOCK + 2, ids=1, run=CSV_BLOCK - 1, seed=0)  # and one member before them
+@given(n=strategies.integers(2, 3 * CSV_BLOCK + 2), ids=strategies.integers(1, 10 ** 6),
+       run=strategies.integers(0, 2 * CSV_BLOCK), seed=strategies.integers(0, 2 ** 32 - 1))
+def test_json_matches_json_dumps(n, ids, run, seed):
+    # labels in [-ids, ids] at random (run = 0) or in runs of ``run`` integers,
+    # both with a few single-member classes; the referee is json.dumps of the
+    # class dict, ids increasing, members increasing
+    rng = np.random.default_rng(seed)
+    if run:
+        labels = np.arange(n - 1, dtype=np.int64) // run * (rng.integers(0, 2) * 2 - 1)
+    else:
+        labels = rng.integers(-ids, ids, n - 1, endpoint=True)
+    labels[rng.integers(0, n - 1, 3)] = 10 ** 18 + np.arange(3)
+    classes = {}
+    for m, c in enumerate(labels.tolist(), 2):
+        classes.setdefault(c, []).append(m)
+    got = "".join(json_blocks(Partition(n, labels)))
+    assert got == json.dumps(dict(sorted(classes.items())))
 
 
 def test_csv_golden_g15(small_table, data_dir):
