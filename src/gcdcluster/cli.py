@@ -33,7 +33,7 @@ EXIT_ANOMALY = 1
 EXIT_REFUSED = 2
 EXIT_USAGE = 64
 
-TABLES_LIMIT = 1_000_000  # the table ``tables`` builds unless a census needs more
+TABLES_LIMIT = 1_000_000  # the table ``tables`` builds unless a census or a cell needs more
 
 
 class _UsageError(Exception):
@@ -86,8 +86,8 @@ def _build_parser() -> _Parser:
 
 
 def _verify_limit(start: int, stop: int) -> int:
-    """The table that scores every odd composite up to ``stop``, widened to
-    ``min(stop, DEFAULT_SPF_LIMIT)`` so that small jobs keep the SPF fast path;
+    """``verify_table_limit(stop)``, the pi horizon and sqrt of ``stop``, widened
+    to ``min(stop, DEFAULT_SPF_LIMIT)`` so that small jobs keep the SPF fast path;
     a window starting above ``DEFAULT_SPF_LIMIT`` never reads the SPF array."""
     spf = min(stop, DEFAULT_SPF_LIMIT) if start <= DEFAULT_SPF_LIMIT else 0
     return max(greedy_mod.verify_table_limit(stop), spf)
@@ -248,6 +248,8 @@ def _tables_text(args) -> str:
     if p:
         limit = max(limit, thresholds.census_table_limit(args.p, args.bound))
     table = build_prime_table(limit)
+    while t and len(table.primes) < args.i + args.t - 1:  # a cell reads p_i .. p_{i+t-1}
+        table = build_prime_table(2 * table.limit)
     if n1:
         if t:
             records = [thresholds.n1_table(args.i, j, args.t, table)]

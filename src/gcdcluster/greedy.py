@@ -406,12 +406,19 @@ def verify_single(n: int, table: PrimeTable) -> VerifyRecord | None:
 
 def verify_table_limit(stop: int) -> int:
     """Smallest table limit that scores every odd composite n <= stop: it
-    covers sqrt(stop) (factorization) and stop // 13 (the largest pi lookup
-    of the counting; classes at wheel indices need none).  The int64 kernel
-    refuses stop >= ``VERIFY_STOP_LIMIT``."""
+    covers sqrt(stop) (factorization) and L, the least integer with L ** 3 >=
+    stop ** 2: ``legendre_phi`` reads pi(y) only where y < p ** 2 and y <= N / p
+    (p = p_{r+1}, N <= stop: a class opening has N = start - 1, a ``tally_diffs``
+    term N = n - 1 and p = p_j, a deep term's child its parent's N), so y ** 3 <
+    (y * p) ** 2 <= stop ** 2.  The int64 kernel refuses stop >= ``VERIFY_STOP_LIMIT``."""
     if stop >= VERIFY_STOP_LIMIT:
         raise OutOfRangeError(f"{stop} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
-    return max(2, isqrt(stop), stop // 13)
+    cube = round(stop ** (2 / 3))  # a float guess; the integer tests decide L
+    while cube ** 3 < stop * stop:
+        cube += 1
+    while (cube - 1) ** 3 >= stop * stop:
+        cube -= 1
+    return max(2, isqrt(stop), cube)
 
 
 def verify_range(start: int, stop: int, table: PrimeTable,

@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -143,8 +142,10 @@ def test_verify_default_table_size(capsys, monkeypatch, table):
     limits = record_table_limits(monkeypatch, table)
     code, _, _ = run_cli(capsys, "verify", "--from", str(start), "--to", str(stop))
     assert code == 1
-    # the window starts above the SPF limit, so the table is not widened to it
-    assert limits == [max(isqrt(stop), stop // 13)] == [8580500]
+    # the window starts above the SPF limit, so the table is not widened to
+    # it: the pi horizon, the least L with L ** 3 >= stop ** 2 (above isqrt(stop))
+    assert limits == [231724]
+    assert 231723 ** 3 < stop ** 2 <= 231724 ** 3
 
 
 def test_verify_above_spf_limit_sieves_no_spf(capsys, monkeypatch):
@@ -299,24 +300,29 @@ def test_tables_n1_index_bound(capsys):
     assert code == 0 and out == "i,p,t,n1,infeasible\n21,73,1,297357385,0\n"
 
 
-@pytest.mark.parametrize("i, t", [(14265, 1), (78496, 3)])
-def test_tables_n1_cell_past_int_digit_limit(capsys, table, i, t):
+@pytest.mark.parametrize("i, t", [(14265, 1), (78496, 3), (78497, 3)])
+def test_tables_n1_cell_past_int_digit_limit(capsys, monkeypatch, table, i, t):
     # n1 has more than 4300 digits from i = 14265 on (23,637 at i = 78496,
     # t = 3, the largest cell the 10^6 table holds); tables prints it exactly
-    # and leaves the interpreter's limit as it found it
+    # and leaves the interpreter's limit as it found it.  The 10^6 table ends
+    # at p_78498 = 999983, so for i + t - 1 = 78499 it doubles once
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     want = n1_table(i, i - 1, t, table)
+    limits = record_table_limits(monkeypatch)
     code, out, _ = run_cli(capsys, "tables", "--which", "n1", "--i", str(i), "--t", str(t))
     assert code == 0
     code_json, out_json, _ = run_cli(capsys, "tables", "--which", "n1", "--i", str(i),
                                      "--t", str(t), "--format", "json")
     assert code_json == 0
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    doubled = [cli.TABLES_LIMIT, 2 * cli.TABLES_LIMIT][: 1 + (i + t - 1 > 78498)]
+    assert limits == 2 * doubled
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         _, row = out.splitlines()
-        assert row.split(",")[3] == str(want.n1) and len(str(want.n1)) > 4300
+        assert row == f"{i},{table.prime(i)},{t},{want.n1},{int(want.infeasible)}"
+        assert len(str(want.n1)) > 4300
         assert json.loads(out_json) == [want.__dict__]
     finally:
         if limit is not None:
@@ -575,13 +581,14 @@ def test_conflicts_out_of_range_exit_64(capsys, monkeypatch, argv):
 
 def test_conflicts_prime_beyond_default_table(capsys, monkeypatch):
     # a prime's class index is pi(n), so its table is rebuilt up to n; above
-    # the SPF limit the first table is not widened to it: 10007 // 13 = 769
+    # the SPF limit the first table is not widened to it: the pi horizon of
+    # 10007, 465 ** 3 >= 10007 ** 2 > 464 ** 3
     code, expected, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", "1")
     monkeypatch.setattr(cli, "DEFAULT_SPF_LIMIT", 1000)
     limits = record_table_limits(monkeypatch)
     code2, out, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", "1")
     assert code == code2 == 0
-    assert limits == [769, 10007]
+    assert limits == [465, 10007]
     assert out == expected
 
 

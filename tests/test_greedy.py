@@ -26,7 +26,7 @@ from gcdcluster import (
     verify_single,
 )
 from gcdcluster import greedy
-from gcdcluster.greedy import VerifyRecord, _scan_step, _sieve_span
+from gcdcluster.greedy import VerifyRecord, _scan_step, _sieve_span, verify_table_limit
 from gcdcluster.primes import totient
 from oracles import (ClassTally, friend_bounds, naive_greedy, naive_phi,
                      scalar_class_scores, scalar_records)
@@ -396,6 +396,46 @@ def test_verify_range_and_class_scores_open_classes_through_class_size(table, mo
 def test_verify_range_refuses_beyond_int64_headroom(small_table):
     with pytest.raises(OutOfRangeError):
         verify_range(greedy.VERIFY_STOP_LIMIT - 1, greedy.VERIFY_STOP_LIMIT, small_table)
+
+
+def _least_cube_at_least(s: int) -> int:
+    """The least L >= 0 with L ** 3 >= s, by bisection on integers."""
+    lo, hi = 0, 1
+    while hi ** 3 < s:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** 3 >= s else (mid + 1, hi)
+    return lo
+
+
+# L ** 3 >= stop ** 2 first holds at L = k ** 2 for stop = k ** 3, and at k ** 2
+# + 1 past it; near 2 ** 60 a float cube root of (k ** 3 + 1) ** 2 rounds to
+# k ** 2, one below L
+@pytest.mark.parametrize("k", [2, 3, 10, 464, 1000, 2 ** 20 - 2, 2 ** 20 - 1])
+def test_verify_table_limit_is_the_pi_horizon(k):
+    for stop in (k ** 3 - 1, k ** 3, k ** 3 + 1, greedy.VERIFY_STOP_LIMIT - k):
+        want = max(isqrt(stop), _least_cube_at_least(stop * stop))
+        assert verify_table_limit(stop) == want, stop
+
+
+@settings(max_examples=15, deadline=None)
+@given(start=strategies.integers(2, FIRST_IRREGULAR + 10 ** 5),
+       width=strategies.integers(1, 300))
+@example(start=464 ** 3 - 300, width=300)  # ends at k ** 3 - 1, k ** 3 and k ** 3 + 1
+@example(start=464 ** 3 - 300, width=301)
+@example(start=464 ** 3 - 300, width=302)
+@example(start=9_999_901, width=200)  # across 10^7
+@example(start=111_546_400, width=101)  # the one deviation
+def test_verify_range_on_the_pi_horizon_table(start, width):
+    # a table at exactly the horizon writes what one to stop // 13 writes (the
+    # larger from stop = 13 ** 3 on); a pi lookup past it would raise in legendre_phi
+    stop = start + width - 1
+    runs = []
+    for limit in (verify_table_limit(stop), max(verify_table_limit(stop), stop // 13)):
+        lines = []
+        runs.append((verify_range(start, stop, build_prime_table(limit), lines.append), lines))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=40, deadline=None)
