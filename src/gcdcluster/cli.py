@@ -96,7 +96,10 @@ def _verify_limit(start: int, stop: int) -> int:
 def _open_out(path: str | None):
     if path is None:
         return sys.stdout, False
-    return open(path, "w"), True
+    try:
+        return open(path, "w"), True
+    except OSError as exc:
+        raise _UsageError(f"cannot open --out {path}: {exc.strerror}")
 
 
 def cmd_greedy(args) -> int:
@@ -104,14 +107,13 @@ def cmd_greedy(args) -> int:
         raise _UsageError("--n must be at least 2")
     if args.guard is not None and args.mode != "reference":
         raise _UsageError("--guard applies only to --mode reference")
-    if args.mode == "reference":
-        guard = args.guard if args.guard is not None else greedy_mod.DEFAULT_REFERENCE_GUARD
-        state = greedy_mod.run_reference(args.n, guard=guard)
-    else:
-        table = build_prime_table(max(args.n, 1000))
-        state = greedy_mod.run_accelerated(args.n, table)
-    fh, close = _open_out(args.out)
+    fh, close = _open_out(args.out)  # before the run, which can be long
     try:
+        if args.mode == "reference":
+            guard = args.guard if args.guard is not None else greedy_mod.DEFAULT_REFERENCE_GUARD
+            state = greedy_mod.run_reference(args.n, guard=guard)
+        else:
+            state = greedy_mod.run_accelerated(args.n, build_prime_table(max(args.n, 1000)))
         if args.fmt == "csv":
             fh.writelines(csv_blocks(state.partition))  # never the whole text at once
         else:

@@ -136,25 +136,33 @@ def floor_identity_lhs_rhs(n: int, u: int, qs) -> tuple[int, int]:
 def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
                 table: PrimeTable) -> np.ndarray:
     """friends - enemies of odd n[k] in class j[k] >= 2, p_j below n[k]'s
-    primes ``qs[k]`` (padded with values above n[k]), in int64: s_j - 2 *
-    enemies, where the enemies p_j * m, m <= x = (n-1) // p_j coprime to n,
-    number the sum of mu(d) * phi(x // d, j-1) over squarefree d | n, whose
+    primes ``qs[k]`` (rising, padded with values above n[k]), in int64: s_j -
+    2 * enemies, where the enemies p_j * m, m <= x = (n-1) // p_j coprime to
+    n, number the sum of mu(d) * phi(x // d, j-1) over squarefree d | n, whose
     d = 1 term is s_j[k], class j[k]'s size below n[k].  Each x // d comes
-    from an earlier quotient by one more prime (no product of primes is
-    formed), and a zero quotient adds 0 and is dropped.  Every term with
-    d > 1 goes to one ``legendre_phi``."""
-    r = j - 1
-    x = (n - 1) // table.primes[r]
-    y, k, mu = x, np.arange(len(x)), np.ones(len(x), dtype=np.int64)
+    from an earlier quotient by one more prime.  Only live terms expand: one
+    whose quotient by a column's prime is 0 stays 0 under every later, larger
+    prime or pad, so it leaves the frontier, and the loop ends once that is
+    empty.  A term with y < p_j has phi = 1 and is summed directly; the other
+    terms with d > 1 go to one ``legendre_phi``."""
+    r, p = j - 1, table.primes[j - 1]
+    x = (n - 1) // p
+    y, k, mu = x, np.arange(len(x)), np.ones(len(x), dtype=np.int64)  # the frontier
+    terms = [(x[:0], k[:0], mu[:0])]
     for col in range(qs.shape[1]):
         y_q = y // qs[k, col]
-        keep = np.flatnonzero(y_q)
-        y = np.concatenate([y, y_q[keep]])
-        k = np.concatenate([k, k[keep]])
-        mu = np.concatenate([mu, -mu[keep]])
-    y, k, mu, r = y[len(x):], k[len(x):], mu[len(x):], r[k[len(x):]]
+        (live,) = y_q.nonzero()
+        if not len(live):
+            break
+        k, mu = k[live], mu[live]
+        y = np.concatenate([y[live], y_q[live]])
+        k, mu = np.concatenate([k, k]), np.concatenate([mu, -mu])
+        terms.append((y[len(live):], k[len(live):], mu[len(live):]))
+    y, k, mu = map(np.concatenate, zip(*terms))
+    deep = np.flatnonzero(y >= p[k])
+    mu[deep] *= legendre_phi(y[deep], r[k[deep]], table)
     tail = np.zeros(len(x), dtype=np.int64)  # enemies less the d = 1 term, s_j
-    np.add.at(tail, k, mu * legendre_phi(y, r, table))
+    np.add.at(tail, k, mu)
     return -s_j - 2 * tail
 
 

@@ -18,14 +18,16 @@ clustering of [2, n-1], scoring every class exactly a block of odd integers
 at a time, so its only running state is its window's class sizes, and a
 sweep can fan out over windows and still merge deterministically.  Both
 sweeps build the same rows (``_Rows``: odd integers, their classes and class
-sizes); every exact score comes from ``_score_rows``, one numpy Moebius pass.
+sizes); every exact score comes from ``_score_rows``, one numpy Moebius pass
+into one flat array, and past ``factorize`` a block stays in numpy up to its
+records, which ``_Records`` writes by one ``%``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt, prod
 
 import numpy as np
@@ -77,22 +79,29 @@ class VerifyRecord:
 
 
 class _Records:
-    """``verify``'s JSONL records for ``out``, as ``json.dumps`` writes them, by
-    one ``%`` each over a template whose deltas are a slice of ``keys``, ', "1":
-    %d, "2": %d, ...' to twice the largest class yet; key i ends at ``ends[i]``."""
+    """``verify``'s JSONL records for ``out`` as ``json.dumps`` writes them, a block
+    by one ``%``: per row, the head, its i deltas' slice of ``keys`` (', "1": %d,
+    "2": %d, ...' to twice the largest class yet; key c ends at ``ends[c]``) and a
+    pass or fail tail, over one flat int64 array, n, i, delta_1 .. delta_i, chosen, i."""
 
     def __init__(self, out):
         self.out, self.keys, self.ends = out, "", [0]
 
-    def line(self, n: int, vals: list[int], chosen: int) -> str:
-        """n's record line, from its ``class_scores`` ``vals`` and its winner."""
-        i = len(vals) - 1
-        if i >= len(self.ends):
-            keys = [f', "{j}": %d' for j in range(1, 2 * i + 1)]
+    def write(self, m, i, chosen, vals, starts) -> None:
+        """The records of odd composites m[k] of class i[k], with winner
+        chosen[k] and ``_score_rows`` scores vals[starts[k] : starts[k + 1]]."""
+        if i.max() >= len(self.ends):
+            keys = [f', "{j}": %d' for j in range(1, 2 * int(i.max()) + 1)]
             self.keys, self.ends = "".join(keys), [0, *accumulate(map(len, keys))]
-        return (('{"n": %d, "spf_index": %d, "deltas": {' + self.keys[2 : self.ends[i]]
-                 + '}, "chosen_j": %d, "expected_j": %d, "status": "%s"}\n')
-                % (n, i, *vals[1:], chosen, i, "pass" if chosen == i else "fail"))
+        at = starts[:-1] + 3 * np.arange(len(m))  # row k's values start at at[k]
+        flat = np.empty(len(vals) + 3 * len(m), dtype=np.int64)
+        flat[np.arange(len(vals)) + np.repeat(at - starts[:-1] + 1, i + 1)] = vals
+        flat[at], flat[at + 1], flat[at + i + 2], flat[at + i + 3] = m, i, chosen, i
+        keys, ends, head = self.keys, self.ends, '{"n": %d, "spf_index": %d, "deltas": {'
+        tail = '}, "chosen_j": %%d, "expected_j": %%d, "status": "%s"}\n'
+        tails = tail % "fail", tail % "pass"
+        self.out("".join([head + keys[2 : ends[c]] + tails[c == w]
+                          for c, w in zip(i.tolist(), chosen.tolist())]) % tuple(flat.tolist()))
 
 
 @dataclass
@@ -232,8 +241,8 @@ class _Rows:
         """Class c's size below the k-th odd integer; c is one class or one per k."""
         return self.base[c] + np.searchsorted(self.keys, c * len(self.lab) + k)
 
-    def scores(self, sel, table: PrimeTable) -> list[list[int]]:
-        """``class_scores`` of the rows ``sel``, by ``_score_rows``."""
+    def scores(self, sel, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+        """``_score_rows`` of the rows ``sel``: their flat scores and row starts."""
         return _score_rows(self.m[sel], self.qs[sel], self.i[sel], self.d1[sel],
                            lambda o, j: self.size(j, self.k[sel][o]), table)
 
@@ -329,7 +338,9 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
         state.bound_checks += sum(len(k) for _, k, _ in span.bounds(table))
         sel = np.flatnonzero(span.exact)
         state.exact_checks += len(sel)
-        for m, vals in zip(span.rows.m[sel].tolist(), span.rows.scores(sel, table)):
+        scores, starts = span.rows.scores(sel, table)
+        for m, vals in zip(span.rows.m[sel].tolist(), np.split(scores, starts[1:-1])):
+            vals = vals.tolist()
             chosen = vals.index(max(vals))  # ties to the smallest class
             if chosen != len(vals) - 1:  # s_i >= 1, so never a fresh class
                 state.anomalies.append((m, len(vals) - 1, chosen))
@@ -358,31 +369,30 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
         raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
     qs = f.distinct_primes
     i = table.prime_index(qs[0])
-    (vals,) = _score_rows(np.array([n]), np.array([qs]), np.array([i]),
+    vals, _ = _score_rows(np.array([n]), np.array([qs]), np.array([i]),
                           np.array([(n - 1) // 2 - totient(f)]),  # (n-1)/2 evens, phi(n)/2 enemies
                           lambda o, j: class_size(j, n - 1, table), table)
-    return vals
+    return vals.tolist()
 
 
 def _score_rows(n: np.ndarray, qs: np.ndarray, i: np.ndarray, d1: np.ndarray, s_j,
-                table: PrimeTable) -> list[list[int]]:
+                table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     """``class_scores`` of each odd composite n[k], given its primes ``qs[k]``
     (padded with values above n[k]), class i[k] and score d1[k] in class 1;
-    ``s_j(o, j)`` reads class j[t]'s size below n[o[t]].  Every delta_j comes
-    from ``tally_diffs``, ``VERIFY_PAIRS`` pairs (k, j) at a time."""
-    scores = [[0, d] for d in d1.tolist()]
+    ``s_j(o, j)`` reads class j[t]'s size below n[o[t]].  Returns flat int64
+    ``vals`` and row starts: vals[starts[k] : starts[k + 1]] is [0, delta_1,
+    ..., delta_{i-1}, s_i], each delta_j written in by index from
+    ``tally_diffs``, ``VERIFY_PAIRS`` pairs (k, j) at a time."""
+    starts = np.cumsum(np.r_[0, i + 1])
+    vals = np.zeros(starts[-1], dtype=np.int64)
     ends = np.cumsum(np.r_[0, i - 2])  # row k's pairs are ends[k] .. ends[k + 1] - 1
     for lo in range(0, ends[-1], VERIFY_PAIRS):
         pair = np.arange(lo, min(lo + VERIFY_PAIRS, ends[-1]))
         o = np.searchsorted(ends, pair, side="right") - 1
         j = pair - ends[o] + 2
-        deltas = tally_diffs(n[o], j, qs[o], s_j(o, j), table).tolist()
-        cuts = np.maximum(ends[o[0] : o[-1] + 2] - lo, 0).tolist()  # row o[0] + t: cuts[t:t + 2]
-        for k, a, b in zip(range(o[0], o[-1] + 1), cuts, cuts[1:]):
-            scores[k] += deltas[a:b]
-    for row, s_i in zip(scores, s_j(np.arange(len(n)), i).tolist()):
-        row.append(s_i)
-    return scores
+        vals[starts[o] + j] = tally_diffs(n[o], j, qs[o], s_j(o, j), table)
+    vals[starts[:-1] + 1], vals[starts[1:] - 1] = d1, s_j(np.arange(len(n)), i)
+    return vals, starts
 
 
 def verify_single(n: int, table: PrimeTable) -> VerifyRecord | None:
@@ -452,24 +462,29 @@ def verify_range(start: int, stop: int, table: PrimeTable,
 def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
                   report: VerifyReport, records: _Records | None) -> None:
     """``verify_range`` on the odd integers of [a, b], a odd; adds the
-    block's members to ``sizes``, and its record lines to ``records.out``."""
-    fs = [factorize(n, table) for n in range(a, b + 1, 2)]
-    comp = [f for f in fs if f.distinct_primes[0] != f.n]
-    report.checked += len(comp)
-    used = [len(f.distinct_primes) for f in comp]
-    width = max(used, default=1)
-    qs = [f.distinct_primes + (2 ** 63 - 1,) * (width - u) for f, u in zip(comp, used)]
-    rows = _Rows(np.arange(a, b + 1, 2, dtype=np.int64),
-                 np.array([f.distinct_primes[0] for f in fs], dtype=np.int64),
-                 np.array(qs, dtype=np.int64).reshape(-1, width), np.array(used, dtype=np.int8),
-                 np.array([(f.n - 1) // 2 - totient(f) for f in comp], dtype=np.int64),
-                 sizes, table)
-    lines = []
-    for n, vals in zip(rows.m.tolist(), rows.scores(slice(None), table)):
-        chosen, i = vals.index(max(vals)), len(vals) - 1  # ties to the smallest class
-        if chosen != i:
-            report.anomalies.append((n, i, chosen))
-        if records is not None:
-            lines.append(records.line(n, vals, chosen))
-    if lines:
-        records.out("".join(lines))
+    block's members to ``sizes``, and its record lines to ``records.out``.  Past
+    one ``factorize`` per odd integer, in order, all is numpy: ``qs`` by one scatter,
+    phi(m) by an exact update per column, each row's winner the first class at its maximum."""
+    ds = [factorize(n, table).distinct_primes for n in range(a, b + 1, 2)]
+    count = np.fromiter(map(len, ds), dtype=np.int64, count=len(ds))
+    flat = np.fromiter(chain.from_iterable(ds), dtype=np.int64, count=int(count.sum()))
+    odd = np.arange(a, b + 1, 2, dtype=np.int64)
+    spf = flat[np.cumsum(count) - count]
+    comp = spf != odd
+    m, used = odd[comp], count[comp]
+    qs = np.full((len(m), used.max(initial=1)), 2 ** 63 - 1, dtype=np.int64)
+    qs[np.arange(qs.shape[1]) < used[:, None]] = flat[np.repeat(comp, count)]
+    phi = m.copy()
+    for q in qs.T:
+        phi = np.where(q <= m, phi // q * (q - 1), phi)
+    report.checked += len(m)
+    rows = _Rows(odd, spf, qs, used.astype(np.int8), (m - 1) // 2 - phi, sizes, table)
+    if not len(m):
+        return
+    vals, starts = rows.scores(slice(None), table)
+    hit = np.flatnonzero(vals == np.repeat(np.maximum.reduceat(vals, starts[:-1]), rows.i + 1))
+    chosen = hit[np.searchsorted(hit, starts[:-1])] - starts[:-1]
+    bad = np.flatnonzero(chosen != rows.i)
+    report.anomalies += zip(m[bad].tolist(), rows.i[bad].tolist(), chosen[bad].tolist())
+    if records is not None:
+        records.write(m, rows.i, chosen, vals, starts)

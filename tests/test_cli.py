@@ -183,6 +183,28 @@ def test_verify_workers_match_serial_near_1e8(capsys, monkeypatch, tmp_path):
     assert out_path.read_text() == out1
 
 
+@pytest.mark.parametrize("argv", [("verify", "--from", "2", "--to", "3000"),
+                                  ("greedy", "--n", "3000")])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_out_that_cannot_be_opened_exit_64(capsys, monkeypatch, tmp_path, argv, where):
+    # refused as a usage error in one stderr line, before any table or sweep
+    limits = record_table_limits(monkeypatch)
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x.out"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out, limits) == (64, "", [])
+    assert err.startswith(f"{argv[0]}: cannot open --out {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv", [("verify", "--from", "2", "--to", "3000"),
+                                  ("greedy", "--n", "3000", "--format", "json")])
+def test_out_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code1, out1, _ = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "x.out"))
+    assert code1 == code2 == 0 and out2 == ""
+    assert (tmp_path / "x.out").read_text() == out1
+
+
 @pytest.mark.parametrize("start, stop, code", [(2, 3000, 0),
                                                (111546300, 111546600, 1)])
 def test_verify_small_chunks_match_one_chunk(capsys, monkeypatch, start, stop, code):

@@ -7,7 +7,7 @@ exhaustively.
 """
 
 import random
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -23,13 +23,16 @@ from gcdcluster import (
     factorize,
     floor_identity_lhs_rhs,
 )
+from gcdcluster import greedy
 from gcdcluster.counts import legendre_phi, tally_diff_fast, tally_diffs, tally_even_class
+from gcdcluster.primes import totient
 from oracles import (BudgetExceededError, UnsupportedCaseError, _friends_termsum,
                      _size_S_termsum, mobius_divisors, naive_spf, naive_tally,
-                     scalar_coprime_count, scalar_tally_diff, size_S_exact, tally_exact,
-                     tally_wheel_oracle)
+                     scalar_class_scores, scalar_coprime_count, scalar_tally_diff, size_S_exact,
+                     tally_exact, tally_wheel_oracle)
 
 FIRST_IRREGULAR = 111546435
+PRIMES_5_29 = (5, 7, 11, 13, 17, 19, 23, 29)
 
 
 # ---------------------------------------------------------------- class sizes
@@ -323,6 +326,41 @@ def test_tally_diff_fast_is_one_pair_of_the_kernel(table):
         s_j = class_size(j, n - 1, table)
         assert tally_diff_fast(j, n, qs, s_j, table) \
             == scalar_tally_diff(j, n, mobius_divisors(qs), s_j, table), (j, n)
+
+
+def test_tally_diffs_chunk_of_mixed_widths(table):
+    # one chunk, padded to the 8 primes of the first irregular integer, of
+    # rows with 1 or 2 primes (among them squares and products of primes near
+    # sqrt(n), whose quotients fall below p_j > 1 and to 0 before the pads) and
+    # of 5 * 7 * ... * 29, whose quotients fall to 0 within its own primes:
+    # every pair as scored alone and by the scalar referee, and every row as
+    # ``greedy._score_rows`` scores it from the same padded matrix
+    near = table.pi(isqrt(FIRST_IRREGULAR))
+    a, b, c = (table.prime(near + d) for d in (-1, 0, 1))
+    ns = [FIRST_IRREGULAR, b * b, a * c, 5 * 22_309_291, 7 ** 3, 11 * 13, prod(PRIMES_5_29)]
+    qs = [factorize(n, table).distinct_primes for n in ns]
+    assert [len(q) for q in qs] == [8, 1, 2, 2, 1, 2, 8]
+    padded = np.array([q + (2 ** 63 - 1,) * (8 - len(q)) for q in qs])
+    i = np.array([table.prime_index(q[0]) for q in qs])
+    want = [scalar_class_scores(n, table) for n in ns]
+    sizes = [[0, *class_size(np.arange(1, i[k] + 1), n - 1, table).tolist()]
+             for k, n in enumerate(ns)]  # class c's size below n: sizes[k][c]
+
+    def size(o, j):
+        return np.array([sizes[k][c] for k, c in zip(np.asarray(o).tolist(), j.tolist())])
+
+    o = np.array([k for k in range(len(ns)) for _ in range(2, i[k])])
+    j = np.array([j for k in range(len(ns)) for j in range(2, i[k])])
+    s_j = size(o, j)
+    got = tally_diffs(np.array(ns)[o], j, padded[o], s_j, table).tolist()
+    assert any(x < 0 for x in got) and len(got) > 2_000
+    alone = [tally_diffs(np.array([ns[k]]), np.array([jk]), np.array([qs[k]]),
+                         np.array([sk]), table)[0] for k, jk, sk in zip(o.tolist(), j.tolist(),
+                                                                     s_j.tolist())]
+    assert got == alone == [want[k][jk] for k, jk in zip(o.tolist(), j.tolist())]
+    d1 = np.array([(n - 1) // 2 - totient(factorize(n, table)) for n in ns])
+    vals, starts = greedy._score_rows(np.array(ns), padded, i, d1, size, table)
+    assert [vals[lo:hi].tolist() for lo, hi in zip(starts[:-1], starts[1:])] == want
 
 
 def test_tally_diffs_refuses_pi_beyond_its_table():

@@ -209,19 +209,19 @@ def class_1_wins_at(m0: int, monkeypatch) -> list[int]:
     """Make class 1 win strictly at odd m0 = 3 * 5 * 7 * k: the span engine
     leaves m0 to the exact kernel, and the doctored ``greedy._score_rows``
     lowers class 2 there below class 1's exact score, which is positive (no
-    class scores between them).  Returns the list of integers the kernel
-    is given, in order."""
+    class scores between them), in its flat scores.  Returns the list of
+    integers the kernel is given, in order."""
     score_rows, bounds = greedy._score_rows, greedy._Span.bounds
     seen = []
 
     def doctored(n, *args):
-        scores = score_rows(n, *args)
+        vals, starts = score_rows(n, *args)
         seen.extend(n.tolist())
-        for m, vals in zip(n.tolist(), scores):
+        for m, lo, hi in zip(n.tolist(), starts.tolist(), starts[1:].tolist()):
             if m == m0:
-                assert len(vals) == 3 and vals[1] == (m0 - 1) // 2 - naive_phi(m0) > 0
-                vals[2] = vals[1] - 1
-        return scores
+                assert hi - lo == 3 and vals[lo + 1] == (m0 - 1) // 2 - naive_phi(m0) > 0
+                vals[lo + 2] = vals[lo + 1] - 1
+        return vals, starts
 
     def leave_open(span, table):
         yield from bounds(span, table)
@@ -335,6 +335,30 @@ def test_verify_range_at_first_irregular(table):
     assert report.anomalies == [(FIRST_IRREGULAR, 2, 1)]
     assert not report.all_pass
     assert [json.loads(line)["status"] for line in lines] == ["fail"]
+
+
+def test_verify_range_ties_go_to_the_smallest_class(table, monkeypatch):
+    # the doctored flat scores tie class 1 with class 2 (s_2) at 105 = 3 * 5 * 7
+    # and every class with the fresh one at 111 = 3 * 37: each row's winner is
+    # the first class at its maximum, in the report and in the records
+    score_rows = greedy._score_rows
+
+    def doctored(n, *args):
+        vals, starts = score_rows(n, *args)
+        row = dict(zip(n.tolist(), starts.tolist()))
+        vals[row[105] + 1] = vals[row[105] + 2]
+        vals[row[111] : row[111] + 3] = 0
+        return vals, starts
+
+    monkeypatch.setattr(greedy, "_score_rows", doctored)
+    lines = []
+    report = verify_range(101, 115, table, lines.append)
+    assert report.anomalies == [(105, 2, 1), (111, 2, 0)]
+    recs = [json.loads(line) for line in "".join(lines).splitlines()]
+    assert [(r["n"], r["chosen_j"], r["status"]) for r in recs] \
+        == [(105, 1, "fail"), (111, 0, "fail"), (115, 3, "pass")]
+    assert recs[0]["deltas"]["1"] == recs[0]["deltas"]["2"] > 0
+    assert recs[1]["deltas"] == {"1": 0, "2": 0}
 
 
 def test_verify_range_bad_range(table):
@@ -769,24 +793,41 @@ def test_record_json_matches_json_dumps(n, i, deltas, chosen):
 
 
 @settings(max_examples=200, deadline=None)
-@example(n=9, classes=[1], seed=0)
-@example(n=111546435, classes=[2, 1300, 1299, 3, 1301 // 2], seed=1)
+@example(n=9, blocks=[[1]], seed=0)
+@example(n=111546435, blocks=[[2, 1300, 1299, 3, 1301 // 2]], seed=1)
+@example(n=2 ** 60 - 11, blocks=[[2, 3], [1300, 1, 2], [7]], seed=2)  # the keys grow, then not
 @given(n=strategies.integers(9, 2 ** 60),
-       classes=strategies.lists(strategies.integers(1, 1300), min_size=1, max_size=6),
+       blocks=strategies.lists(strategies.lists(strategies.integers(1, 1300), min_size=1,
+                                                max_size=6), min_size=1, max_size=3),
        seed=strategies.integers(0, 2 ** 32 - 1))
-def test_record_lines_match_json_dumps(n, classes, seed):
-    # the records of ``verify`` for classes i up to 1300 (the largest near
-    # 1.1 * 10^8), in turn from an empty key string that grows on demand;
-    # deltas are zero, negative, or at the int64 extremes
-    rng, records = np.random.default_rng(seed), greedy._Records(None)
-    for i in classes:
-        pick = rng.integers(0, 5, i)
-        deltas = np.choose(pick, [0, -(2 ** 63), 2 ** 63 - 1,
-                                  rng.integers(-(2 ** 63), 0, i),
-                                  rng.integers(0, 2 ** 63 - 1, i, endpoint=True)]).tolist()
-        vals = [0, *deltas]
-        chosen = vals.index(max(vals))
-        assert records.line(n, vals, chosen) == json.dumps({
-            "n": n, "spf_index": i, "deltas": {str(j): vals[j] for j in range(1, i + 1)},
-            "chosen_j": chosen, "expected_j": i,
-            "status": "pass" if chosen == i else "fail"}) + "\n"
+def test_record_lines_match_json_dumps(n, blocks, seed):
+    # the records of ``verify``, one write per block, for classes i up to 1300
+    # (the largest near 1.1 * 10^8), from an empty key string that grows on
+    # demand; deltas are zero, negative, or at the int64 extremes, and each
+    # block mixes classes and rows that pass (s_i the one maximum) with rows
+    # that fail (a smaller class at s_i or above)
+    rng, out = np.random.default_rng(seed), []
+    records = greedy._Records(out.append)
+    for classes in blocks:
+        rows = []
+        for r, i in enumerate(classes):
+            pick = rng.integers(0, 5, i)
+            vals = [0, *np.choose(pick, [0, -(2 ** 63), 2 ** 63 - 1,
+                                         rng.integers(-(2 ** 63), 0, i),
+                                         rng.integers(0, 2 ** 63 - 1, i, endpoint=True)]).tolist()]
+            if r % 2 == 0:  # a pass row
+                vals = [min(v, 2 ** 63 - 2) for v in vals[:-1]] + [2 ** 63 - 1]
+            else:  # a fail row
+                vals[-1] = min(vals[-1], max(vals[:-1]))
+            rows.append(vals)
+        m = [n + 2 * r for r in range(len(rows))]
+        chosen = [vals.index(max(vals)) for vals in rows]
+        assert [c == i for c, i in zip(chosen, classes)] == [r % 2 == 0 for r in range(len(rows))]
+        records.write(np.array(m), np.array(classes), np.array(chosen),
+                      np.array([v for vals in rows for v in vals], dtype=np.int64),
+                      np.cumsum([0] + [len(vals) for vals in rows]))
+        assert out == ["".join(json.dumps({
+            "n": mk, "spf_index": i, "deltas": {str(j): vals[j] for j in range(1, i + 1)},
+            "chosen_j": c, "expected_j": i, "status": "pass" if c == i else "fail"}) + "\n"
+            for mk, i, c, vals in zip(m, classes, chosen, rows))]
+        out.clear()
