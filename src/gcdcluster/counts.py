@@ -144,7 +144,8 @@ def tally_diffs(n: np.ndarray, j: np.ndarray, qs: np.ndarray, s_j: np.ndarray,
     whose quotient by a column's prime is 0 stays 0 under every later, larger
     prime or pad, so it leaves the frontier, and the loop ends once that is
     empty.  A term with y < p_j has phi = 1 and is summed directly; the other
-    terms with d > 1 go to one ``legendre_phi``."""
+    terms with d > 1 go to one ``legendre_phi``.  ``greedy._score_rows`` sends
+    only the open pairs, p_j ** 2 < n / p_i; the rest it scores in closed form."""
     r, p = j - 1, table.primes[j - 1]
     x = (n - 1) // p
     y, k, mu = x, np.arange(len(x)), np.ones(len(x), dtype=np.int64)  # the frontier

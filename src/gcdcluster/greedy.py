@@ -18,9 +18,10 @@ clustering of [2, n-1], scoring every class exactly a block of odd integers
 at a time, so its only running state is its window's class sizes, and a
 sweep can fan out over windows and still merge deterministically.  Both
 sweeps build the same rows (``_Rows``: odd integers, their classes and class
-sizes); every exact score comes from ``_score_rows``, one numpy Moebius pass
-into one flat array, and past ``factorize`` a block stays in numpy up to its
-records, which ``_Records`` writes by one ``%``.
+sizes); every exact score comes from ``_score_rows`` into one flat array: one
+numpy Moebius pass for each class j with p_j ** 2 < n / p_i, a closed form
+for the rest.  Past ``factorize`` a block stays in numpy up to its records,
+which ``_Records`` writes by one ``%``.
 """
 
 from __future__ import annotations
@@ -363,7 +364,9 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     size of class i, all of whose members are friends of n.  No class beyond
     i can beat entry i, so the greedy step picks the argmax of this list,
     ties to the smallest index.  ``_score_rows`` scores n alone (below
-    ``VERIFY_STOP_LIMIT``), each chunk's classes opened by one ``class_size``.
+    ``VERIFY_STOP_LIMIT``), each chunk's classes opened by one ``class_size``;
+    the classes past its cut (every class of a prime, some of p ** 2 and p * q)
+    in closed form.
     """
     if n >= VERIFY_STOP_LIMIT:
         raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
@@ -377,20 +380,35 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
 
 def _score_rows(n: np.ndarray, qs: np.ndarray, i: np.ndarray, d1: np.ndarray, s_j,
                 table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """``class_scores`` of each odd composite n[k], given its primes ``qs[k]``
-    (padded with values above n[k]), class i[k] and score d1[k] in class 1;
-    ``s_j(o, j)`` reads class j[t]'s size below n[o[t]].  Returns flat int64
-    ``vals`` and row starts: vals[starts[k] : starts[k + 1]] is [0, delta_1,
-    ..., delta_{i-1}, s_i], each delta_j written in by index from
-    ``tally_diffs``, ``VERIFY_PAIRS`` pairs (k, j) at a time."""
+    """``class_scores`` of each odd n[k], given its primes ``qs[k]`` (padded with
+    values above n[k]), class i[k] and score d1[k] in class 1; ``s_j(o, j)`` reads
+    class j[t]'s size below n[o[t]].  Returns flat int64 ``vals`` and row starts:
+    vals[starts[k] : starts[k + 1]] is [0, delta_1, ..., delta_{i-1}, s_i], written
+    in by index, ``VERIFY_PAIRS`` pairs (k, j) at a time: first every row's open
+    classes 2 .. cut - 1, by ``tally_diffs``, then its closed ones, cut .. i - 1,
+    where cut is the first class with p_j ** 2 >= c = n / p_i.  For j < i,
+    ``tally_diffs`` sums mu(d) * phi((n/d - 1) // p_j, j - 1) over squarefree d | n;
+    where c <= p_j ** 2, each d > 1 has n/d <= c, so a quotient below p_j and a phi
+    of 1 if n/d > p_j, else 0; and n/d >= p_i > p_j but for d = n.  So enemies =
+    s_j - 1 - mu(n), delta_j = 2 + 2 * mu(n) - s_j, and as c <= p_j ** 2 < p_i ** 2,
+    c is 1 (n prime: -s_j), p_i (n = p_i ** 2: 2 - s_j) or a prime q > p_i (4 - s_j)."""
     starts = np.cumsum(np.r_[0, i + 1])
     vals = np.zeros(starts[-1], dtype=np.int64)
-    ends = np.cumsum(np.r_[0, i - 2])  # row k's pairs are ends[k] .. ends[k + 1] - 1
+    c = n // qs[:, 0]
+    square = table.primes[: np.searchsorted(table.primes, isqrt(int(c.max(initial=1)))) + 2] ** 2
+    cut = np.clip(np.searchsorted(square, c) + 1, 2, i)
+    off = 2 * (c > 1) + 2 * (c > qs[:, 0])  # 2 + 2 * mu(n) in a closed class
+    row, first = np.r_[0 : len(n), 0 : len(n)], np.r_[np.full(len(n), 2), cut]  # open, then closed
+    ends = np.cumsum(np.r_[0, cut - 2, i - cut])
     for lo in range(0, ends[-1], VERIFY_PAIRS):
         pair = np.arange(lo, min(lo + VERIFY_PAIRS, ends[-1]))
-        o = np.searchsorted(ends, pair, side="right") - 1
-        j = pair - ends[o] + 2
-        vals[starts[o] + j] = tally_diffs(n[o], j, qs[o], s_j(o, j), table)
+        seg = np.searchsorted(ends, pair, side="right") - 1
+        o, j = row[seg], pair - ends[seg] + first[seg]
+        s = s_j(o, j)
+        delta, h = off[o] - s, np.searchsorted(seg, len(n))  # the first h pairs are open
+        if h:
+            delta[:h] = tally_diffs(n[o[:h]], j[:h], qs[o[:h]], s[:h], table)
+        vals[starts[o] + j] = delta
     vals[starts[:-1] + 1], vals[starts[1:] - 1] = d1, s_j(np.arange(len(n)), i)
     return vals, starts
 

@@ -138,7 +138,8 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     first block 4096 primes (every n below 1.5 * 10**9 in one remainder) and
     each later one twice the last, stopping once the next prime's square
     exceeds the cofactor.  Raises ValueError for n < 2 and OutOfRangeError
-    when the table cannot certify the final cofactor prime.
+    when the table cannot certify the final cofactor prime.  The result is
+    built by ``tuple.__new__``, past the NamedTuple's Python-level ``__new__``.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -157,7 +158,7 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
                 a += 1
             factors.append((q, a))
             qs.append(q)
-        return Factorization(n, tuple(factors), tuple(qs))
+        return tuple.__new__(Factorization, (n, tuple(factors), tuple(qs)))
     ps = table.primes[: table.pi(min(isqrt(n), table.limit))]
     lo, size = 0, 4096
     while lo < len(ps) and table._primes_view[lo] ** 2 <= rem:
@@ -182,7 +183,7 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
                 f"cofactor {rem} of {n} not certifiable with primes up to {table.limit}")
         factors.append((rem, 1))
         qs.append(rem)
-    return Factorization(n, tuple(factors), tuple(qs))
+    return tuple.__new__(Factorization, (n, tuple(factors), tuple(qs)))
 
 
 def totient(f: Factorization) -> int:

@@ -286,6 +286,69 @@ def test_class_scores_refuse_beyond_int64_headroom(small_table):
         class_scores(n, Factorization(n, ((n, 1),), (n,)), small_table)
 
 
+# --------------------------------------------- closed-form scores past the cut
+# class j < i of n scores 2 + 2 * mu(n) - s_j wherever p_j ** 2 >= n / p_i: a
+# prime n, n = p ** 2 and n = p * q are the rows that reach it
+
+def _check_scores(n: int, table) -> None:
+    assert class_scores(n, factorize(n, table), table) == scalar_class_scores(n, table), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=strategies.sampled_from(["pq", "p2", "prime"]),
+       a=strategies.integers(2, 1_229), b=strategies.integers(0, 10 ** 9))
+def test_class_scores_closed_form_rows_match_scalar_referee(table, kind, a, b):
+    # p = p_a below 10^4; q a prime in [p, 1.2 * 10^8 / p] of the 10^7 table
+    p = table.prime(a)
+    if kind == "prime":
+        n = table.prime(2 + b % (table.pi(5_000) - 1))
+    elif kind == "p2":
+        n = p * p
+    else:
+        top = table.pi(min(table.limit, 120_000_000 // p))
+        n = p * table.prime(a + b % (top - a + 1))
+    _check_scores(n, table)
+
+
+@pytest.mark.parametrize("j", [2, 3, 5, 11, 25, 26])
+def test_class_scores_on_both_sides_of_the_cut(table, j):
+    # q the largest prime below p_j ** 2 (class j closed for n = p_i * q) and
+    # the smallest above it (class j open), p_i the first prime past p_j and
+    # the last below q
+    pj2 = table.prime(j) ** 2
+    below, above = table.prime(table.pi(pj2)), table.prime(table.pi(pj2) + 1)
+    for q in (below, above):
+        for p in {table.prime(j + 1), table.prime(table.pi(q - 1))}:
+            _check_scores(p * q, table)
+
+
+def test_class_scores_closed_form_above_1e8(table):
+    _check_scores(10_007 * 10_009, table)  # c = 10009: classes 26 .. 1229 closed
+    _check_scores(10_007 ** 2, table)  # c = p_i = 10007
+
+
+@pytest.mark.parametrize("pairs", [1, 7, greedy.VERIFY_PAIRS])
+def test_score_rows_mixed_block_matches_scalar_referee(table, pairs, monkeypatch):
+    # one block: 111546435 (8 primes, the widest row) padded beside semiprimes,
+    # p ** 2 rows, rows whose classes are all closed (35, 49, primes), and rows
+    # with no pair (class 2), each row against the referee
+    ns = [FIRST_IRREGULAR, 71 * 73, 101 * 10_193, 101 * 10_211, 97 * 97, 10_007 ** 2,
+          35, 49, 19_997, 4_999, 3 * 10_007, 10_007 * 10_009, 9, 3]
+    fs = [factorize(n, table) for n in ns]
+    qs = np.full((len(ns), 8), 2 ** 63 - 1, dtype=np.int64)
+    for row, f in zip(qs, fs):
+        row[: len(f.distinct_primes)] = f.distinct_primes
+    n = np.array(ns)
+    i = np.array([table.prime_index(f.distinct_primes[0]) for f in fs])
+    d1 = np.array([(m - 1) // 2 - totient(f) for m, f in zip(ns, fs)])
+    monkeypatch.setattr(greedy, "VERIFY_PAIRS", pairs)
+    vals, starts = greedy._score_rows(
+        n, qs, i, d1, lambda o, j: np.array([class_size(c, ns[k] - 1, table)
+                                             for k, c in zip(o.tolist(), j.tolist())]), table)
+    for k, m in enumerate(ns):
+        assert vals[starts[k] : starts[k + 1]].tolist() == scalar_class_scores(m, table), m
+
+
 # ------------------------------------------------------------- verify_single
 
 def test_verify_single_skips_even_and_prime(table):
@@ -469,6 +532,7 @@ def test_verify_range_on_the_pi_horizon_table(start, width):
 @example(anchor=2, width=3_000, offset=0)
 @example(anchor=10 ** 7, width=2_000, offset=1_000)  # straddles 10^7
 @example(anchor=FIRST_IRREGULAR, width=2_000, offset=1_000)
+@example(anchor=2 ** 31, width=2_001, offset=1_000)  # its int64 branch, from 2 ** 31
 def test_sieve_span_matches_factorize(table, anchor, width, offset):
     # the window [a, b] holds anchor
     a = max(2, anchor - offset % width)
@@ -527,6 +591,7 @@ def test_window_sizes_match_standalone_near_1e8(table, start, width):
 @example(anchor=37_417, width=200, offset=100, block=7, pairs=1)  # y = 13 ** 2 (above)
 @example(anchor=10 ** 7, width=400, offset=200, block=7, pairs=7)  # the SPF limit
 @example(anchor=FIRST_IRREGULAR, width=400, offset=200, block=2, pairs=2)
+@example(anchor=2 ** 31, width=2_001, offset=1_000, block=7, pairs=7)  # across 2 ** 31
 def test_verify_blocks_match_verify_single(table, anchor, width, offset, block, pairs):
     # the window [a, b] holds anchor; the block kernel at any block size and
     # pair cap writes the scalar referee's records, byte for byte
