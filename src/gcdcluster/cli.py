@@ -298,10 +298,9 @@ def cmd_conflicts(args) -> int:
     i = table.prime_index(f.distinct_primes[0])
     if args.to_class > i:  # refused before any class is scored
         raise _UsageError(f"--to-class must be in [0, {i}] for n={n}")
-    # moving n from class i to class j changes the conflicts by score i - score j
-    vals = greedy_mod.class_scores(n, f, table)
+    delta = greedy_mod.move_score(n, f, args.to_class, table)  # class i's score less class j's
     sys.stdout.write(json.dumps({"n": n, "from_class": i, "to_class": args.to_class,
-                                 "delta": vals[i] - vals[args.to_class]}) + "\n")
+                                 "delta": delta}) + "\n")
     return EXIT_OK
 
 

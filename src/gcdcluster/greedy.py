@@ -11,7 +11,8 @@ class member by member, with no shortcut; quadratic and guarded, it is the
 ground truth.  ``run_accelerated`` certifies each canonical choice (the
 class of the smallest prime) a span at a time in numpy: a segmented sieve,
 exact class sizes, class 1 from the totient, and a wheel friend bound that
-falls with the class, so one bound below s_i rules out every class left.
+falls with the class, so one bound below s_i rules out every class left; past
+a row's cut (p_j ** 2 >= n / p_i) the classes left score in closed form.
 
 ``verify_range`` asks the same question per n against the canonical
 clustering of [2, n-1], scoring every class exactly a block of odd integers
@@ -185,14 +186,15 @@ def _sieve_span(a: int, b: int, primes: np.ndarray):
     from its first multiple there that is at least p * p; what the strides
     leave of m is 1 or m's one prime above sqrt(m).  Returns phi over the
     span and, per odd integer, its distinct odd primes, smallest first,
-    padded with the dtype's maximum, and their count (0 for a prime)."""
-    phi = np.arange(a, b + 1, dtype=np.int64)
+    padded with the dtype's maximum, and their count (0 for a prime).  Every
+    value stays at most b, so the dtype is int32 below 2 ** 31."""
+    dtype = np.int32 if b < 2 ** 31 else np.int64
+    phi = np.arange(a, b + 1, dtype=dtype)
     rest = phi.copy()
     o0, n_odd = a | 1, (b - (a | 1)) // 2 + 1
     width = 1  # the most distinct odd primes below sqrt(b) that fit, and one more
     while width < len(primes) and prod(primes[1 : width + 1].tolist()) <= b:
         width += 1
-    dtype = np.int32 if b < 2 ** 31 else np.int64
     qs = np.full((n_odd, width), np.iinfo(dtype).max, dtype=dtype)
     used = np.zeros(n_odd, dtype=np.int8)
     for p in primes.tolist():
@@ -221,17 +223,22 @@ class _Rows:
     smallest primes ``spf``), advancing ``sizes[c]`` (class c's size, c <
     len(sizes)) past them.  Rows are the odd composites, rising: place ``k``,
     ``m``, class ``i``, class size ``s_i`` below m, class 1 score ``d1``,
-    primes ``qs`` (padded above m) and their count ``used``."""
+    primes ``qs`` (padded above m) and their count ``used``.  ``size`` reads
+    only the sorted ``keys``, so a caller done with ``lab`` may drop it."""
 
     def __init__(self, odd, spf, qs, used, d1, sizes, table: PrimeTable):
         self.lab = np.searchsorted(table.primes, spf) + 1
-        length, top = len(odd), len(sizes)
-        # (class, place) of every odd integer, increasing; primes included
-        self.keys = np.sort(np.minimum(self.lab, top) * length + np.arange(length))
-        start = np.searchsorted(self.keys, np.arange(top + 1) * length)
+        self.length, top = len(odd), len(sizes)
+        # (class, place) of every odd integer as class * length + place,
+        # increasing, primes included: below (top + 1) * length, so int32 there
+        dtype = np.int32 if (top + 1) * self.length < 2 ** 31 else np.int64
+        self.keys = np.minimum(self.lab, top).astype(dtype) * self.length
+        self.keys += np.arange(self.length, dtype=dtype)
+        self.keys.sort()
+        start = np.searchsorted(self.keys, np.arange(top + 1, dtype=dtype) * self.length)
         self.base = sizes - start[:-1]  # plus the place in ``keys``: the size below
         place = np.empty_like(self.keys)
-        place[self.keys % length] = np.arange(length)
+        place[self.keys % self.length] = np.arange(self.length, dtype=dtype)
         self.k = np.flatnonzero(spf != odd)
         self.m, self.i = odd[self.k], self.lab[self.k]
         self.s_i = self.base[self.i] + place[self.k]
@@ -240,7 +247,9 @@ class _Rows:
 
     def size(self, c, k):
         """Class c's size below the k-th odd integer; c is one class or one per k."""
-        return self.base[c] + np.searchsorted(self.keys, c * len(self.lab) + k)
+        # in the keys' dtype: an int64 key would make numpy copy int32 keys
+        key = np.asarray(c * self.length + k, dtype=self.keys.dtype)
+        return self.base[c] + np.searchsorted(self.keys, key)
 
     def scores(self, sel, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
         """``_score_rows`` of the rows ``sel``: their flat scores and row starts."""
@@ -257,10 +266,12 @@ class _Span:
                  labels: np.ndarray):
         phi, qs, used = _sieve_span(a, b, table.primes[: table.pi(isqrt(b))])
         # m - 1 - phi(m) friends below m, less those in its class: the
-        # (m - 2) / 2 evens for even m, s_i for an odd composite (below)
-        self.gain = np.subtract(np.arange(a - 1, b), phi, out=phi)
-        self.gain[a % 2 :: 2] -= np.arange((a + a % 2) // 2 - 1, b // 2)
-        odd = np.arange(a | 1, b + 1, 2, dtype=np.int64)
+        # (m - 2) / 2 evens for even m, s_i for an odd composite (below);
+        # |gain|, the odd m and |d1| are at most b, so they take the sieve's
+        # dtype, int32 below 2 ** 31
+        self.gain = np.subtract(np.arange(a - 1, b, dtype=phi.dtype), phi, out=phi)
+        self.gain[a % 2 :: 2] -= np.arange((a + a % 2) // 2 - 1, b // 2, dtype=phi.dtype)
+        odd = np.arange(a | 1, b + 1, 2, dtype=phi.dtype)
         comp = used > 0  # the odd composites
         spf, qs = np.where(comp, qs[:, 0], odd), qs[comp]  # frees the sieve's matrix early
         gain_odd = self.gain[1 - a % 2 :: 2]
@@ -268,29 +279,52 @@ class _Span:
                           sizes, table)  # d1 = (m - 1) // 2 - phi(m)
         labels[a % 2 :: 2] = 1
         labels[1 - a % 2 :: 2] = self.rows.lab
+        del self.rows.lab  # written; the bound loop reads the keys
         gain_odd[self.rows.k] -= self.rows.s_i
 
     def bounds(self, table: PrimeTable):
         """Yield (j, t, W_j) for j = 2, 3, ...: the rows t still open and their
-        friend bound; then ``exact`` marks the rows to score exactly.  Friends
-        of m in class j are p_j * k, k <= x = (m - 1) // p_j free of the first
-        j - 1 primes and divisible by a prime q | m, so at most W_j = sum of
-        phi(x // q, min(j - 1, 4)), and score_j <= 2 * min(W_j, s_j) - s_j <=
+        friend bound; then ``exact`` marks the rows to score exactly.
+
+        Friends of m in class j are p_j * k, k <= x = (m - 1) // p_j free of the
+        first j - 1 primes and divisible by a prime q | m, so at most W_j = sum
+        of phi(x // q, min(j - 1, 4)), and score_j <= 2 * min(W_j, s_j) - s_j <=
         W_j.  A row goes exact where the middle term reaches s_i, and closes
         where W_j < s_i: as j rises, x falls and r = min(j - 1, 4) never falls,
         and phi(y, r) rises with y and falls with r, so W_j never rises.
+
+        A row also closes at its cut, the first pass j with p_j ** 2 >= c = m /
+        p_i, before W_j is taken (so m = p ** 2 and p * q, whose W_j stays at
+        s_i, do not ride on to class i - 1).  There every class j' in [j, i - 1]
+        scores exactly off - s_j', with off = 2 + 2 * mu(m), which is 2 for p **
+        2 and 4 for p * q, as ``_score_rows`` proves (c is p_i or a prime q >
+        p_i, as p_i ** 2 > p_j ** 2 >= c).  s_j' = phi((m - 1) // p_j', j' - 1)
+        never rises with j', so the best of those classes is off - s_{i-1}: the
+        row closes if off - s_{i-1} < s_i (ties go to the smaller class) and
+        goes exact otherwise.  s_{i-1} is read from the keys, for the rows at
+        their cut only, so no array per row is kept.
         """
         r = self.rows
         self.exact = r.d1 >= r.s_i
         t, j = np.flatnonzero((r.i > 2) & ~self.exact), 2
         while len(t):
-            x = (r.m[t] - 1) // table._primes_view[j - 1]
-            w = sum(wheel_phi(x // q, min(j - 1, 4)) for q in r.qs[t, : r.used[t].max()].T)
-            yield j, t, w
-            s_i, s_j = r.s_i[t], r.size(j, r.k[t])
-            fail = 2 * np.minimum(w, s_j) - s_j >= s_i
-            self.exact[t[fail]] = True
-            t, j = t[~fail & (w >= s_i) & (r.i[t] > j + 1)], j + 1
+            p = table._primes_view[j - 1]
+            q = r.qs[t, 0]
+            c = r.m[t] // q
+            at = c <= p * p  # the rows at their cut
+            u, off = t[at], 2 + 2 * (c[at] > q[at])
+            self.exact[u[off - r.size(r.i[u] - 1, r.k[u]) >= r.s_i[u]]] = True
+            t = t[~at]
+            if len(t):
+                x = (r.m[t] - 1) // p
+                cols = range(r.used[t].max())  # qs a column at a time: no (rows, width) copy
+                w = sum(wheel_phi(x // r.qs[t, col], min(j - 1, 4)) for col in cols)
+                yield j, t, w
+                s_i, s_j = r.s_i[t], r.size(j, r.k[t])
+                fail = 2 * np.minimum(w, s_j) - s_j >= s_i
+                self.exact[t[fail]] = True
+                t = t[~fail & (w >= s_i) & (r.i[t] > j + 1)]
+            j += 1
 
 
 def _spans(n: int, table: PrimeTable, labels):
@@ -308,8 +342,11 @@ def _spans(n: int, table: PrimeTable, labels):
 
 def canonical_conflicts(n: int, table: PrimeTable) -> int:
     """Conflicts of the canonical clustering of [2, n]: every span's ``_Span.gain``, summed."""
-    scratch = np.empty(SPAN, dtype=np.int64)
-    return sum(int(s.gain.sum()) for _, s in _spans(n, table, lambda a, b: scratch[: b - a + 1]))
+    scratch, total = np.empty(SPAN, dtype=np.int64), 0
+    for _, span in _spans(n, table, lambda a, b: scratch[: b - a + 1]):
+        total += int(span.gain.sum())
+        del span  # one span alive at a time: freed before the next is built
+    return total
 
 
 def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
@@ -319,8 +356,10 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     the class i of its smallest prime if s_i beats class 1, a fresh class
     (0) and each class 2 <= j < i (no class beyond i can beat it).  Per
     ``SPAN``, ``_Span`` scores class 1 exactly and bounds each class j >= 2
-    until the friend bound W_j, falling with j, is below s_i; its rows score
-    what stays open exactly.  Conflicts are summed in closed form.
+    until the friend bound W_j, falling with j, is below s_i, or until the
+    row's cut, past which every class scores in closed form; its rows score
+    what stays open exactly.  Conflicts are summed in closed form.  One span
+    is alive at a time: each is freed before the next is built.
 
     A step whose winner differs from class i is recorded as an anomaly and
     labeled with the actual winner.  The scores of every later step assume
@@ -334,25 +373,25 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     labels = np.empty(n - 1, dtype=np.int64)
     state = GreedyState(Partition(n, labels), "accelerated")
     for a, span in spans:
-        if state.anomalies:
-            continue
-        state.bound_checks += sum(len(k) for _, k, _ in span.bounds(table))
-        sel = np.flatnonzero(span.exact)
-        state.exact_checks += len(sel)
-        scores, starts = span.rows.scores(sel, table)
-        for m, vals in zip(span.rows.m[sel].tolist(), np.split(scores, starts[1:-1])):
-            vals = vals.tolist()
-            chosen = vals.index(max(vals))  # ties to the smallest class
-            if chosen != len(vals) - 1:  # s_i >= 1, so never a fresh class
-                state.anomalies.append((m, len(vals) - 1, chosen))
-                labels[m - 2] = chosen
-                # friends of m below it, less those in class chosen
-                state.conflicts += (int(span.gain[: m - a].sum())
-                                    + (m - 1) // 2 + vals[1] - vals[chosen])
-                state.unverified = range(m + 1, n + 1)
-                break
-        else:
-            state.conflicts += int(span.gain.sum())
+        if not state.anomalies:
+            state.bound_checks += sum(len(k) for _, k, _ in span.bounds(table))
+            sel = np.flatnonzero(span.exact)
+            state.exact_checks += len(sel)
+            scores, starts = span.rows.scores(sel, table)
+            for m, vals in zip(span.rows.m[sel].tolist(), np.split(scores, starts[1:-1])):
+                vals = vals.tolist()
+                chosen = vals.index(max(vals))  # ties to the smallest class
+                if chosen != len(vals) - 1:  # s_i >= 1, so never a fresh class
+                    state.anomalies.append((m, len(vals) - 1, chosen))
+                    labels[m - 2] = chosen
+                    # friends of m below it, less those in class chosen
+                    state.conflicts += (int(span.gain[: m - a].sum())
+                                        + (m - 1) // 2 + vals[1] - vals[chosen])
+                    state.unverified = range(m + 1, n + 1)
+                    break
+            else:
+                state.conflicts += int(span.gain.sum())
+        del span  # one span alive at a time: freed before the next is built
     return state
 
 
@@ -370,12 +409,32 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
     """
     if n >= VERIFY_STOP_LIMIT:
         raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
-    qs = f.distinct_primes
-    i = table.prime_index(qs[0])
-    vals, _ = _score_rows(np.array([n]), np.array([qs]), np.array([i]),
-                          np.array([(n - 1) // 2 - totient(f)]),  # (n-1)/2 evens, phi(n)/2 enemies
-                          lambda o, j: class_size(j, n - 1, table), table)
-    return vals.tolist()
+    return _scores_below(n, f, table.prime_index(f.distinct_primes[0]), table).tolist()
+
+
+def move_score(n: int, f: Factorization, j: int, table: PrimeTable) -> int:
+    """The change in conflicts when odd n >= 3 moves from class i, its smallest
+    prime's, to class 0 <= j <= i, against the canonical clustering of [2, n-1]:
+    entry i of ``class_scores`` less entry j, with no other class scored.  s_i
+    is one ``class_size``, the fresh class scores 0, and for 1 <= j < i
+    ``_score_rows`` scores classes 1 .. j as if n's class were j + 1: it reads i
+    only to clip its cut, so those entries are the same."""
+    if n >= VERIFY_STOP_LIMIT:
+        raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
+    i = table.prime_index(f.distinct_primes[0])
+    if not 0 <= j <= i:
+        raise ValueError(f"need 0 <= j <= {i}, got {j}")
+    if j == i:
+        return 0
+    s_i = class_size(i, n - 1, table)
+    return s_i - (int(_scores_below(n, f, j + 1, table)[j]) if j else 0)
+
+
+def _scores_below(n: int, f: Factorization, i: int, table: PrimeTable) -> np.ndarray:
+    """[0, delta_1, ..., delta_{i-1}, s_i] of odd n, whose smallest prime's class is i or later."""
+    return _score_rows(np.array([n]), np.array([f.distinct_primes]), np.array([i]),
+                       np.array([(n - 1) // 2 - totient(f)]),  # (n-1)/2 evens, phi(n)/2 enemies
+                       lambda o, j: class_size(j, n - 1, table), table)[0]
 
 
 def _score_rows(n: np.ndarray, qs: np.ndarray, i: np.ndarray, d1: np.ndarray, s_j,

@@ -590,9 +590,9 @@ _CONFLICTS_REFUSED = {
 def test_conflicts_out_of_range_exit_64(capsys, monkeypatch, argv):
     # refused before any class is scored, and a negative class before any sieve
     def no_scoring(*args):
-        raise AssertionError("class_scores ran")
+        raise AssertionError("move_score ran")
 
-    monkeypatch.setattr(greedy, "class_scores", no_scoring)
+    monkeypatch.setattr(greedy, "move_score", no_scoring)
     limits = record_table_limits(monkeypatch)
     code, out, err = run_cli(capsys, "conflicts", *argv)
     assert code == 64

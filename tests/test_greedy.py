@@ -3,12 +3,13 @@
 import io
 import json
 import random
+import weakref
 from math import gcd, isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies
+from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from gcdcluster import (
     Factorization,
@@ -27,6 +28,7 @@ from gcdcluster import (
 )
 from gcdcluster import greedy
 from gcdcluster.greedy import VerifyRecord, _scan_step, _sieve_span, verify_table_limit
+from gcdcluster.counts import tally_diffs
 from gcdcluster.primes import totient
 from oracles import (ClassTally, friend_bounds, naive_greedy, naive_phi,
                      scalar_class_scores, scalar_records)
@@ -284,6 +286,8 @@ def test_class_scores_refuse_beyond_int64_headroom(small_table):
     n = greedy.VERIFY_STOP_LIMIT + 1  # refused before its factorization is read
     with pytest.raises(OutOfRangeError):
         class_scores(n, Factorization(n, ((n, 1),), (n,)), small_table)
+    with pytest.raises(OutOfRangeError):
+        greedy.move_score(n, Factorization(n, ((n, 1),), (n,)), 0, small_table)
 
 
 # --------------------------------------------- closed-form scores past the cut
@@ -325,6 +329,40 @@ def test_class_scores_on_both_sides_of_the_cut(table, j):
 def test_class_scores_closed_form_above_1e8(table):
     _check_scores(10_007 * 10_009, table)  # c = 10009: classes 26 .. 1229 closed
     _check_scores(10_007 ** 2, table)  # c = p_i = 10007
+
+
+@pytest.mark.parametrize("n, js", [
+    (105, None), (49, None), (77, None), (10_007, (0, 1, 2, 3, 700, 1229, 1230)),
+    (10_007 * 10_009, (0, 1, 2, 25, 26, 27, 700, 1229, 1230)),  # the cut is class 26
+    (FIRST_IRREGULAR, None),
+])
+def test_move_score_opens_only_the_classes_it_reads(table, monkeypatch, n, js):
+    # class i's score less class j's, as class_scores gives them: j = i opens
+    # no class, j = 0 only class i (s_i, one class_size), and 1 <= j < i
+    # classes up to j + 1 (the dropped last entry), with Moebius sums up to j
+    f = factorize(n, table)
+    vals = class_scores(n, f, table)
+    i = len(vals) - 1
+    opened, summed = [], []
+
+    def sizes(c, u, t):
+        opened.append(int(np.max(c)))
+        return class_size(c, u, t)
+
+    def sums(n_, j, *args):
+        summed.append(int(j.max()))
+        return tally_diffs(n_, j, *args)
+
+    monkeypatch.setattr(greedy, "class_size", sizes)
+    monkeypatch.setattr(greedy, "tally_diffs", sums)
+    for j in js or range(i + 1):
+        opened.clear(), summed.clear()
+        assert greedy.move_score(n, f, j, table) == vals[i] - vals[j], (n, j)
+        assert opened[:1] == ([] if j == i else [i])
+        assert max(opened[1:], default=0) <= (0 if j == 0 else j + 1)
+        assert max(summed, default=0) <= (0 if j in (0, 1, i) else j)
+    with pytest.raises(ValueError):
+        greedy.move_score(n, f, i + 1, table)
 
 
 @pytest.mark.parametrize("pairs", [1, 7, greedy.VERIFY_PAIRS])
@@ -618,10 +656,13 @@ def _rows_of_both_sweeps(a: int, b: int, table):
             built.append(self)
 
     span_sizes, block_sizes = entry.copy(), entry.copy()
+    labels = np.empty(b - a + 1, dtype=np.int64)
     with mock.patch.object(greedy, "_Rows", Kept):
-        span = greedy._Span(a, b, table, span_sizes, np.empty(b - a + 1, dtype=np.int64))
+        span = greedy._Span(a, b, table, span_sizes, labels)
         greedy._verify_block(a | 1, b, table, block_sizes, greedy.VerifyReport(a, b), None)
     assert len(built) == 2 and built[0] is span.rows
+    assert not hasattr(span.rows, "lab")  # dropped once written to the labels
+    span.rows.lab = labels[1 - a % 2 :: 2]
     return (built[0], span_sizes), (built[1], block_sizes), entry
 
 
@@ -640,7 +681,8 @@ def test_span_and_verify_block_build_the_same_rows(table, anchor, width, offset)
     a = max(2, anchor - offset % width)
     b = a + width - 1
     (span, span_sizes), (block, block_sizes), entry = _rows_of_both_sweeps(a, b, table)
-    for name in ("lab", "k", "m", "i", "s_i", "d1", "used"):
+    assert span.lab.tolist() == block.lab.tolist()  # the span's labels of its odd integers
+    for name in ("k", "m", "i", "s_i", "d1", "used"):
         assert getattr(span, name).tolist() == getattr(block, name).tolist(), name
     for r, u in enumerate(span.used.tolist()):
         assert span.qs[r, :u].tolist() == block.qs[r, :u].tolist(), r
@@ -657,17 +699,35 @@ def test_rows_size_counts_class_members_below(table):
     for a, b in ((2, 3_000), (999_001, 1_003_000), (FIRST_IRREGULAR - 999, FIRST_IRREGULAR + 999)):
         top = table.pi(isqrt(b)) + 1
         entry = rng.integers(0, 10 ** 6, top)
-        rows = greedy._Span(a, b, table, entry.copy(), np.empty(b - a + 1, dtype=np.int64)).rows
-        lab = rows.lab.tolist()
+        labels = np.empty(b - a + 1, dtype=np.int64)
+        rows = greedy._Span(a, b, table, entry.copy(), labels).rows
+        lab = labels[1 - a % 2 :: 2].tolist()  # the classes of the odd integers
         k = rng.integers(0, len(lab) + 1, 400)
         own = rng.choice(rows.k, 200)  # the class of the k-th odd integer itself
-        c = np.r_[rng.integers(0, top, 400), rows.lab[own]]
+        c = np.r_[rng.integers(0, top, 400), labels[1 - a % 2 :: 2][own]]
         k = np.r_[k, own]
         want = [entry[ci] + lab[:ki].count(ci) for ci, ki in zip(c.tolist(), k.tolist())]
         assert rows.size(c, k).tolist() == want
         assert [rows.size(ci, ki) for ci, ki in zip(c.tolist(), k.tolist())] == want
         assert rows.s_i.tolist() == [entry[i] + lab[:ki].count(i)
                                      for i, ki in zip(rows.i.tolist(), rows.k.tolist())]
+
+
+def test_rows_keys_in_int64_past_int32(table):
+    # keys below (top + 1) * length are int32; past 2 ** 31 (here from 21,476
+    # classes over 100,000 odd integers) they are int64, with the same sizes
+    a, b = 2, 200_001
+    rng = np.random.default_rng(11)
+    entry = rng.integers(0, 10 ** 6, table.pi(isqrt(b)) + 1)
+    rows = [greedy._Span(a, b, table, np.r_[entry, np.zeros(pad, dtype=np.int64)],
+                         np.empty(b - a + 1, dtype=np.int64)).rows
+            for pad in (0, 2 ** 31 // 100_000 + 1 - len(entry))]
+    assert [r.keys.dtype for r in rows] == [np.int32, np.int64]
+    assert rows[0].s_i.tolist() == rows[1].s_i.tolist()
+    c, k = rng.integers(0, len(entry), 500), rng.integers(0, 100_001, 500)
+    assert rows[0].size(c, k).tolist() == rows[1].size(c, k).tolist()
+    assert [rows[1].size(ci, ki) for ci, ki in zip(c[:20].tolist(), k[:20].tolist())] == \
+        rows[0].size(c[:20], k[:20]).tolist()
 
 
 # ------------------------------------------------ the span engine's bound
@@ -686,40 +746,58 @@ def _engine_report(a: int, b: int, table, sizes) -> dict[int, tuple]:
             zip(rows.m.tolist(), rows.d1.tolist(), rows.s_i.tolist(), span.exact.tolist())}
 
 
-def _rebuilt_bounds(n: int, row: tuple, s_j) -> list:
+def _rebuilt_bounds(n: int, row: tuple, s_j, table) -> tuple[list, int | None]:
     """Check that the engine carried odd composite n (its ``row``) by the
     rule, and rebuild [0, delta_1, a bound on delta_j for 2 <= j < i] from
     what it reported.  ``s_j(j)`` is class j's size below n in the
     engine's state.  Classes after n was marked for exact scoring get None.
+    Also returns off - s_{i-1} if n reached its cut, else None.
 
     The rule: n is carried at 2, 3, ... in turn from class 2 (if i > 2 and
-    d1 < s_i), with W_j the friend bound; at a class j where
-    2 * min(W_j, s_j) - s_j >= s_i it is marked, and it goes on past j only
-    while W_j >= s_i.  It stops before class i - 1 only when marked or with
-    W_j < s_i, whose W_j then bounds every later class.
+    d1 < s_i), with W_j the friend bound, up to its cut, the first class
+    with p_j ** 2 >= c = n / p_i; at a class j where 2 * min(W_j, s_j) - s_j
+    >= s_i it is marked, and it goes on past j only while W_j >= s_i.  At
+    its cut (below i), W is not taken: n is marked if off - s_{i-1} >= s_i,
+    with off 2 for p ** 2 and 4 for p * q, and closed otherwise, every class
+    from the cut on scoring off - s_j <= off - s_{i-1}.  It stops before
+    class i - 1 only when marked, with W_j < s_i (W_j then bounds every
+    later class) or at its cut.
     """
     d1, s_i, w, marked = row
     oracle = friend_bounds(n)
     i = len(oracle) + 2
+    p_i = table.prime(i)
+    c = n // p_i
+    cut = next((j for j in range(2, i) if table.prime(j) ** 2 >= c), i)
+    entered = i > 2 and d1 < s_i
     assert list(w) == list(range(2, 2 + len(w))), n
     assert w == {j: oracle[j] for j in w}, n
-    assert bool(w) == (i > 2 and d1 < s_i), n
+    assert bool(w) == (entered and cut > 2), n
     bound = [0, d1] + [2 * min(w[j], s_j(j)) - s_j(j) for j in w]
     for j in list(w)[:-1]:  # carried on past j
         assert bound[j] < s_i <= w[j], (n, j)
     last = 1 + len(w)
-    assert marked == (d1 >= s_i or bound[last] >= s_i), n
+    assert last < cut or last == 1, (n, last, cut)  # W is never taken at or past the cut
+    at_cut = entered and last == cut - 1 < i - 1 and (not w or bound[last] < s_i <= w[last])
+    tail = 2 + 2 * (c > p_i) - s_j(i - 1) if at_cut else None
+    assert marked == (d1 >= s_i or bool(w) and bound[last] >= s_i or at_cut and tail >= s_i), n
     if last < i - 1:  # left early
-        assert marked or w[last] < s_i, (n, last)
-        bound += [None if marked else w[last]] * (i - 1 - last)
-    return bound
+        if marked:
+            bound += [None] * (i - 1 - last)
+        elif at_cut:
+            bound += [tail] * (i - 1 - last)
+        else:
+            assert w[last] < s_i, (n, last)
+            bound += [w[last]] * (i - 1 - last)
+    return bound, tail
 
 
 def _check_bounded_scores(n: int, table, report=None) -> None:
     """The engine's report for odd n (from ``report``, or from the
     one-integer span [n, n]) against the exact scores: the rule held, every
     rebuilt bound is at least its class's score, and delta_1 and s_i are
-    exact.  Unmarked, every bound is below s_i: n joins class i."""
+    exact.  Unmarked, every bound is below s_i: n joins class i.  Returns
+    n's row of the report (None for a prime)."""
     f = factorize(n, table)
     if f.distinct_primes[0] == n:
         return
@@ -730,9 +808,10 @@ def _check_bounded_scores(n: int, table, report=None) -> None:
                                                       for c in range(2, i + 1)])
     row = report[n]
     assert (row[0], row[1]) == (exact[1], exact[i]), n
-    bound = _rebuilt_bounds(n, row, lambda j: class_size(j, n - 1, table))
+    bound, _ = _rebuilt_bounds(n, row, lambda j: class_size(j, n - 1, table), table)
     assert all(b is None or b >= e for b, e in zip(bound, exact)), n
     assert row[3] or max(bound[1:]) < exact[i], n
+    return row
 
 
 def _hard_region_sample(count: int, seed: int) -> list[int]:
@@ -762,22 +841,87 @@ def test_class_score_bound_sound_property(table, k):
     _check_bounded_scores(2 * k + 1, table)
 
 
+@settings(max_examples=80, deadline=None)
+@given(j=strategies.integers(2, 27), above=strategies.booleans(),
+       square=strategies.booleans(), pick=strategies.integers(0, 10 ** 6))
+@example(j=2, above=False, square=True, pick=0)  # 49 = 7 ** 2, at its cut from class 2
+@example(j=2, above=True, square=False, pick=0)  # 77 = 7 * 11, cut 3
+@example(j=27, above=True, square=True, pick=0)  # 10613 ** 2, near 1.13 * 10^8
+def test_squares_and_prime_pairs_close_at_their_cut(table, j, above, square, pick):
+    # m = p ** 2 or p * q, where p (for p ** 2) or q is the prime just below or
+    # just above p_j ** 2, so its cut, the first class with p ** 2 >= m / p_i,
+    # is j or j + 1: the engine carries m with W at most up to the cut and
+    # closes it there at the latest, and every rebuilt bound holds against
+    # ``class_scores``
+    q = table.prime(table.pi(table.prime(j) ** 2) + above)
+    if square:
+        p = q
+    else:  # any class past j + 1 whose prime times q stays within the table's reach
+        top = table.pi(min(q - 1, 120_000_000 // q))
+        assume(top > j + 1)
+        p = table.prime(j + 2 + pick % (top - j - 1))
+    row = _check_bounded_scores(p * q, table)
+    cut = j + above
+    assert cut < table.prime_index(p)
+    assert not row[3] and len(row[2]) <= cut - 2, (p * q, row)
+    if square:  # s_i = 1 <= W_j (p_j * p is a friend): only the cut closes p ** 2
+        assert row[1] == 1 and len(row[2]) == cut - 2, (p * q, row)
+
+
+def test_bound_pass_across_2_31(table):
+    # the span engine on a window across 2 ** 31, where the sieve and the
+    # span's arrays go from int32 to int64, from class_size entry sizes:
+    # every odd composite keeps the rule and its bounds hold
+    a, b = 2 ** 31 - 1000, 2 ** 31 + 1000
+    top = table.pi(isqrt(b)) + 1
+    entry = np.zeros(top, dtype=np.int64)
+    entry[2:] = class_size(np.arange(2, top), a - 1, table)
+    report = _engine_report(a, b, table, entry)
+    rows = [_check_bounded_scores(n, table, report) for n in range(a | 1, b + 1, 2)]
+    assert sum(row is not None for row in rows) == len(report) > 0
+    assert any(len(row[2]) > 1 for row in report.values())  # carried past class 2
+
+
+def test_one_span_alive_at_a_time(table, monkeypatch):
+    # both walks free each span before they build the next
+    monkeypatch.setattr(greedy, "SPAN", 1_000)
+    built = []
+
+    class Watched(greedy._Span):
+        def __init__(self, *args):
+            assert [ref() for ref in built] == [None] * len(built), "a span outlived its turn"
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(greedy, "_Span", Watched)
+    assert np.array_equal(run_accelerated(5_000, table).partition.labels,
+                          canonical_partition(5_000, table).labels)
+    assert len(built) == 5
+    built.clear()
+    assert greedy.canonical_conflicts(5_000, table) == run_reference(5_000).conflicts
+    assert len(built) == 5
+
+
 def test_engine_marks_by_the_class_bound(table):
     """Entry sizes of 1 (as if each class held only its prime) make the
-    class bound 2 * min(W_j, s_j) - s_j = s_j reach s_i, ties included, so
-    the marking rule is exercised; real states do not reach it up to 10^7
-    at least (``exact_checks`` is 0 there)."""
-    seen = {"marked": 0, "tied": 0, "carried past class 2": 0}
+    class bound 2 * min(W_j, s_j) - s_j = s_j reach s_i, ties included, and
+    the cut's off - s_{i-1} too, so both marking rules are exercised; real
+    states do not reach them up to 10^7 at least (``exact_checks`` is 0
+    there)."""
+    seen = dict.fromkeys(["marked", "tied", "carried past class 2", "closed at the cut",
+                          "marked at the cut", "tied at the cut"], 0)
     for a in (3, 100_001, 10 ** 7 - 3_001):
         b = a + 2_000
         report = _engine_report(a, b, table, np.ones(table.pi(isqrt(b)) + 1, dtype=np.int64))
         for m, row in report.items():
-            if row[2]:
-                bound = _rebuilt_bounds(m, row, lambda j: 1 + class_size(j, m - 1, table)
-                                        - class_size(j, a - 1, table))
-                seen["marked"] += row[3]
-                seen["tied"] += row[1] in bound[2:]
-                seen["carried past class 2"] += len(row[2]) > 1
+            bound, tail = _rebuilt_bounds(m, row, lambda j: 1 + class_size(j, m - 1, table)
+                                          - class_size(j, a - 1, table), table)
+            seen["marked"] += row[3]
+            seen["tied"] += row[1] in bound[2 : 2 + len(row[2])]
+            seen["carried past class 2"] += len(row[2]) > 1
+            seen["closed at the cut"] += tail is not None and not row[3]
+            seen["marked at the cut"] += tail is not None and row[3]
+            seen["tied at the cut"] += tail == row[1]
     assert min(seen.values()) > 0, seen
 
 
