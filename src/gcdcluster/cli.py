@@ -14,6 +14,7 @@ resource guard refused the work or memory ran out, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -23,7 +24,6 @@ from functools import lru_cache, partial
 from math import isqrt
 
 from . import greedy as greedy_mod
-from . import thresholds
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import csv_blocks, json_blocks, partition_to_csv  # noqa: F401  (perfbench)
 from .primes import DEFAULT_SPF_LIMIT, PrimeTable, build_prime_table, factorize
@@ -225,6 +225,8 @@ def cmd_tables(args) -> int:
 
 
 def _tables_text(args) -> str:
+    from . import thresholds  # with fractions and decimal, only for tables and n0
+
     n1, i, t, p = args.which == "n1", args.i is not None, args.t is not None, args.p is not None
     for flag, value, read, rule in (  # an option given is refused where it goes unread
             ("--i", args.i, n1, "--which n1"),
@@ -268,6 +270,8 @@ def _tables_text(args) -> str:
 
 
 def cmd_n0(args) -> int:
+    from . import thresholds
+
     table = build_prime_table(1000)
     value = thresholds.find_n0(args.bound, table)
     sys.stdout.write(json.dumps({
@@ -292,12 +296,12 @@ def cmd_conflicts(args) -> int:
         raise _UsageError(f"--to-class must be at least 0, got {args.to_class}")
     table = build_prime_table(_verify_limit(n, n))
     f = factorize(n, table)
-    if f.distinct_primes[0] > table.limit:  # a prime's class index is pi(n)
-        del table  # let the small table go before the large one is built
-        table = build_prime_table(n)
-    i = table.prime_index(f.distinct_primes[0])
+    i = greedy_mod.class_index(f.distinct_primes[0], table)  # a prime's is pi(n)
     if args.to_class > i:  # refused before any class is scored
         raise _UsageError(f"--to-class must be in [0, {i}] for n={n}")
+    if len(table.primes) <= args.to_class < i:  # only for a prime n past the table
+        del table  # a prime n's classes 1 .. J + 1 are read; let the small table go first
+        table = build_prime_table(n)
     delta = greedy_mod.move_score(n, f, args.to_class, table)  # class i's score less class j's
     sys.stdout.write(json.dumps({"n": n, "from_class": i, "to_class": args.to_class,
                                  "delta": delta}) + "\n")
@@ -305,6 +309,18 @@ def cmd_conflicts(args) -> int:
 
 
 def main(argv=None) -> int:
+    # The imports' objects (numpy's and the package's) live until exit anyway:
+    # frozen, they move to the permanent generation, so no collection walks
+    # them, the interpreter's shutdown collections included, which took about
+    # 30 ms per process, longer than a 10^5 greedy's span pass.  Objects made
+    # after the freeze (parser, tables, spans, records) are collected as
+    # before, and no collection runs inside a sweep anyway: at most one of
+    # generation 0 per workload command.  Fork-started workers inherit the
+    # frozen heap.  Once per process: a caller that runs ``main`` in process
+    # more than once must not have the garbage of each earlier call pinned.
+    # ``gc.disable()`` is no substitute; shutdown collects regardless.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"greedy": cmd_greedy, "verify": cmd_verify, "tables": cmd_tables,

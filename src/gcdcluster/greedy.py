@@ -34,7 +34,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .counts import class_size, tally_diffs, wheel_phi
+from .counts import class_size, legendre_phi, tally_diffs, wheel_phi
 from .counts import tally_diff_fast, tally_even_class  # noqa: F401  (wrapped by perfbench)
 from .errors import OutOfRangeError, ResourceGuardError
 from .partition import Partition
@@ -416,18 +416,35 @@ def move_score(n: int, f: Factorization, j: int, table: PrimeTable) -> int:
     """The change in conflicts when odd n >= 3 moves from class i, its smallest
     prime's, to class 0 <= j <= i, against the canonical clustering of [2, n-1]:
     entry i of ``class_scores`` less entry j, with no other class scored.  s_i
-    is one ``class_size``, the fresh class scores 0, and for 1 <= j < i
+    is one ``class_size`` (0 for a prime: its class has no member below it; i
+    comes from ``class_index``), the fresh class scores 0, and for 1 <= j < i
     ``_score_rows`` scores classes 1 .. j as if n's class were j + 1: it reads i
     only to clip its cut, so those entries are the same."""
     if n >= VERIFY_STOP_LIMIT:
         raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
-    i = table.prime_index(f.distinct_primes[0])
+    i = class_index(f.distinct_primes[0], table)
     if not 0 <= j <= i:
         raise ValueError(f"need 0 <= j <= {i}, got {j}")
     if j == i:
         return 0
-    s_i = class_size(i, n - 1, table)
+    s_i = 0 if f.distinct_primes[0] == n else class_size(i, n - 1, table)
     return s_i - (int(_scores_below(n, f, j + 1, table)[j]) if j else 0)
+
+
+def class_index(p: int, table: PrimeTable) -> int:
+    """pi(p) of the prime p: by bisection where the table holds p, else by
+    Meissel's pi(p) = phi(p, b - 1) - phi(p // p_b, b - 1) + b - 1, b =
+    pi(isqrt(p)), one ``legendre_phi`` call of two terms, which needs a table
+    only to the pi horizon of p (``verify_table_limit(p)``).  The first term has
+    p_b ** 2 <= p, so it is deep and reads no pi itself; its children read pi(y)
+    only where y ** 3 < p ** 2, as in ``verify_table_limit``.  The second reads
+    pi(y) only where y < p_b ** 2, with y <= p / p_b, so y ** 3 < p ** 2 too.
+    (phi(p, b) itself would close as 1 + pi(p) - b and read pi(p).)"""
+    if p <= table.limit:
+        return table.prime_index(p)
+    b = table.pi(isqrt(p))
+    phi = legendre_phi(np.array([p, p // table.prime(b)]), np.array([b - 1, b - 1]), table)
+    return int(phi[0] - phi[1]) + b - 1
 
 
 def _scores_below(n: int, f: Factorization, i: int, table: PrimeTable) -> np.ndarray:

@@ -157,10 +157,10 @@ def json_blocks(p: Partition):
     """The JSON object of each class id (text, increasing) and its members
     (increasing), ``CSV_BLOCK`` members at a time, written by ``_csv_rows`` as
     ", m" each: a class opens where its predecessors' digits plus 2 each end."""
+    ids, counts = np.unique(p.labels, return_counts=True)  # its sorted copy goes before the order
+    heads = np.cumsum(counts) - counts  # each class's first place in the order
+    ids = ids.tolist()
     order = np.argsort(p.labels, kind="stable")
-    ids = p.labels[order]
-    heads = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])  # each class's first place
-    ids = ids[heads].tolist()
     order += 2
     sep = "{"
     for k in range(0, len(order), CSV_BLOCK):

@@ -281,6 +281,74 @@ def test_cli_import_leaves_out_the_process_pool():
     assert proc.returncode == 0, proc.stderr
 
 
+# The next tests run in a fresh interpreter: this one's heap is frozen at its
+# first in-process ``main``, and it has loaded ``thresholds`` already.
+
+def fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; its stdout (``main``'s output included)."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_main_freezes_the_heap_once():
+    # the first call freezes what the imports made; a second freezes nothing more
+    out = fresh_python(
+        "import gc; from gcdcluster import cli; assert gc.get_freeze_count() == 0; "
+        "cli.main(['greedy', '--n', '100']); frozen = gc.get_freeze_count(); "
+        "cli.main(['greedy', '--n', '100']); print(frozen, gc.get_freeze_count())")
+    frozen, again = map(int, out.split("\n")[-2].split())
+    assert frozen > 0
+    assert again == frozen
+
+
+def test_garbage_between_calls_is_not_frozen():
+    # a cycle dropped between two calls is still collectable after the second;
+    # automatic collection stays off until then, so that only a freeze could keep it
+    out = fresh_python(
+        "import gc, weakref; from gcdcluster import cli; cli.main(['greedy', '--n', '100']); "
+        "gc.disable(); a, b = cli._UsageError(), cli._UsageError(); a.b, b.a = b, a; "
+        "ref = weakref.ref(a); del a, b; cli.main(['greedy', '--n', '100']); "
+        "gc.enable(); gc.collect(); print(ref() is None)")
+    assert out.split("\n")[-2] == "True"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["greedy", "--n", "100"], False),
+    (["verify", "--from", "2", "--to", "100"], False),
+    (["conflicts", "--n", "105", "--to-class", "1"], False),
+    (["n0", "--bound", "1000"], True),
+])
+def test_only_tables_and_n0_load_thresholds(argv, loaded):
+    out = fresh_python(f"import sys; from gcdcluster import cli; cli.main({argv!r}); "
+                       "print('gcdcluster.thresholds' in sys.modules)")
+    assert out.split("\n")[-2] == str(loaded)
+
+
+_EXPORTS = (  # every name the package exported when thresholds was imported eagerly
+    "class_size coprime_count floor_identity_lhs_rhs DegenerateThresholdError GcdClusterError "
+    "OutOfRangeError ResourceGuardError GreedyState VerifyRecord VerifyReport class_scores "
+    "run_accelerated run_reference verify_range verify_single Partition canonical_partition "
+    "count_conflicts exceptional_partition partition_to_csv read_partition_csv similar "
+    "Factorization PrimeTable build_prime_table factorize rosser_schoenfeld_bounds totient "
+    "FIRST_IRREGULAR CandidateCensus ThresholdRecord census_report census_three_factor "
+    "even_class_criterion prime_count_inequality find_n0 n1_remark_candidate n1_table "
+    "proposition_census table1_records three_factor_candidates __version__").split()
+
+
+def test_package_exports_resolve_lazily():
+    out = fresh_python(
+        "import sys, gcdcluster; lazy = 'gcdcluster.thresholds' not in sys.modules; "
+        f"from gcdcluster import {', '.join(_EXPORTS)}; "
+        "from gcdcluster.thresholds import find_n0 as f, FIRST_IRREGULAR as n; "
+        "assert (f, n) == (find_n0, FIRST_IRREGULAR) == (gcdcluster.find_n0, 111546435); "
+        "unknown = [name for name in ('no_such_name', 'Fraction') if not hasattr(gcdcluster, name)]; "
+        "print(lazy, gcdcluster.thresholds.__name__, unknown)")
+    assert out == "True gcdcluster.thresholds ['no_such_name', 'Fraction']\n"
+    out = fresh_python("import gcdcluster; print(gcdcluster.thresholds.FIRST_IRREGULAR)")
+    assert out == "111546435\n"
+
+
 def test_verify_golden_window_straddling_1e7(capsys, data_dir):
     code, out, _ = run_cli(capsys, "verify", "--from", "9999901", "--to", "10000100")
     assert code == 0
@@ -583,6 +651,7 @@ _CONFLICTS_REFUSED = {
     ("--n", "1"): [],
     ("--n", "10007", "--to-class", "1231"): [10007],  # a prime, class pi(10007) = 1230
     ("--n", "104", "--to-class", "1"): [],  # an even n has no move score
+    ("--n", "1000000007", "--to-class", "50847536"): [1000001],  # pi(n) on its horizon table
 }
 
 
@@ -602,16 +671,22 @@ def test_conflicts_out_of_range_exit_64(capsys, monkeypatch, argv):
 
 
 def test_conflicts_prime_beyond_default_table(capsys, monkeypatch):
-    # a prime's class index is pi(n), so its table is rebuilt up to n; above
-    # the SPF limit the first table is not widened to it: the pi horizon of
-    # 10007, 465 ** 3 >= 10007 ** 2 > 464 ** 3
-    code, expected, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", "1")
-    monkeypatch.setattr(cli, "DEFAULT_SPF_LIMIT", 1000)
-    limits = record_table_limits(monkeypatch)
-    code2, out, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", "1")
-    assert code == code2 == 0
-    assert limits == [465, 10007]
-    assert out == expected
+    # above the SPF limit the first table is not widened to n: the pi horizon
+    # of 10007, 465 ** 3 >= 10007 ** 2 > 464 ** 3, holds p_1 .. p_90.  A
+    # prime's class index pi(n) = 1230 is read on it (Meissel), and classes
+    # 1 .. j + 1 are read for its score, so the table is rebuilt up to n only
+    # where p_{j+1} lies past it and j < 1230 (j = 1230 scores nothing)
+    for j, built in ((0, [465]), (1, [465]), (2, [465]), (89, [465]), (90, [465, 10007]),
+                     (1229, [465, 10007]), (1230, [465])):
+        code, expected, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", str(j))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "DEFAULT_SPF_LIMIT", 1000)
+            limits = record_table_limits(patch)
+            code2, out, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", str(j))
+        assert code == code2 == 0
+        assert limits == built, j
+        assert out == expected
+        assert json.loads(out)["from_class"] == 1230
 
 
 def test_unknown_flag_exit_64(capsys):

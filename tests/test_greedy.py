@@ -338,7 +338,8 @@ def test_class_scores_closed_form_above_1e8(table):
 ])
 def test_move_score_opens_only_the_classes_it_reads(table, monkeypatch, n, js):
     # class i's score less class j's, as class_scores gives them: j = i opens
-    # no class, j = 0 only class i (s_i, one class_size), and 1 <= j < i
+    # no class, j = 0 only class i (s_i, one class_size; none for a prime n,
+    # whose class has no member below it), and 1 <= j < i
     # classes up to j + 1 (the dropped last entry), with Moebius sums up to j
     f = factorize(n, table)
     vals = class_scores(n, f, table)
@@ -358,11 +359,31 @@ def test_move_score_opens_only_the_classes_it_reads(table, monkeypatch, n, js):
     for j in js or range(i + 1):
         opened.clear(), summed.clear()
         assert greedy.move_score(n, f, j, table) == vals[i] - vals[j], (n, j)
-        assert opened[:1] == ([] if j == i else [i])
-        assert max(opened[1:], default=0) <= (0 if j == 0 else j + 1)
+        own = [] if j == i or f.distinct_primes[0] == n else [i]  # a prime's s_i is 0, unopened
+        assert opened[:len(own)] == own
+        assert max(opened[len(own):], default=0) <= (0 if j == 0 else j + 1)
         assert max(summed, default=0) <= (0 if j in (0, 1, i) else j)
     with pytest.raises(ValueError):
         greedy.move_score(n, f, i + 1, table)
+
+
+@settings(max_examples=40, deadline=None)
+@example(k=5)  # 11, on the table of 2, 3 and 5
+@example(k=664_579)  # 9999991, the last prime of the 10^7 table
+@given(k=strategies.integers(5, 664_579))
+def test_move_score_on_a_prime_past_its_horizon_table(table, k):
+    # n = p_k on the table at its pi horizon, which stops short of n: its class
+    # i = k by Meissel's two terms, and its scores to classes 0, 1, 2 and i,
+    # match those on the 10^7 table, which holds n; class i + 1 is refused
+    n = table.prime(k)
+    small = build_prime_table(verify_table_limit(n))
+    assert small.limit < n
+    f = factorize(n, small)
+    assert greedy.class_index(n, small) == k
+    for j in (0, 1, 2, k):
+        assert greedy.move_score(n, f, j, small) == greedy.move_score(n, f, j, table), (n, j)
+    with pytest.raises(ValueError):
+        greedy.move_score(n, f, k + 1, small)
 
 
 @pytest.mark.parametrize("pairs", [1, 7, greedy.VERIFY_PAIRS])

@@ -19,6 +19,7 @@ from gcdcluster import (
     factorize,
     partition_to_csv,
     read_partition_csv,
+    run_reference,
     similar,
 )
 from gcdcluster.partition import CSV_BLOCK, Partition, csv_blocks, json_blocks
@@ -299,6 +300,22 @@ def test_json_matches_json_dumps(n, ids, run, seed):
         classes.setdefault(c, []).append(m)
     got = "".join(json_blocks(Partition(n, labels)))
     assert got == json.dumps(dict(sorted(classes.items())))
+
+
+def test_json_of_partitions_with_gaps_matches_json_dumps(small_table):
+    # the greedy's own shapes: the first irregularity's (1155 = 3 * 5 * 7 * 11
+    # moved to the even class), a reference run, and a class id left empty
+    # (59, class 17 and its only member, as 59 ** 2 > 3000, moved to the even
+    # class); no class 0 either
+    emptied = canonical_partition(3000, small_table)
+    emptied.labels[59 - 2] = 1
+    for part in (exceptional_partition(1155, small_table), run_reference(3000).partition,
+                 emptied):
+        classes = {}
+        for m, c in enumerate(part.labels.tolist(), 2):
+            classes.setdefault(c, []).append(m)
+        assert "".join(json_blocks(part)) == json.dumps(dict(sorted(classes.items())))
+    assert 17 not in emptied.labels
 
 
 def test_csv_golden_g15(small_table, data_dir):
