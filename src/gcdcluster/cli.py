@@ -55,8 +55,6 @@ def _build_parser() -> _Parser:
     g.add_argument("--mode", choices=("reference", "accelerated"), default="accelerated")
     g.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     g.add_argument("--out", default=None)
-    g.add_argument("--guard", type=int, default=None,
-                   help="override the reference-mode size guard")
 
     v = sub.add_parser("verify", help="check canonical class selection over a range")
     v.add_argument("--from", dest="start", type=int, required=True)
@@ -85,14 +83,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _verify_limit(start: int, stop: int) -> int:
-    """``verify_table_limit(stop)``, the pi horizon and sqrt of ``stop``, widened
-    to ``min(stop, DEFAULT_SPF_LIMIT)`` so that small jobs keep the SPF fast path;
-    a window starting above ``DEFAULT_SPF_LIMIT`` never reads the SPF array."""
-    spf = min(stop, DEFAULT_SPF_LIMIT) if start <= DEFAULT_SPF_LIMIT else 0
-    return max(greedy_mod.verify_table_limit(stop), spf)
-
-
 def _open_out(path: str | None):
     if path is None:
         return sys.stdout, False
@@ -105,15 +95,13 @@ def _open_out(path: str | None):
 def cmd_greedy(args) -> int:
     if args.n < 2:
         raise _UsageError("--n must be at least 2")
-    if args.guard is not None and args.mode != "reference":
-        raise _UsageError("--guard applies only to --mode reference")
     fh, close = _open_out(args.out)  # before the run, which can be long
     try:
         if args.mode == "reference":
-            guard = args.guard if args.guard is not None else greedy_mod.DEFAULT_REFERENCE_GUARD
-            state = greedy_mod.run_reference(args.n, guard=guard)
-        else:
-            state = greedy_mod.run_accelerated(args.n, build_prime_table(max(args.n, 1000)))
+            state = greedy_mod.run_reference(args.n)
+        else:  # the table to n's pi horizon, the most its exact rows read
+            table = build_prime_table(greedy_mod.verify_table_limit(args.n))
+            state = greedy_mod.run_accelerated(args.n, table)
         if args.fmt == "csv":
             fh.writelines(csv_blocks(state.partition))  # never the whole text at once
         else:
@@ -171,7 +159,9 @@ def cmd_verify(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise _UsageError(f"--workers must be in [1, {cpus}], got {args.workers}")
-    limit = _verify_limit(args.start, args.stop)
+    # widened to the SPF array's reach for a window starting in it: small jobs keep its fast path
+    spf = min(args.stop, DEFAULT_SPF_LIMIT) if args.start <= DEFAULT_SPF_LIMIT else 0
+    limit = max(greedy_mod.verify_table_limit(args.stop), spf)
     spans = [(a, min(a + greedy_mod.SPAN - 1, args.stop))
              for a in range(args.start, args.stop + 1, greedy_mod.SPAN)]
     fh, close = _open_out(args.out)
@@ -294,14 +284,11 @@ def cmd_conflicts(args) -> int:
         return EXIT_OK
     if args.to_class < 0:  # refused before any sieve
         raise _UsageError(f"--to-class must be at least 0, got {args.to_class}")
-    table = build_prime_table(_verify_limit(n, n))
+    table = build_prime_table(greedy_mod.verify_table_limit(n))  # n's pi horizon: all it reads
     f = factorize(n, table)
     i = greedy_mod.class_index(f.distinct_primes[0], table)  # a prime's is pi(n)
     if args.to_class > i:  # refused before any class is scored
         raise _UsageError(f"--to-class must be in [0, {i}] for n={n}")
-    if len(table.primes) <= args.to_class < i:  # only for a prime n past the table
-        del table  # a prime n's classes 1 .. J + 1 are read; let the small table go first
-        table = build_prime_table(n)
     delta = greedy_mod.move_score(n, f, args.to_class, table)  # class i's score less class j's
     sys.stdout.write(json.dumps({"n": n, "from_class": i, "to_class": args.to_class,
                                  "delta": delta}) + "\n")

@@ -150,18 +150,18 @@ def _scan_step(lab: np.ndarray, friend: np.ndarray,
     return chosen, added, b_total
 
 
-def run_reference(n: int, guard: int = DEFAULT_REFERENCE_GUARD) -> GreedyState:
+def run_reference(n: int) -> GreedyState:
     """Greedy run scored member by member over all previous integers.
 
     Every existing class is scored at every step with no structural
     shortcuts, so this run is the executable ground truth the accelerated
-    mode is checked against.  Quadratic work, refused above ``guard``.
+    mode is checked against.  Quadratic work, refused above ``DEFAULT_REFERENCE_GUARD``.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n > guard:
+    if n > DEFAULT_REFERENCE_GUARD:
         raise ResourceGuardError(
-            f"reference greedy at n={n} refused (guard {guard})")
+            f"reference greedy at n={n} refused (guard {DEFAULT_REFERENCE_GUARD})")
     table = PrimeTable(n)
     labels = np.zeros(n - 1, dtype=np.int64)
     labels[0] = 1
@@ -259,11 +259,12 @@ class _Rows:
 
 class _Span:
     """The canonical clustering over [a, b]: each integer's class goes into
-    ``labels``, the odd integers into ``rows`` (``sizes`` on entry: within
-    [2, a - 1]).  ``gain[m - a]``: the conflicts m adds in its class."""
+    ``labels``, a prime's counted on from ``pi`` (pi(a - 1); pi(b) after), so no
+    prime above isqrt(b) is read; the odd integers go into ``rows`` (``sizes`` on
+    entry: within [2, a - 1]).  ``gain[m - a]``: the conflicts m adds in its class."""
 
     def __init__(self, a: int, b: int, table: PrimeTable, sizes: np.ndarray,
-                 labels: np.ndarray):
+                 labels: np.ndarray, pi: int):
         phi, qs, used = _sieve_span(a, b, table.primes[: table.pi(isqrt(b))])
         # m - 1 - phi(m) friends below m, less those in its class: the
         # (m - 2) / 2 evens for even m, s_i for an odd composite (below);
@@ -277,6 +278,9 @@ class _Span:
         gain_odd = self.gain[1 - a % 2 :: 2]
         self.rows = _Rows(odd, spf, qs, used[comp], gain_odd[comp] - (odd[comp] - 1) // 2,
                           sizes, table)  # d1 = (m - 1) // 2 - phi(m)
+        prime = np.flatnonzero(~comp)
+        self.pi = pi + (a == 2) + len(prime)
+        self.rows.lab[prime] = np.arange(self.pi - len(prime) + 1, self.pi + 1)
         labels[a % 2 :: 2] = 1
         labels[1 - a % 2 :: 2] = self.rows.lab
         del self.rows.lab  # written; the bound loop reads the keys
@@ -329,15 +333,19 @@ class _Span:
 
 def _spans(n: int, table: PrimeTable, labels):
     """(a, the ``_Span`` over [a, b]) per ``SPAN`` integers of [2, n], in order,
-    class sizes carried across spans; [a, b]'s labels go to ``labels(a, b)``,
-    those of primes above the table (it need only reach isqrt(n)) past its end."""
+    class sizes and pi(a - 1) carried across spans; [a, b]'s labels go to
+    ``labels(a, b)``.  The table need only reach isqrt(n)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if isqrt(n) > table.limit:
         raise OutOfRangeError(f"isqrt(n) = {isqrt(n)} exceeds table limit {table.limit}")
-    sizes = np.zeros(table.pi(isqrt(n)) + 1, dtype=np.int64)
-    ends = [(a, min(a + SPAN - 1, n)) for a in range(2, n + 1, SPAN)]
-    return ((a, _Span(a, b, table, sizes, labels(a, b))) for a, b in ends)
+    sizes, pi = np.zeros(table.pi(isqrt(n)) + 1, dtype=np.int64), 0
+    for a in range(2, n + 1, SPAN):
+        b = min(a + SPAN - 1, n)
+        span = _Span(a, b, table, sizes, labels(a, b), pi)
+        pi = span.pi
+        yield a, span
+        del span  # one span alive at a time: freed before the next is built
 
 
 def canonical_conflicts(n: int, table: PrimeTable) -> int:
@@ -358,8 +366,8 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     ``SPAN``, ``_Span`` scores class 1 exactly and bounds each class j >= 2
     until the friend bound W_j, falling with j, is below s_i, or until the
     row's cut, past which every class scores in closed form; its rows score
-    what stays open exactly.  Conflicts are summed in closed form.  One span
-    is alive at a time: each is freed before the next is built.
+    what stays open exactly.  Conflicts are summed in closed form.  The table
+    need reach only n's pi horizon, ``verify_table_limit(n)``.
 
     A step whose winner differs from class i is recorded as an anomaly and
     labeled with the actual winner.  The scores of every later step assume
@@ -367,32 +375,37 @@ def run_accelerated(n: int, table: PrimeTable) -> GreedyState:
     the first anomaly is labeled by the canonical rule, recorded as
     unverified, and left out of ``conflicts``.
     """
-    if n > table.limit:  # a prime's label is its index, so every prime up to n is read
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    spans = _spans(n, table, lambda a, b: labels[a - 2 : b - 1])  # checks n before labels exist
+    if table.limit < verify_table_limit(n):  # its exact rows read pi(y) up to n's pi horizon
+        raise OutOfRangeError(f"table limit {table.limit} is below n={n}'s pi horizon")
     labels = np.empty(n - 1, dtype=np.int64)
     state = GreedyState(Partition(n, labels), "accelerated")
-    for a, span in spans:
+    for a, span in _spans(n, table, lambda a, b: labels[a - 2 : b - 1]):
         if not state.anomalies:
             state.bound_checks += sum(len(k) for _, k, _ in span.bounds(table))
             sel = np.flatnonzero(span.exact)
             state.exact_checks += len(sel)
-            scores, starts = span.rows.scores(sel, table)
-            for m, vals in zip(span.rows.m[sel].tolist(), np.split(scores, starts[1:-1])):
-                vals = vals.tolist()
-                chosen = vals.index(max(vals))  # ties to the smallest class
-                if chosen != len(vals) - 1:  # s_i >= 1, so never a fresh class
-                    state.anomalies.append((m, len(vals) - 1, chosen))
-                    labels[m - 2] = chosen
-                    # friends of m below it, less those in class chosen
-                    state.conflicts += (int(span.gain[: m - a].sum())
-                                        + (m - 1) // 2 + vals[1] - vals[chosen])
-                    state.unverified = range(m + 1, n + 1)
-                    break
+            vals, starts = span.rows.scores(sel, table)
+            i, chosen = span.rows.i[sel], _winners(vals, starts)  # s_i >= 1: never class 0
+            bad = np.flatnonzero(chosen != i)
+            if len(bad):
+                k, m, c = bad[0], int(span.rows.m[sel[bad[0]]]), int(chosen[bad[0]])
+                state.anomalies.append((m, int(i[k]), c))
+                labels[m - 2] = c
+                # friends of m below it, less those in class c
+                state.conflicts += (int(span.gain[: m - a].sum()) + (m - 1) // 2
+                                    + int(vals[starts[k] + 1] - vals[starts[k] + c]))
+                state.unverified = range(m + 1, n + 1)
             else:
                 state.conflicts += int(span.gain.sum())
         del span  # one span alive at a time: freed before the next is built
     return state
+
+
+def _winners(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each row's first class at its maximum, row k's scores vals[starts[k] : starts[k + 1]]."""
+    top = np.repeat(np.maximum.reduceat(vals, starts[:-1]), np.diff(starts))
+    hit = np.flatnonzero(vals == top)
+    return hit[np.searchsorted(hit, starts[:-1])] - starts[:-1]
 
 
 def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
@@ -415,20 +428,21 @@ def class_scores(n: int, f: Factorization, table: PrimeTable) -> list[int]:
 def move_score(n: int, f: Factorization, j: int, table: PrimeTable) -> int:
     """The change in conflicts when odd n >= 3 moves from class i, its smallest
     prime's, to class 0 <= j <= i, against the canonical clustering of [2, n-1]:
-    entry i of ``class_scores`` less entry j, with no other class scored.  s_i
-    is one ``class_size`` (0 for a prime: its class has no member below it; i
-    comes from ``class_index``), the fresh class scores 0, and for 1 <= j < i
-    ``_score_rows`` scores classes 1 .. j as if n's class were j + 1: it reads i
-    only to clip its cut, so those entries are the same."""
+    entry i of ``class_scores`` less entry j, with no other class scored.  The
+    fresh class scores 0.  A prime n has s_i = 0 and class j scores -s_j (c = 1
+    in ``_score_rows``), s_j = 1 past the table, as p_j is then in (sqrt(n), n).
+    Else s_i is one ``class_size``, and ``_score_rows`` scores classes 1 .. j as
+    if n's class were j + 1: it reads i only to clip its cut."""
     if n >= VERIFY_STOP_LIMIT:
         raise OutOfRangeError(f"{n} is not below {VERIFY_STOP_LIMIT}, the int64 kernel's limit")
     i = class_index(f.distinct_primes[0], table)
     if not 0 <= j <= i:
         raise ValueError(f"need 0 <= j <= {i}, got {j}")
-    if j == i:
+    if j == i or (j == 0 and f.distinct_primes[0] == n):
         return 0
-    s_i = 0 if f.distinct_primes[0] == n else class_size(i, n - 1, table)
-    return s_i - (int(_scores_below(n, f, j + 1, table)[j]) if j else 0)
+    if f.distinct_primes[0] == n:
+        return class_size(j, n - 1, table) if j <= len(table.primes) else 1
+    return class_size(i, n - 1, table) - (int(_scores_below(n, f, j + 1, table)[j]) if j else 0)
 
 
 def class_index(p: int, table: PrimeTable) -> int:
@@ -558,7 +572,7 @@ def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
     """``verify_range`` on the odd integers of [a, b], a odd; adds the
     block's members to ``sizes``, and its record lines to ``records.out``.  Past
     one ``factorize`` per odd integer, in order, all is numpy: ``qs`` by one scatter,
-    phi(m) by an exact update per column, each row's winner the first class at its maximum."""
+    phi(m) by an exact update per column, each row's winner by ``_winners``."""
     ds = [factorize(n, table).distinct_primes for n in range(a, b + 1, 2)]
     count = np.fromiter(map(len, ds), dtype=np.int64, count=len(ds))
     flat = np.fromiter(chain.from_iterable(ds), dtype=np.int64, count=int(count.sum()))
@@ -576,8 +590,7 @@ def _verify_block(a: int, b: int, table: PrimeTable, sizes: np.ndarray,
     if not len(m):
         return
     vals, starts = rows.scores(slice(None), table)
-    hit = np.flatnonzero(vals == np.repeat(np.maximum.reduceat(vals, starts[:-1]), rows.i + 1))
-    chosen = hit[np.searchsorted(hit, starts[:-1])] - starts[:-1]
+    chosen = _winners(vals, starts)
     bad = np.flatnonzero(chosen != rows.i)
     report.anomalies += zip(m[bad].tolist(), rows.i[bad].tolist(), chosen[bad].tolist())
     if records is not None:

@@ -12,7 +12,7 @@ from gcdcluster import (build_prime_table, canonical_partition, cli, count_confl
                         partition_to_csv, primes)
 from gcdcluster.cli import main
 from gcdcluster.thresholds import n1_table
-from oracles import naive_spf
+from oracles import naive_spf, scalar_class_scores
 from test_greedy import class_1_wins_at
 
 FIRST_IRREGULAR = 111546435
@@ -78,15 +78,28 @@ def test_greedy_anomaly_exit_1(capsys, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("argv", [("--n", "100", "--guard", "5"),
-                                  ("--n", "100", "--mode", "accelerated", "--guard", "100000")])
+                                  ("--n", "100", "--mode", "reference", "--guard", "100000")])
 def test_greedy_usage_exit_64(capsys, monkeypatch, argv):
-    # the accelerated greedy has no guard; refused before any table
+    # neither mode takes --guard (the reference mode's is a constant):
+    # argparse refuses it before any table is built
     limits = record_table_limits(monkeypatch)
-    code, out, err = run_cli(capsys, "greedy", *argv)
-    assert code == 64
-    assert out == ""
-    assert err == "greedy: --guard applies only to --mode reference\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["greedy", *argv])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --guard" in captured.err
     assert limits == []
+
+
+def test_greedy_table_at_pi_horizon(capsys, monkeypatch, table):
+    # one table, to 100000's pi horizon (2155 ** 3 >= 10 ** 10 > 2154 ** 3),
+    # not to n: a prime's class is counted, not read off the table
+    limits = record_table_limits(monkeypatch)
+    code, out, _ = run_cli(capsys, "greedy", "--n", "100000")
+    assert code == 0
+    assert limits == [2155]
+    assert out == partition_to_csv(canonical_partition(100_000, table))
 
 
 def test_greedy_reference_guard_exit_2(capsys):
@@ -645,11 +658,11 @@ def test_conflicts_move_delta_at_scale(capsys):
 
 # argv: the table limits built before the refusal
 _CONFLICTS_REFUSED = {
-    ("--n", "105", "--to-class", "7"): [105],  # 105 is in class 2
+    ("--n", "105", "--to-class", "7"): [23],  # 105 is in class 2; its pi horizon
     ("--n", "105", "--to-class", "-1"): [],
     ("--n", "1", "--to-class", "1"): [],
     ("--n", "1"): [],
-    ("--n", "10007", "--to-class", "1231"): [10007],  # a prime, class pi(10007) = 1230
+    ("--n", "10007", "--to-class", "1231"): [465],  # a prime, class pi(10007) = 1230
     ("--n", "104", "--to-class", "1"): [],  # an even n has no move score
     ("--n", "1000000007", "--to-class", "50847536"): [1000001],  # pi(n) on its horizon table
 }
@@ -671,22 +684,22 @@ def test_conflicts_out_of_range_exit_64(capsys, monkeypatch, argv):
 
 
 def test_conflicts_prime_beyond_default_table(capsys, monkeypatch):
-    # above the SPF limit the first table is not widened to n: the pi horizon
-    # of 10007, 465 ** 3 >= 10007 ** 2 > 464 ** 3, holds p_1 .. p_90.  A
-    # prime's class index pi(n) = 1230 is read on it (Meissel), and classes
-    # 1 .. j + 1 are read for its score, so the table is rebuilt up to n only
-    # where p_{j+1} lies past it and j < 1230 (j = 1230 scores nothing)
-    for j, built in ((0, [465]), (1, [465]), (2, [465]), (89, [465]), (90, [465, 10007]),
-                     (1229, [465, 10007]), (1230, [465])):
-        code, expected, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", str(j))
+    # one table, to the pi horizon of 10007 (465 ** 3 >= 10007 ** 2 > 464 ** 3),
+    # which holds p_1 .. p_90: a prime's class index pi(n) = 1230 is read on it
+    # (Meissel), and every class j scores -s_j there, s_j = 1 past the table;
+    # the move score is entry i less entry j of the referee's scores on a
+    # table to n, on both sides of the table's last prime
+    n, table = 10_007, build_prime_table(10_007)
+    want = scalar_class_scores(n, table)
+    assert len(want) == 1231
+    for j in (0, 1, 2, 89, 90, 91, 1229, 1230):
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "DEFAULT_SPF_LIMIT", 1000)
             limits = record_table_limits(patch)
-            code2, out, _ = run_cli(capsys, "conflicts", "--n", "10007", "--to-class", str(j))
-        assert code == code2 == 0
-        assert limits == built, j
-        assert out == expected
-        assert json.loads(out)["from_class"] == 1230
+            code, out, _ = run_cli(capsys, "conflicts", "--n", str(n), "--to-class", str(j))
+        assert code == 0
+        assert limits == [465], j
+        assert json.loads(out) == {"n": n, "from_class": 1230, "to_class": j,
+                                   "delta": want[1230] - want[j]}, j
 
 
 def test_unknown_flag_exit_64(capsys):

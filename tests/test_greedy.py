@@ -179,9 +179,31 @@ def test_accelerated_conflicts_identity(table):
     assert st.conflicts == count_conflicts(st.partition)
 
 
-def test_accelerated_refuses_n_beyond_table(small_table):
-    with pytest.raises(OutOfRangeError):
-        run_accelerated(small_table.limit + 1, small_table)
+def test_accelerated_refuses_n_beyond_table():
+    # the exact rows read pi(y) up to n's pi horizon: one below it is refused
+    for n in (3, 300, 10_001, 10 ** 6):
+        with pytest.raises(OutOfRangeError):
+            run_accelerated(n, build_prime_table(verify_table_limit(n) - 1))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=strategies.integers(2, 3000))
+@example(n=2)
+@example(n=3)
+@example(n=101)  # the last span, [99, 101], ends on a prime
+@example(n=293)  # the last span is the prime 293 alone
+@example(n=389)  # [293, 389] starts and ends on a prime
+@example(n=390)  # and the next span starts past it
+@example(n=2717)  # [2621, 2717] starts on a prime
+def test_accelerated_labels_primes_by_count(monkeypatch, table, n):
+    # spans of 97 on a table to n's pi horizon only: a prime's class is pi(n)
+    # counted across span edges, and the exact rows read no prime past the table
+    monkeypatch.setattr(greedy, "SPAN", 97)
+    st = run_accelerated(n, build_prime_table(verify_table_limit(n)))
+    assert st.partition.labels.tolist() == canonical_partition(n, table).labels.tolist()
+    assert st.conflicts == count_conflicts(st.partition)
+    assert not st.anomalies and not st.unverified
 
 
 @settings(max_examples=60, deadline=None,
@@ -235,12 +257,14 @@ def class_1_wins_at(m0: int, monkeypatch) -> list[int]:
 
 
 def test_accelerated_stops_verifying_after_an_anomaly(table, monkeypatch):
+    # each run on a table to its n's pi horizon (45 for 300, 23 for 105),
+    # which the doctored exact row at 105 is scored on
     seen = class_1_wins_at(105, monkeypatch)
     n = 300
     for span in (greedy.SPAN, 40):  # one span; then the anomaly in the third of 8
         monkeypatch.setattr(greedy, "SPAN", span)
         seen.clear()
-        st = run_accelerated(n, table)
+        st = run_accelerated(n, build_prime_table(verify_table_limit(n)))
         assert seen == [105]  # the one integer the bounds leave open
         assert st.anomalies == [(105, 2, 1)] and st.exact_checks == 1
         assert st.unverified == range(106, n + 1)
@@ -250,7 +274,7 @@ def test_accelerated_stops_verifying_after_an_anomaly(table, monkeypatch):
         assert np.array_equal(st.partition.labels[104:], canon.labels[104:])
         # conflicts count every step up to the anomaly and none after it
         seen.clear()
-        at_105 = run_accelerated(105, table)
+        at_105 = run_accelerated(105, build_prime_table(verify_table_limit(105)))
         assert seen == [105]
         assert at_105.anomalies == [(105, 2, 1)] and not at_105.unverified
         assert at_105.conflicts == count_conflicts(at_105.partition)
@@ -662,6 +686,15 @@ def test_verify_blocks_match_verify_single(table, anchor, width, offset, block, 
 
 # ------------------------------------------------------ the row model
 
+def _pi_below(a: int, table) -> int:
+    """pi(a - 1), the class of the last prime below a, which a ``_Span`` from a
+    counts on from (Meissel's pi past the table)."""
+    p = a - 1
+    while p > 1 and factorize(p, table).distinct_primes[0] != p:
+        p -= 1
+    return greedy.class_index(p, table) if p > 1 else 0
+
+
 def _rows_of_both_sweeps(a: int, b: int, table):
     """The ``_Rows`` that ``_Span`` and ``_verify_block`` build over the odd
     integers of [a, b], each from the entry sizes ``class_size(c, a - 1)``,
@@ -679,7 +712,7 @@ def _rows_of_both_sweeps(a: int, b: int, table):
     span_sizes, block_sizes = entry.copy(), entry.copy()
     labels = np.empty(b - a + 1, dtype=np.int64)
     with mock.patch.object(greedy, "_Rows", Kept):
-        span = greedy._Span(a, b, table, span_sizes, labels)
+        span = greedy._Span(a, b, table, span_sizes, labels, _pi_below(a, table))
         greedy._verify_block(a | 1, b, table, block_sizes, greedy.VerifyReport(a, b), None)
     assert len(built) == 2 and built[0] is span.rows
     assert not hasattr(span.rows, "lab")  # dropped once written to the labels
@@ -702,7 +735,13 @@ def test_span_and_verify_block_build_the_same_rows(table, anchor, width, offset)
     a = max(2, anchor - offset % width)
     b = a + width - 1
     (span, span_sizes), (block, block_sizes), entry = _rows_of_both_sweeps(a, b, table)
-    assert span.lab.tolist() == block.lab.tolist()  # the span's labels of its odd integers
+    # the span's labels of its odd integers: a composite's by its smallest
+    # prime, as verify's; a prime's counted, which is pi(p), past the table too
+    odd = np.arange(a | 1, b + 1, 2)
+    prime = np.setdiff1d(np.arange(len(odd)), block.k)
+    want = block.lab.copy()
+    want[prime] = [greedy.class_index(p, table) for p in odd[prime].tolist()]
+    assert span.lab.tolist() == want.tolist()
     for name in ("k", "m", "i", "s_i", "d1", "used"):
         assert getattr(span, name).tolist() == getattr(block, name).tolist(), name
     for r, u in enumerate(span.used.tolist()):
@@ -721,7 +760,7 @@ def test_rows_size_counts_class_members_below(table):
         top = table.pi(isqrt(b)) + 1
         entry = rng.integers(0, 10 ** 6, top)
         labels = np.empty(b - a + 1, dtype=np.int64)
-        rows = greedy._Span(a, b, table, entry.copy(), labels).rows
+        rows = greedy._Span(a, b, table, entry.copy(), labels, _pi_below(a, table)).rows
         lab = labels[1 - a % 2 :: 2].tolist()  # the classes of the odd integers
         k = rng.integers(0, len(lab) + 1, 400)
         own = rng.choice(rows.k, 200)  # the class of the k-th odd integer itself
@@ -741,7 +780,7 @@ def test_rows_keys_in_int64_past_int32(table):
     rng = np.random.default_rng(11)
     entry = rng.integers(0, 10 ** 6, table.pi(isqrt(b)) + 1)
     rows = [greedy._Span(a, b, table, np.r_[entry, np.zeros(pad, dtype=np.int64)],
-                         np.empty(b - a + 1, dtype=np.int64)).rows
+                         np.empty(b - a + 1, dtype=np.int64), 0).rows
             for pad in (0, 2 ** 31 // 100_000 + 1 - len(entry))]
     assert [r.keys.dtype for r in rows] == [np.int32, np.int64]
     assert rows[0].s_i.tolist() == rows[1].s_i.tolist()
@@ -757,7 +796,8 @@ def _engine_report(a: int, b: int, table, sizes) -> dict[int, tuple]:
     """Run the span engine over [a, b] from the entry class ``sizes`` and
     collect, per odd composite m: (d1, s_i, {class j: W_j} for each class
     m was carried at, whether m was marked for exact scoring)."""
-    span = greedy._Span(a, b, table, np.array(sizes), np.empty(b - a + 1, dtype=np.int64))
+    span = greedy._Span(a, b, table, np.array(sizes), np.empty(b - a + 1, dtype=np.int64),
+                        _pi_below(a, table))
     rows = span.rows
     carried = {m: {} for m in rows.m.tolist()}
     for j, k, w in span.bounds(table):
